@@ -3,16 +3,18 @@
 Each node has its own availability clock. At an availability event a node
 reads its mailbox (descent contributions and dated neighbor packages
 deposited strictly before the event time), applies pending descents,
-recomputes its gradient from its dated view, updates its curvature, and
-deposits fresh values for its neighbors.
+recomputes its gradient from its dated view, takes its method's local step,
+and deposits fresh values for its neighbors. D-BFGS updates its curvature
+and computes descent contributions for its neighborhood; dual
+decomposition steps along its own gradient block.
 
 Events sharing an exact wall time form a batch processed as a synchronized
-sub-round: tied nodes see each other's fresh values. A zero-drift schedule
-therefore degenerates to the synchronous runtime; all-nodes batches run
-through the same vectorized kernel as the synchronous engine, so lockstep
-execution reproduces it bit for bit. Continuous random schedules have
-singleton batches almost surely, which is the asynchronous algorithm
-proper.
+sub-round: tied nodes see each other's fresh values. Every batch, from a
+singleton to all nodes, goes through one engine and the round kernel the
+synchronous engine uses, so a zero-drift schedule reproduces the
+synchronous runtime bit for bit by construction. Continuous random
+schedules have singleton batches almost surely, which is the asynchronous
+algorithm proper.
 
 The virtual engine re-runs the same event sequence but applies every
 finished descent to a global variable immediately instead of through
@@ -28,16 +30,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernel import RoundKernel
-from .curvature import (
-    SKIP_THRESHOLD,
-    CurvatureState,
-    bfgs_update,
-    modified_variations,
-    neighborhood_descent,
-)
+from .curvature import SKIP_THRESHOLD
 from .netgraph import Graph
 from .objectives import DistributedObjective, consensus_error, solve_consensus_optimum
-from .sync_runtime import DIVERGENCE_LIMIT, SyncConfig, Trace
+from .sync_runtime import SyncConfig, Trace, _check_stop
 
 __all__ = [
     "ClockSchedule",
@@ -49,8 +45,6 @@ __all__ = [
     "run_dbfgs_async",
     "run_dd_async",
     "virtual_replay",
-    "dump_schedule",
-    "load_schedule",
 ]
 
 CLOCK_INCREMENT_FLOOR = 0.01
@@ -140,24 +134,6 @@ def measure_asynchronicity(schedule: ClockSchedule, horizon: float | None = None
     return worst
 
 
-def dump_schedule(schedule: ClockSchedule) -> str:
-    lines = [f"schedule {schedule.n} {schedule.horizon!r} {schedule.mu!r} "
-             f"{schedule.sigma!r} {schedule.seed}"]
-    for ticks in schedule.times:
-        lines.append(" ".join(repr(float(t)) for t in ticks))
-    return "\n".join(lines) + "\n"
-
-
-def load_schedule(text: str) -> ClockSchedule:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    head = lines[0].split()
-    n = int(head[1])
-    times = tuple(np.asarray([float(v) for v in lines[1 + i].split()])
-                  for i in range(n))
-    return ClockSchedule(times=times, horizon=float(head[2]), mu=float(head[3]),
-                         sigma=float(head[4]), seed=int(head[5]))
-
-
 # ---------------------------------------------------------------------------
 # event queue
 # ---------------------------------------------------------------------------
@@ -197,268 +173,177 @@ class AsyncConfig(SyncConfig):
 
 
 class _Mailbox:
-    """Per-node inbox: dated neighbor packages and pending descent chunks."""
+    """Per-node inbox: dated neighbor packages and pending descent chunks.
 
-    __slots__ = ("queues", "current", "pending")
+    Package queues are keyed by the layout row the sender occupies in this
+    node's neighborhood.
+    """
 
-    def __init__(self, neighbors):
-        self.queues = {j: deque() for j in neighbors}
-        self.current = {j: None for j in neighbors}
+    __slots__ = ("queues", "pending")
+
+    def __init__(self, rows):
+        self.queues = {row: deque() for row in rows}
         self.pending = deque()
 
-    def read(self, now: float):
+    def read(self, now: float, known: np.ndarray) -> list:
         """Deliver everything that arrived strictly before ``now``.
 
-        Returns pending descent chunks in arrival order and refreshes the
-        dated package copies.
+        Writes each neighbor's latest package to its row of ``known`` and
+        returns the pending descent chunks in arrival order.
         """
-        for j, q in self.queues.items():
-            while q and q[0][0] < now:
-                self.current[j] = q.popleft()[2]
+        for row, q in self.queues.items():
+            if q and q[0][0] < now:
+                while q and q[0][0] < now:
+                    pkg = q.popleft()[1]
+                known[:, row] = pkg
         chunks = []
         while self.pending and self.pending[0][0] < now:
-            chunks.append(self.pending.popleft())
+            chunks.append(self.pending.popleft()[1])
         return chunks
 
 
-class _NodeState:
-    """Async node: curvature, previous neighborhood views, local counter."""
-
-    __slots__ = ("curv", "prev_var_view", "prev_g_view", "local_iter")
-
-    def __init__(self, curv):
-        self.curv = curv
-        self.prev_var_view = None
-        self.prev_g_view = None
-        self.local_iter = 0
-
-
-def _check_schedule_start(schedule: ClockSchedule) -> None:
-    if any(ticks[0] != 0.0 for ticks in schedule.times):
-        raise ValueError("all availability clocks must start at t = 0")
-
-
 # ---------------------------------------------------------------------------
-# D-BFGS engines (physical and virtual)
+# the event engine
 # ---------------------------------------------------------------------------
 
 
-class _AsyncDbfgs:
-    """Shared implementation of the physical and virtual D-BFGS engines."""
+class _AsyncEngine:
+    """One event loop for asynchronous D-BFGS (physical and virtual) and DD.
+
+    Every batch reads its nodes' mail, evaluates their gradients from views
+    that mix the batch's fresh blocks with dated packages, records a trace
+    row, takes the method's local step on the round kernel or the gradient,
+    and publishes the nodes' packages.
+    """
 
     def __init__(self, graph: Graph, objective: DistributedObjective,
-                 cfg: AsyncConfig, schedule: ClockSchedule, virtual: bool):
+                 cfg: AsyncConfig, schedule: ClockSchedule, method: str,
+                 virtual: bool = False):
         cfg.validate(objective)
         if schedule.n != graph.n:
             raise ValueError("schedule and graph disagree on node count")
-        _check_schedule_start(schedule)
-        self.graph = graph
+        if any(ticks[0] != 0.0 for ticks in schedule.times):
+            raise ValueError("all availability clocks must start at t = 0")
         self.obj = objective
         self.cfg = cfg
         self.schedule = schedule
         self.virtual = virtual
         n, p = graph.n, objective.p
-        self.p = p
-        self.kernel = RoundKernel(graph, p)
-        self.var = (np.zeros((n, p)) if cfg.var0 is None
-                    else np.array(cfg.var0, dtype=float))
-        self.aux_est = objective.stage1_full(self.var)
-        self.nodes = [
-            _NodeState(CurvatureState.initial(graph, i, p, cfg.gamma, cfg.big_gamma))
-            for i in range(n)
-        ]
-        self.mail = [_Mailbox(graph.neighborhoods[i]) for i in range(n)]
-        self.seq = 0
-        self.regular = graph.is_regular() is not None
+        self.kernel = kernel = RoundKernel(graph, p)
+        # the kernel's view stack of (var, aux, g): node i's dated copy of
+        # its k-th neighbor at row offsets[i] + k, then every node's own
+        # current block
+        self.store = np.zeros((3, kernel.total_blocks + n, p))
+        self.known = self.store[:, :kernel.total_blocks]
+        self.var, self.aux, self.g = self.store[:, kernel.total_blocks:]
+        if cfg.var0 is not None:
+            self.var[:] = cfg.var0
+        self.mail = [_Mailbox(r for r in range(kernel.offsets[i], kernel.offsets[i + 1])
+                              if kernel.cols[r] != i)
+                     for i in range(n)]
+        self.local_iter = np.zeros(n, dtype=int)
+        self.dbfgs = method == "dbfgs"
+        if self.dbfgs:
+            self.matrices = [np.eye(m * p) for m in graph.m]
+            self.prev_var = np.empty((kernel.total_blocks, p))
+            self.prev_g = np.empty((kernel.total_blocks, p))
+            self.eflat = np.empty((kernel.total_blocks, p))
         self.xstar = solve_consensus_optimum(objective.instance)
-        self.trace = Trace(method="dbfgs", mode=cfg.mode, seed=cfg.seed,
-                           model_time=[], local_iter_min=[])
-        self.event_log = []
+        self.trace = Trace(method=method, mode=cfg.mode, seed=cfg.seed,
+                           model_time=[], local_iter_min=[], event_log=[])
         self.exchanges = 0
 
-    # -- deposits ------------------------------------------------------------
+    def _views(self, groups, q: int) -> list:
+        """Per-group (g, m, p) views of quantity q (0 var, 1 aux, 2 g)."""
+        return [self.store[q][grp.view] for grp in groups]
 
-    def _deposit(self, i: int, t: float, var_i, aux_i, g_i, e_flat):
-        """Queue node i's descent contributions and package for neighbors.
-
-        The virtual engine also applies each contribution to the global
-        variable immediately, in the same deterministic order the physical
-        mailboxes will replay it. The published package always carries the
-        pre-descent block (what the physical node holds after its read).
-        """
-        delta = self.cfg.delta_msg
-        pkg = (var_i.copy(), aux_i.copy(), g_i.copy())
-        for slot, j in enumerate(self.graph.neighborhoods[i]):
-            block = e_flat[slot * self.p:(slot + 1) * self.p].copy()
-            arrival = t if j == i else t + delta
-            self.mail[j].pending.append((arrival, self.seq, block))
-            self.seq += 1
-            if self.virtual:
-                self.var[j] += self.cfg.step_size * block
-        for j in self.graph.neighborhoods[i]:
-            if j != i:
-                self.mail[j].queues[i].append((t + delta, self.seq, pkg))
-                self.seq += 1
-
-    # -- all-nodes batches through the synchronous kernel ---------------------
-
-    def _full_batch_kernel(self, t: float, batch, init: bool) -> bool:
-        """All-nodes batch on the vectorized round kernel.
-
-        Applicable on regular graphs when every node's pending chunks are
-        exactly one slot-ordered contribution per neighbor (always the case
-        in lockstep). Bit-identical to the synchronous engine's round.
-        """
-        n = self.graph.n
-        if not (self.regular and len(batch) == n):
-            return False
-        m = self.graph.m[0]
-        if init:
-            if any(self.mail[i].pending for i in range(n)):
-                return False
-            chunks = None
-        else:
-            rows = []
-            for i in range(n):
-                pend = list(self.mail[i].pending)
-                if len(pend) != m or any(entry[0] >= t for entry in pend):
-                    return False
-                rows.append([entry[2] for entry in pend])
-            chunks = np.asarray(rows)  # (n, m, p)
-        for i in range(n):
-            box = self.mail[i]
-            box.pending.clear()
-            for j, q in box.queues.items():
-                while q and q[0][0] < t:
-                    box.current[j] = q.popleft()[2]
-        if chunks is not None and not self.virtual:
-            for k in range(m):
-                self.var += self.cfg.step_size * chunks[:, k]
-        if not init:
-            for st in self.nodes:
-                st.local_iter += 1
-        snapshot = self.var.copy()
-        for i in range(n):
-            self.event_log.append((t, i, self.nodes[i].local_iter,
-                                   snapshot[i]))
-        aux = self.obj.stage1_full(self.var)
-        g = self.obj.stage2_full(self.var, aux)
-        self.aux_est = aux.copy()
-        var_views = self.kernel.gather_views(self.var)
-        g_views = self.kernel.gather_views(g)
-        mats = [st.curv.matrix for st in self.nodes]
-        if not init:
-            prev_v = [np.stack([st.prev_var_view for st in self.nodes])]
-            prev_g = [np.stack([st.prev_g_view for st in self.nodes])]
-            self.kernel.bfgs_all(mats, prev_v, var_views, prev_g, g_views,
-                                 self.cfg.gamma, SKIP_THRESHOLD)
-            for i, st in enumerate(self.nodes):
-                st.curv.matrix = mats[i]
-        eflat = self.kernel.descent(mats, g_views, self.cfg.big_gamma)
-        off = self.kernel.offsets
-        for i, st in enumerate(self.nodes):
-            st.prev_var_view = var_views[0][i]
-            st.prev_g_view = g_views[0][i]
-            self._deposit(i, t, snapshot[i], aux[i], g[i],
-                          np.ravel(eflat[off[i]:off[i + 1]]))
-        return True
-
-    # -- generic batches -------------------------------------------------------
-
-    def _process_batch(self, t: float, batch, init: bool) -> None:
-        if self._full_batch_kernel(t, batch, init):
-            self.exchanges += len(batch)
-            if not init:
-                self._record(t)
-            return
-        batch = sorted(batch)
-        batch_set = set(batch)
+    def _process_batch(self, t: float, batch: list, init: bool) -> bool:
+        """Run one batch; True when a stop rule ends the run."""
+        groups = self.kernel.batch(batch)
+        ids = np.array(batch)
         # phase 1: read mail, apply pending descents, advance local clocks
         for i in batch:
-            chunks = self.mail[i].read(t)
-            if not self.virtual:
-                for _, _, block in chunks:
+            for block in self.mail[i].read(t, self.known):
+                if not self.virtual:
                     self.var[i] += self.cfg.step_size * block
-            if not init:
-                self.nodes[i].local_iter += 1
-        # phase 2a: variable views (fresh within the batch) and auxiliaries
-        var_views, auxes = {}, {}
-        for i in batch:
-            nbhd = self.graph.neighborhoods[i]
-            vv = np.empty((len(nbhd), self.p))
-            for k, j in enumerate(nbhd):
-                if j == i or j in batch_set:
-                    vv[k] = self.var[j]
-                else:
-                    pkg = self.mail[i].current[j]
-                    vv[k] = pkg[0] if pkg is not None else 0.0
-            var_views[i] = vv
-            auxes[i] = self.obj.stage1_block(i, vv)
-        # phase 2b: gradients from auxiliary views; comparison snapshots
-        g_blocks, snapshots = {}, {}
-        for i in batch:
-            nbhd = self.graph.neighborhoods[i]
-            av = np.empty((len(nbhd), self.p))
-            for k, j in enumerate(nbhd):
-                if j == i:
-                    av[k] = auxes[i]
-                elif j in batch_set:
-                    av[k] = auxes[j]
-                else:
-                    pkg = self.mail[i].current[j]
-                    av[k] = pkg[1] if pkg is not None else 0.0
-            g_blocks[i] = self.obj.stage2_block(i, var_views[i], av)
-            self.aux_est[i] = auxes[i]
-            snapshots[i] = self.var[i].copy()
-            self.event_log.append((t, i, self.nodes[i].local_iter,
-                                   snapshots[i]))
-        # phase 3: curvature updates, next descents, deposits
-        for i in batch:
-            st = self.nodes[i]
-            nbhd = self.graph.neighborhoods[i]
-            gv = np.empty((len(nbhd), self.p))
-            for k, j in enumerate(nbhd):
-                if j == i:
-                    gv[k] = g_blocks[i]
-                elif j in batch_set:
-                    gv[k] = g_blocks[j]
-                else:
-                    pkg = self.mail[i].current[j]
-                    gv[k] = pkg[2] if pkg is not None else 0.0
-            var_flat = var_views[i].ravel()
-            g_flat = gv.ravel()
-            if st.prev_var_view is not None:
-                pair = modified_variations(st.prev_var_view, var_flat,
-                                           st.prev_g_view, g_flat,
-                                           st.curv.d_diag, self.cfg.gamma)
-                st.curv, _ = bfgs_update(st.curv, pair)
-            e_flat = neighborhood_descent(st.curv, g_flat)
-            st.prev_var_view = var_flat.copy()
-            st.prev_g_view = g_flat.copy()
-            self._deposit(i, t, snapshots[i], auxes[i], g_blocks[i], e_flat)
+        if not init:
+            self.local_iter[ids] += 1
+        snapshot = self.var[ids]
+        for i, block in zip(batch, snapshot):
+            self.trace.event_log.append((t, i, int(self.local_iter[i]), block))
+        # phase 2: gradients from fresh and dated views
+        var_views = self._views(groups, 0)
+        for grp, vv in zip(groups, var_views):
+            self.aux[grp.ids] = self.obj.stage1_block(grp.ids, vv)
+        aux_views = self._views(groups, 1)
+        for grp, vv, av in zip(groups, var_views, aux_views):
+            self.g[grp.ids] = self.obj.stage2_block(grp.ids, vv, av)
         self.exchanges += len(batch)
         if not init:
             self._record(t)
+            if _check_stop(self.trace, self.cfg):
+                return True
+        # phase 3: the method's local step, then the packages
+        local_step = self._dbfgs_step if self.dbfgs else self._dd_step
+        published = local_step(t, batch, ids, groups, var_views, snapshot, init)
+        off, cols, mirror = self.kernel.offsets, self.kernel.cols, self.kernel.mirror
+        arrival = t + self.cfg.delta_msg
+        for i, var_i in zip(batch, published):
+            pkg = np.array((var_i, self.aux[i], self.g[i]))
+            lo, hi = off[i], off[i + 1]
+            for j, row in zip(cols[lo:hi].tolist(), mirror[lo:hi].tolist()):
+                if j != i:
+                    self.mail[j].queues[row].append((arrival, pkg))
+        return False
+
+    def _dbfgs_step(self, t, batch, ids, groups, var_views, snapshot, init):
+        """Curvature update and descent contributions on the round kernel;
+        publishes the pre-descent blocks."""
+        kernel, cfg = self.kernel, self.cfg
+        g_views = self._views(groups, 2)
+        flat = [[v.reshape(len(grp.ids), -1) for grp, v in zip(groups, views)]
+                for views in (var_views, g_views)]
+        if not init:
+            prev = [[arr[grp.rows].reshape(len(grp.ids), -1) for grp in groups]
+                    for arr in (self.prev_var, self.prev_g)]
+            kernel.bfgs_all(self.matrices, prev[0], flat[0], prev[1], flat[1],
+                            cfg.gamma, SKIP_THRESHOLD, groups)
+        kernel.descent(self.matrices, flat[1], cfg.big_gamma, self.eflat, groups)
+        for grp, vv, gv in zip(groups, var_views, g_views):
+            self.prev_var[grp.rows] = vv
+            self.prev_g[grp.rows] = gv
+        # the virtual engine applies each contribution at once, in the
+        # order the physical mailboxes will replay it
+        off, cols = kernel.offsets, kernel.cols
+        for i in batch:
+            lo, hi = off[i], off[i + 1]
+            for j, block in zip(cols[lo:hi].tolist(), self.eflat[lo:hi].copy()):
+                self.mail[j].pending.append((t if j == i else t + cfg.delta_msg,
+                                             block))
+                if self.virtual:
+                    self.var[j] += cfg.step_size * block
+        return snapshot
+
+    def _dd_step(self, t, batch, ids, groups, var_views, snapshot, init):
+        """Gradient step on the dual blocks; publishes the stepped blocks."""
+        if not init:
+            self.var[ids] -= self.cfg.step_size * self.g[ids]
+        return self.var[ids]
 
     def _record(self, t: float) -> None:
-        est = self.var if self.obj.mode == "primal" else self.aux_est
+        est = self.var if self.obj.mode == "primal" else self.aux
         err = consensus_error(est, self.xstar)
         gnorm = np.linalg.norm(self.obj.runtime_grad(self.var))
-        lmin = min(st.local_iter for st in self.nodes)
+        lmin = int(self.local_iter.min())
         self.trace.append(lmin, err, gnorm, self.exchanges,
                           model_time=t, local_iter_min=lmin)
 
     def run(self) -> Trace:
-        queue = EventQueue(self.schedule)
         first = True
-        for t, batch in queue.batches():
-            self._process_batch(t, batch, init=first)
+        for t, batch in EventQueue(self.schedule).batches():
+            if self._process_batch(t, batch, init=first):
+                break
             first = False
-            if self.trace.error and (not np.isfinite(self.trace.error[-1])
-                                     or self.trace.error[-1] > DIVERGENCE_LIMIT):
-                self.trace.status = "diverged"
-                return self.trace
-        self.trace.status = "max_iters"
         return self.trace
 
 
@@ -469,10 +354,7 @@ def run_dbfgs_async(graph: Graph, objective: DistributedObjective,
     The returned trace carries ``event_log`` entries
     (time, node, local_iter, own block after applying pending descents).
     """
-    engine = _AsyncDbfgs(graph, objective, cfg, schedule, virtual=False)
-    trace = engine.run()
-    trace.event_log = engine.event_log
-    return trace
+    return _AsyncEngine(graph, objective, cfg, schedule, "dbfgs").run()
 
 
 def virtual_replay(graph: Graph, objective: DistributedObjective,
@@ -480,111 +362,11 @@ def virtual_replay(graph: Graph, objective: DistributedObjective,
     """Virtual-update engine: every finished descent applies instantly to a
     global variable. With delta_msg = 0 it matches the physical engine at
     every availability event (compare the two traces' event logs)."""
-    engine = _AsyncDbfgs(graph, objective, cfg, schedule, virtual=True)
-    trace = engine.run()
-    trace.event_log = engine.event_log
-    return trace
-
-
-# ---------------------------------------------------------------------------
-# asynchronous dual decomposition
-# ---------------------------------------------------------------------------
-
-
-class _AsyncDd:
-    """Asynchronous dual decomposition over the same mailbox machinery."""
-
-    def __init__(self, graph, objective, cfg, schedule):
-        cfg.validate(objective)
-        if schedule.n != graph.n:
-            raise ValueError("schedule and graph disagree on node count")
-        _check_schedule_start(schedule)
-        self.graph, self.obj, self.cfg, self.schedule = graph, objective, cfg, schedule
-        n, p = graph.n, objective.p
-        self.p = p
-        self.var = (np.zeros((n, p)) if cfg.var0 is None
-                    else np.array(cfg.var0, dtype=float))
-        self.aux_est = objective.stage1_full(self.var)
-        self.mail = [_Mailbox(graph.neighborhoods[i]) for i in range(n)]
-        self.local_iter = [0] * n
-        self.seq = 0
-        self.xstar = solve_consensus_optimum(objective.instance)
-        self.trace = Trace(method="dd", mode=cfg.mode, seed=cfg.seed,
-                           model_time=[], local_iter_min=[])
-        self.exchanges = 0
-
-    def _process_batch(self, t, batch, init):
-        batch = sorted(batch)
-        batch_set = set(batch)
-        for i in batch:
-            self.mail[i].read(t)
-        if len(batch) == self.graph.n:
-            aux_full = self.obj.stage1_full(self.var)
-            g_full = self.obj.stage2_full(self.var, aux_full)
-            auxes = {i: aux_full[i] for i in batch}
-            g_blocks = {i: g_full[i] for i in batch}
-        else:
-            var_views, auxes = {}, {}
-            for i in batch:
-                nbhd = self.graph.neighborhoods[i]
-                vv = np.empty((len(nbhd), self.p))
-                for k, j in enumerate(nbhd):
-                    if j == i or j in batch_set:
-                        vv[k] = self.var[j]
-                    else:
-                        pkg = self.mail[i].current[j]
-                        vv[k] = pkg[0] if pkg is not None else 0.0
-                var_views[i] = vv
-                auxes[i] = self.obj.stage1_block(i, vv)
-            g_blocks = {}
-            for i in batch:
-                nbhd = self.graph.neighborhoods[i]
-                av = np.empty((len(nbhd), self.p))
-                for k, j in enumerate(nbhd):
-                    if j == i:
-                        av[k] = auxes[i]
-                    elif j in batch_set:
-                        av[k] = auxes[j]
-                    else:
-                        pkg = self.mail[i].current[j]
-                        av[k] = pkg[1] if pkg is not None else 0.0
-                g_blocks[i] = self.obj.stage2_block(i, var_views[i], av)
-        for i in batch:
-            self.aux_est[i] = auxes[i]
-        self.exchanges += len(batch)
-        if not init:
-            for i in batch:
-                self.local_iter[i] += 1
-            err = consensus_error(self.aux_est, self.xstar)
-            gnorm = np.linalg.norm(self.obj.runtime_grad(self.var))
-            lmin = min(self.local_iter)
-            self.trace.append(lmin, err, gnorm, self.exchanges,
-                              model_time=t, local_iter_min=lmin)
-            for i in batch:
-                self.var[i] -= self.cfg.step_size * g_blocks[i]
-        delta = self.cfg.delta_msg
-        for i in batch:
-            pkg = (self.var[i].copy(), auxes[i].copy(), g_blocks[i].copy())
-            for j in self.graph.neighborhoods[i]:
-                if j != i:
-                    self.mail[j].queues[i].append((t + delta, self.seq, pkg))
-                    self.seq += 1
-
-    def run(self):
-        queue = EventQueue(self.schedule)
-        first = True
-        for t, batch in queue.batches():
-            self._process_batch(t, batch, init=first)
-            first = False
-            if self.trace.error and (not np.isfinite(self.trace.error[-1])
-                                     or self.trace.error[-1] > DIVERGENCE_LIMIT):
-                self.trace.status = "diverged"
-                return self.trace
-        self.trace.status = "max_iters"
-        return self.trace
+    return _AsyncEngine(graph, objective, cfg, schedule, "dbfgs",
+                        virtual=True).run()
 
 
 def run_dd_async(graph: Graph, objective: DistributedObjective,
                  cfg: AsyncConfig, schedule: ClockSchedule) -> Trace:
     """Asynchronous dual decomposition with dated mailbox gradients."""
-    return _AsyncDd(graph, objective, cfg, schedule).run()
+    return _AsyncEngine(graph, objective, cfg, schedule, "dd").run()

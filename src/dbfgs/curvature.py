@@ -1,4 +1,7 @@
-"""Regularized neighborhood BFGS: the curvature core.
+"""Regularized neighborhood BFGS, one node at a time.
+
+The engines run the stacked form in ``_kernel.py``; the per-node functions
+here are its reference, and the tests compare the two.
 
 Each node keeps a symmetric positive-definite approximation B of the
 curvature its neighborhood variable block sees, updated from modified

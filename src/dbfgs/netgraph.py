@@ -8,6 +8,7 @@ on block order.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,10 +19,6 @@ __all__ = [
     "build_d_regular_cycle",
     "build_weight_matrix",
     "validate_weight_matrix",
-    "dump_graph",
-    "load_graph",
-    "dump_weight_matrix",
-    "load_weight_matrix",
 ]
 
 
@@ -95,6 +92,14 @@ class Graph:
                     seen.add(j)
                     stack.append(j)
         return len(seen) == self.n
+
+    def layout(self) -> tuple:
+        """Flat closed-neighborhood layout (indptr, cols): slots
+        indptr[i]:indptr[i+1] hold n_i in ascending order, as CSR rows."""
+        indptr = np.concatenate(([0], np.cumsum(self.m)))
+        cols = np.fromiter(itertools.chain.from_iterable(self.neighborhoods),
+                           dtype=np.intp, count=indptr[-1])
+        return indptr, cols
 
     def neighborhood_index(self, i: int, j: int) -> int:
         """Position of node j inside n_i (both must satisfy j in n_i)."""
@@ -178,40 +183,3 @@ def validate_weight_matrix(w: np.ndarray) -> WeightMatrixReport:
         max_row_sum_error=row_err,
         second_smallest_eigenvalue=lam2,
     )
-
-
-# -- plain-text debug serialization (not a stability contract) --------------
-
-
-def dump_graph(graph: Graph) -> str:
-    lines = [f"nodes {graph.n}"]
-    for i, j in sorted(graph.edges):
-        lines.append(f"{i} {j}")
-    return "\n".join(lines) + "\n"
-
-
-def load_graph(text: str) -> Graph:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    head = lines[0].split()
-    if head[0] != "nodes":
-        raise ValueError("expected 'nodes <n>' header")
-    n = int(head[1])
-    edges = [tuple(int(v) for v in ln.split()) for ln in lines[1:]]
-    return Graph.from_edges(n, edges)
-
-
-def dump_weight_matrix(w: np.ndarray) -> str:
-    lines = [f"shape {w.shape[0]}"]
-    for i, j in zip(*np.nonzero(w)):
-        lines.append(f"{i} {j} {float(w[i, j])!r}")
-    return "\n".join(lines) + "\n"
-
-
-def load_weight_matrix(text: str) -> np.ndarray:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    n = int(lines[0].split()[1])
-    w = np.zeros((n, n))
-    for ln in lines[1:]:
-        i, j, v = ln.split()
-        w[int(i), int(j)] = float(v)
-    return w

@@ -11,10 +11,10 @@ drawn node-major, so instances are bit-reproducible from their seed.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .netgraph import Graph
 
@@ -26,8 +26,6 @@ __all__ = [
     "make_logistic",
     "solve_consensus_optimum",
     "consensus_error",
-    "dump_instance",
-    "load_instance",
 ]
 
 
@@ -60,9 +58,6 @@ class QuadraticInstance:
 
     def local_grad(self, i: int, x_i: np.ndarray) -> np.ndarray:
         return self.a[i] * x_i + self.b[i]
-
-    def local_value(self, i: int, x_i: np.ndarray) -> float:
-        return float(0.5 * np.dot(self.a[i] * x_i, x_i) + np.dot(self.b[i], x_i))
 
     def grad_all(self, x: np.ndarray) -> np.ndarray:
         return self.a * x + self.b
@@ -130,15 +125,11 @@ class LogisticInstance:
     def p(self) -> int:
         return self.features.shape[2]
 
-    def local_grad(self, i: int, x_i: np.ndarray) -> np.ndarray:
+    def local_grad(self, i, x_i: np.ndarray) -> np.ndarray:
+        """Gradient of f_i at x_i; with an index array, one row per node."""
         u, v = self.features[i], self.labels[i]
-        s = _sigmoid(-(u @ x_i) * v)
-        return self.lam * x_i / self.n - (v * s) @ u
-
-    def local_value(self, i: int, x_i: np.ndarray) -> float:
-        u, v = self.features[i], self.labels[i]
-        loss = np.logaddexp(0.0, -(u @ x_i) * v).sum()
-        return float(0.5 * self.lam * np.dot(x_i, x_i) / self.n + loss)
+        s = _sigmoid(-np.einsum("...qp,...p->...q", u, x_i) * v)
+        return self.lam * x_i / self.n - np.einsum("...q,...qp->...p", v * s, u)
 
     def grad_all(self, x: np.ndarray) -> np.ndarray:
         z = -np.einsum("iqp,ip->iq", self.features, x) * self.labels
@@ -240,6 +231,12 @@ class DistributedObjective:
         self.weights = np.asarray(weights, dtype=float)
         self.mode = mode
         self.alpha = alpha
+        # the weights restricted to the closed neighborhoods, as CSR rows
+        indptr, cols = graph.layout()
+        rows = np.repeat(np.arange(graph.n), graph.m)
+        self._mix = sp.csr_array((self.weights[rows, cols], cols, indptr),
+                                 shape=(graph.n, graph.n))
+        self._own_slot = np.flatnonzero(cols == rows) - indptr[:-1]
 
     @property
     def n(self) -> int:
@@ -296,45 +293,52 @@ class DistributedObjective:
                              f"got {view.shape}")
         return view
 
-    # -- runtime surface: staged per-node evaluation ------------------------
+    # -- runtime surface: staged evaluation -----------------------------------
     #
     # Stage 1 maps a node's neighborhood view of the iterated variable to its
     # auxiliary block (dual: the Lagrangian minimizer; primal: its own block).
     # Stage 2 maps the auxiliary/variable views to the local gradient of the
-    # runtime objective. The same two functions back the synchronous rounds
-    # and the event simulator so lockstep execution is bit-reproducible.
+    # runtime objective. The synchronous engines evaluate every node at once
+    # (*_full); the event simulator evaluates the nodes of an event batch from
+    # their dated views (*_block). Both mix neighbors by the one rule
+    # sum_j w_ij x_j, added up in ascending neighbor order, so the two forms
+    # agree bit for bit and lockstep simulation reproduces the synchronous
+    # runtime exactly.
 
-    def stage1_block(self, i: int, var_view: np.ndarray) -> np.ndarray:
-        pos = self.graph.neighborhood_index(i, i)
+    def _mix_block(self, ids: np.ndarray, view: np.ndarray) -> np.ndarray:
+        """sum_j w_ij view_j, slot by slot, as the CSR product sums a row."""
+        w = self._mix.data[self._mix.indptr[ids, None] + np.arange(view.shape[1])]
+        return np.add.accumulate(w[:, :, None] * view, axis=1)[:, -1]
+
+    def stage1_block(self, ids: np.ndarray, var_view: np.ndarray) -> np.ndarray:
+        """Stage 1 of the nodes ``ids`` (one neighborhood size m) from their
+        (len(ids), m, p) neighborhood views; one row per node."""
+        own = var_view[np.arange(len(ids)), self._own_slot[ids]]
         if self.mode == "primal":
-            return var_view[pos].copy()
-        wrow = self.weights[i, list(self.graph.neighborhoods[i])]
-        nu_i = var_view[pos]
-        slack = nu_i - wrow @ var_view
-        return -(self.instance.b[i] + slack) / self.instance.a[i]
+            return own
+        slack = own - self._mix_block(ids, var_view)
+        return -(self.instance.b[ids] + slack) / self.instance.a[ids]
 
-    def stage2_block(self, i: int, var_view: np.ndarray,
+    def stage2_block(self, ids: np.ndarray, var_view: np.ndarray,
                      aux_view: np.ndarray) -> np.ndarray:
-        pos = self.graph.neighborhood_index(i, i)
-        wrow = self.weights[i, list(self.graph.neighborhoods[i])]
+        """Stage 2 of the nodes ``ids`` from views shaped as in stage1_block."""
+        own = np.arange(len(ids)), self._own_slot[ids]
         if self.mode == "primal":
-            x_i = var_view[pos]
-            slack = x_i - wrow @ var_view
-            return self.alpha * self.instance.local_grad(i, x_i) + slack
-        return -(aux_view[pos] - wrow @ aux_view)
-
-    # -- runtime surface: full-state vectorized evaluation -------------------
+            x = var_view[own]
+            slack = x - self._mix_block(ids, var_view)
+            return self.alpha * self.instance.local_grad(ids, x) + slack
+        return -(aux_view[own] - self._mix_block(ids, aux_view))
 
     def stage1_full(self, var: np.ndarray) -> np.ndarray:
         if self.mode == "primal":
             return var
-        slack = var - self.weights @ var
+        slack = var - self._mix @ var
         return -(self.instance.b + slack) / self.instance.a
 
     def stage2_full(self, var: np.ndarray, aux: np.ndarray) -> np.ndarray:
         if self.mode == "primal":
-            return self.alpha * self.instance.grad_all(var) + (var - self.weights @ var)
-        return -(aux - self.weights @ aux)
+            return self.alpha * self.instance.grad_all(var) + (var - self._mix @ var)
+        return -(aux - self._mix @ aux)
 
     def runtime_grad(self, var: np.ndarray) -> np.ndarray:
         return self.stage2_full(var, self.stage1_full(var))
@@ -437,59 +441,3 @@ def consensus_error(x: np.ndarray, xstar: np.ndarray) -> float:
         raise ValueError("consensus error is undefined for a zero optimum")
     diff = np.asarray(x, dtype=float) - xstar
     return float(np.mean(np.sum(diff * diff, axis=1)) / denom)
-
-
-# ---------------------------------------------------------------------------
-# plain-text instance fixtures
-# ---------------------------------------------------------------------------
-
-
-def dump_instance(instance) -> str:
-    buf = io.StringIO()
-    if isinstance(instance, QuadraticInstance):
-        buf.write(f"quadratic {instance.n} {instance.p} {instance.eta!r} {instance.seed}\n")
-        for i in range(instance.n):
-            buf.write("a " + " ".join(repr(float(v)) for v in instance.a[i]) + "\n")
-            buf.write("b " + " ".join(repr(float(v)) for v in instance.b[i]) + "\n")
-    elif isinstance(instance, LogisticInstance):
-        buf.write(
-            f"logistic {instance.n} {instance.q} {instance.p} {instance.lam!r} "
-            f"{instance.mu!r} {instance.sigma_pos!r} {instance.sigma_neg!r} {instance.seed}\n"
-        )
-        for i in range(instance.n):
-            for l in range(instance.q):
-                row = " ".join(repr(float(v)) for v in instance.features[i, l])
-                buf.write(f"s {int(instance.labels[i, l])} {row}\n")
-    else:
-        raise TypeError(f"unsupported instance type {type(instance)!r}")
-    return buf.getvalue()
-
-
-def load_instance(text: str):
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    head = lines[0].split()
-    if head[0] == "quadratic":
-        n, p = int(head[1]), int(head[2])
-        eta, seed = float(head[3]), int(head[4])
-        a = np.empty((n, p))
-        b = np.empty((n, p))
-        rows = lines[1:]
-        for i in range(n):
-            a[i] = [float(v) for v in rows[2 * i].split()[1:]]
-            b[i] = [float(v) for v in rows[2 * i + 1].split()[1:]]
-        return QuadraticInstance(a=a, b=b, eta=eta, seed=seed)
-    if head[0] == "logistic":
-        n, q, p = int(head[1]), int(head[2]), int(head[3])
-        lam, mu, sp, sn = (float(v) for v in head[4:8])
-        seed = int(head[8])
-        features = np.empty((n, q, p))
-        labels = np.empty((n, q))
-        rows = lines[1:]
-        for i in range(n):
-            for l in range(q):
-                parts = rows[i * q + l].split()
-                labels[i, l] = float(parts[1])
-                features[i, l] = [float(v) for v in parts[2:]]
-        return LogisticInstance(features=features, labels=labels, lam=lam, mu=mu,
-                                sigma_pos=sp, sigma_neg=sn, seed=seed)
-    raise ValueError(f"unknown instance kind {head[0]!r}")

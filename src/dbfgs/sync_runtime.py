@@ -178,8 +178,9 @@ class DbfgsSyncEngine:
         self.g = objective.stage2_full(self.var, self.aux)
         self._prev_var_views = self.kernel.gather_views(self.var)
         self._prev_g_views = self.kernel.gather_views(self.g)
-        self.eflat = self.kernel.descent(self.matrices,
-                                         self._prev_g_views, big_gamma)
+        self.eflat = self.kernel.descent(
+            self.matrices, self._prev_g_views, big_gamma,
+            np.empty((self.kernel.total_blocks, p)))
         self.accepted = np.zeros(graph.n, dtype=bool)
         self.last_descent = np.zeros_like(self.var)
 
@@ -193,7 +194,7 @@ class DbfgsSyncEngine:
             self.matrices, self._prev_var_views, var_views,
             self._prev_g_views, g_views, self.gamma, SKIP_THRESHOLD,
         )
-        self.eflat = self.kernel.descent(self.matrices, g_views, self.big_gamma)
+        self.kernel.descent(self.matrices, g_views, self.big_gamma, self.eflat)
         self._prev_var_views = var_views
         self._prev_g_views = g_views
 

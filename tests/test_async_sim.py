@@ -6,9 +6,7 @@ from dbfgs.async_sim import (
     AsyncConfig,
     ClockSchedule,
     EventQueue,
-    dump_schedule,
     gen_clock_schedule,
-    load_schedule,
     measure_asynchronicity,
     run_dbfgs_async,
     run_dd_async,
@@ -88,14 +86,6 @@ def test_time_functions_lockstep():
     assert pi_i == 4.0 and pi_ij == 3.0
 
 
-def test_schedule_dump_load_round_trip():
-    s = gen_clock_schedule(5, 1.0, 0.25, 20.0, 9)
-    back = load_schedule(dump_schedule(s))
-    assert back.n == s.n and back.seed == s.seed
-    for ta, tb in zip(s.times, back.times):
-        assert np.array_equal(ta, tb)
-
-
 def test_event_queue_batches_ties_by_time():
     s = gen_clock_schedule(3, 1.0, 0.0, 3.0, 0)
     batches = list(EventQueue(s).batches())
@@ -148,7 +138,7 @@ def test_lockstep_matches_sync_engine():
     sync_tr = run_dbfgs_sync(g, obj, scfg)
     pairs = align_against_sync(atr, sync_tr)
     assert len(pairs) >= 55
-    assert max(abs(a - b) for a, b in pairs) <= 1e-12
+    assert all(a == b for a, b in pairs)
 
 
 def test_lockstep_matches_sync_engine_primal():
@@ -162,7 +152,7 @@ def test_lockstep_matches_sync_engine_primal():
                       max_iters=50, gamma=1e-2, big_gamma=1e-3)
     pairs = align_against_sync(atr, run_dbfgs_sync(g, obj, scfg))
     assert len(pairs) >= 45
-    assert max(abs(a - b) for a, b in pairs) <= 1e-12
+    assert all(a == b for a, b in pairs)
 
 
 def test_lockstep_dd_matches_sync_dd():
@@ -174,7 +164,32 @@ def test_lockstep_dd_matches_sync_dd():
     scfg = SyncConfig(method="dd", mode="dual", step_size=0.002, max_iters=60)
     pairs = align_against_sync(atr, run_dd(g, obj, scfg))
     assert len(pairs) >= 55
-    assert max(abs(a - b) for a, b in pairs) <= 1e-12
+    assert all(a == b for a, b in pairs)
+
+
+def test_lockstep_matches_sync_on_irregular_graph():
+    # neighborhood sizes m = (3, 3, 5, 3, 4, 2), Metropolis weights
+    g = Graph.from_edges(6, [(0, 2), (1, 2), (2, 3), (2, 5), (0, 4), (1, 4),
+                             (3, 4)])
+    w = np.zeros((6, 6))
+    for i, j in g.edges:
+        w[i, j] = w[j, i] = 1.0 / (1 + max(g.degree(i), g.degree(j)))
+    np.fill_diagonal(w, 1.0 - w.sum(axis=1))
+    obj = DistributedObjective(make_quadratic(6, 4, 1.0, 2), g, w, "dual")
+    sched = gen_clock_schedule(6, 1.0, 0.0, 40.0, 0)
+    scfg = SyncConfig(method="dbfgs", mode="dual", step_size=0.01,
+                      max_iters=40, gamma=1e-2, big_gamma=1e-3)
+    pairs = align_against_sync(run_dbfgs_async(g, obj, dbfgs_cfg(), sched),
+                               run_dbfgs_sync(g, obj, scfg))
+    assert len(pairs) >= 35
+    assert all(a == b for a, b in pairs)
+    acfg = AsyncConfig(method="dd", mode="dual", step_size=0.002,
+                       max_iters=10**9)
+    scfg = SyncConfig(method="dd", mode="dual", step_size=0.002, max_iters=40)
+    pairs = align_against_sync(run_dd_async(g, obj, acfg, sched),
+                               run_dd(g, obj, scfg))
+    assert len(pairs) >= 35
+    assert all(a == b for a, b in pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +302,29 @@ def test_async_linear_rate_on_strongly_convex_primal():
     keep = errs > 0
     slope = np.polyfit(iters[keep], np.log(errs[keep]), 1)[0]
     assert slope < 0.0
+
+
+@pytest.mark.parametrize("method", ["dbfgs", "dd"])
+def test_async_stop_rules(method):
+    g, obj = ring_dual(8, 2, 1.0, 23)
+    sched = gen_clock_schedule(8, 1.0, 0.2, 60.0, 4)
+    step = 0.01 if method == "dbfgs" else 0.002
+    runner = run_dbfgs_async if method == "dbfgs" else run_dd_async
+
+    def cfg(**stop):
+        return AsyncConfig(method=method, mode="dual", step_size=step,
+                           max_iters=10**9, gamma=1e-2, big_gamma=1e-3, **stop)
+
+    full = runner(g, obj, cfg(), sched)
+    assert full.status == "max_iters"
+    for key, column, status in (("stop_error", full.error, "error_stop"),
+                                ("stop_grad_norm", full.grad_norm, "grad_stop")):
+        target = float(np.median(column))
+        tr = runner(g, obj, cfg(**{key: target}), sched)
+        hit = next(k for k, v in enumerate(column) if v <= target)
+        assert tr.status == status
+        assert len(tr.error) == hit + 1
+        assert tr.to_csv().splitlines() == full.to_csv().splitlines()[:hit + 2]
 
 
 def test_event_determinism():

@@ -5,10 +5,6 @@ from dbfgs.netgraph import (
     Graph,
     build_d_regular_cycle,
     build_weight_matrix,
-    dump_graph,
-    dump_weight_matrix,
-    load_graph,
-    load_weight_matrix,
     validate_weight_matrix,
 )
 
@@ -115,14 +111,3 @@ def test_validate_asymmetric_perturbation_fails():
     w[0, 1] += 1e-6
     report = validate_weight_matrix(w)
     assert not report.symmetric
-
-
-def test_graph_serialization_round_trip():
-    g = build_d_regular_cycle(9, 4)
-    assert load_graph(dump_graph(g)) == g
-
-
-def test_weight_serialization_round_trip():
-    g = build_d_regular_cycle(7, 2)
-    w = build_weight_matrix(g, 2)
-    assert np.array_equal(load_weight_matrix(dump_weight_matrix(w)), w)

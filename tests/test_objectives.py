@@ -7,8 +7,6 @@ from dbfgs.objectives import (
     LogisticInstance,
     QuadraticInstance,
     consensus_error,
-    dump_instance,
-    load_instance,
     make_logistic,
     make_quadratic,
     solve_consensus_optimum,
@@ -329,23 +327,9 @@ def test_runtime_grad_matches_block_path():
         g_full = obj.stage2_full(var, aux_full)
         for i in range(8):
             nb = list(g.neighborhoods[i])
-            aux_i = obj.stage1_block(i, var[nb])
-            assert np.allclose(aux_i, aux_full[i], atol=1e-13)
-            g_i = obj.stage2_block(i, var[nb], aux_full[nb])
-            assert np.allclose(g_i, g_full[i], atol=1e-13)
+            aux_i = obj.stage1_block(np.array([i]), var[nb][None])
+            assert np.array_equal(aux_i[0], aux_full[i])
+            g_i = obj.stage2_block(np.array([i]), var[nb][None],
+                                   aux_full[nb][None])
+            assert np.array_equal(g_i[0], g_full[i])
 
-
-# ---------------------------------------------------------------------------
-# fixtures
-# ---------------------------------------------------------------------------
-
-
-def test_instance_dump_load_round_trip():
-    quad = make_quadratic(5, 4, 2.0, 21)
-    back = load_instance(dump_instance(quad))
-    assert np.array_equal(back.a, quad.a) and np.array_equal(back.b, quad.b)
-    logi = make_logistic(3, 2, 6, 1e-4, 3.0, 1.0, 2.0, 21)
-    back = load_instance(dump_instance(logi))
-    assert np.array_equal(back.features, logi.features)
-    assert np.array_equal(back.labels, logi.labels)
-    assert back.lam == logi.lam and back.sigma_neg == logi.sigma_neg
