@@ -1,4 +1,4 @@
-"""Stacked per-neighborhood round primitives shared by every engine.
+"""Stacked per-neighborhood round primitives and the D-BFGS node state.
 
 Every operation works on a batch of nodes: the synchronous engine's batch
 is the whole network, the event simulator's is the set of nodes available
@@ -13,15 +13,20 @@ Per-node arrays follow the graph's flat neighborhood layout
 A batch's neighborhood views read from a stack of such layout rows (the
 dated copies each node holds of its neighbors) followed by one row per
 node (its current block): a slot whose node is in the batch reads the
-current block, any other slot the dated copy.
+current block, any other slot the dated copy. Views enter the kernel as
+one (g, m, p) array per group. The kernel also keeps every node's D-BFGS
+state: its curvature, and in layout rows the (var, g) views the curvature
+was last fitted to and the node's descent contributions.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
+from .curvature import SKIP_THRESHOLD
 from .netgraph import Graph
 
 
@@ -31,6 +36,7 @@ class Group(NamedTuple):
     msize: int
     ids: np.ndarray  # (g,) node ids, ascending
     pos: np.ndarray  # (g,) positions of ids in the batch
+    slot: np.ndarray  # (g,) positions of ids in the size-m curvature stack
     nb: np.ndarray  # (g, m) neighborhoods
     dd: np.ndarray  # (g, m p) diagonal of D over each neighborhood
     ch: np.ndarray  # (g, m) layout rows holding each neighbor's contribution to the node
@@ -39,7 +45,7 @@ class Group(NamedTuple):
 
 
 class RoundKernel:
-    """Neighborhood layout and stacked operations on batches of nodes."""
+    """Neighborhood layout, D-BFGS node state and stacked batch operations."""
 
     def __init__(self, graph: Graph, p: int):
         self.graph = graph
@@ -53,8 +59,30 @@ class RoundKernel:
         self.mirror = np.lexsort((rows, self.cols))
         # D's diagonal block 1/m_j for every layout row
         self.dd = np.repeat(1.0 / self.m[self.cols], p).reshape(-1, p)
+        # each node's position among the nodes of its neighborhood size
+        self.slot = np.empty(graph.n, dtype=np.intp)
+        for msize in set(graph.m):
+            sel = np.flatnonzero(self.m == msize)
+            self.slot[sel] = np.arange(len(sel))
+        # the views each node's curvature was last fitted to (var, g), and
+        # the node's descent contributions, in layout rows
+        self.last = np.zeros((2, self.total_blocks, p))
+        self.contrib = np.zeros((self.total_blocks, p))
         self._batches = {}
         self.groups = self.batch(range(graph.n))
+
+    @cached_property
+    def curvature(self) -> dict:
+        """Neighborhood size m -> (count, m p, m p) stack of the curvature
+        matrices of the nodes of that size, by ``slot``; starts at I.
+        Built on first use, so kernels without D-BFGS never hold it."""
+        sizes, counts = np.unique(self.m, return_counts=True)
+        return {msize: np.tile(np.eye(msize * self.p), (count, 1, 1))
+                for msize, count in zip(sizes.tolist(), counts.tolist())}
+
+    def matrix(self, i: int) -> np.ndarray:
+        """Node i's curvature matrix (a view into its stack)."""
+        return self.curvature[int(self.m[i])][self.slot[i]]
 
     def batch(self, ids) -> list:
         """Groups of the ascending node ids ``ids``, by neighborhood size.
@@ -78,43 +106,53 @@ class RoundKernel:
             rows = self.offsets[sel, None] + np.arange(msize)
             nb = self.cols[rows]
             view = np.where(in_batch[nb], self.total_blocks + nb, rows)
-            out.append(Group(msize, sel, pos, nb,
+            out.append(Group(msize, sel, pos, self.slot[sel], nb,
                              self.dd[rows].reshape(len(sel), -1),
                              self.mirror[rows], rows, view))
         return out
 
-    # -- gathering ----------------------------------------------------------
-
     def gather_views(self, arr: np.ndarray) -> list:
-        """Per-group flattened neighborhood views of a (n, p) array."""
-        return [arr[grp.nb].reshape(len(grp.ids), -1) for grp in self.groups]
+        """Per-group (g, m, p) neighborhood views of a (n, p) array."""
+        return [arr[grp.nb] for grp in self.groups]
 
-    # -- descent ------------------------------------------------------------
+    # -- one D-BFGS round -------------------------------------------------------
 
-    def descent(self, matrices: list, g_views: list, big_gamma: float,
-                eflat: np.ndarray, groups=None) -> np.ndarray:
-        """Stacked -(B^{-1} + Gamma D) g for every batch node, into eflat.
+    def dbfgs_round(self, var_views: list, g_views: list, gamma: float,
+                    big_gamma: float, first: bool = False, groups=None) -> np.ndarray:
+        """Curvature update (not on a node's first round), descent
+        contributions, then keep the views for the batch's next round.
 
-        eflat has shape (sum m_i, p); row offsets[i] + k receives node i's
-        contribution to its k-th neighbor. Rows of other nodes are kept.
+        Returns the accept mask, one entry per batch node in batch order.
         """
+        groups = groups or self.groups
+        if first:
+            accepted = np.zeros(sum(len(grp.ids) for grp in groups), dtype=bool)
+        else:
+            accepted = self.bfgs_all(var_views, g_views, gamma, groups)
+        self.descent(g_views, big_gamma, groups)
+        for grp, vv, gv in zip(groups, var_views, g_views):
+            self.last[0][grp.rows] = vv
+            self.last[1][grp.rows] = gv
+        return accepted
+
+    def descent(self, g_views: list, big_gamma: float, groups=None) -> None:
+        """Stacked -(B^{-1} + Gamma D) g for every batch node, into its rows
+        of ``contrib``: row offsets[i] + k is node i's contribution to its
+        k-th neighbor."""
         for grp, gv in zip(groups or self.groups, g_views):
-            b = np.array([matrices[i] for i in grp.ids.tolist()])
+            b = self.curvature[grp.msize][grp.slot]
             try:
                 np.linalg.cholesky(b)
             except np.linalg.LinAlgError:
                 bad = _first_indefinite(b, grp.ids)
                 raise RuntimeError("curvature matrix lost positive definiteness "
                                    f"at node {bad}") from None
+            gv = gv.reshape(len(grp.ids), -1)
             y = np.linalg.solve(b, gv[..., None])[..., 0]
             e = -(y + big_gamma * grp.dd * gv)
-            eflat[grp.rows.ravel()] = e.reshape(-1, self.p)
-        return eflat
+            self.contrib[grp.rows] = e.reshape(grp.rows.shape + (self.p,))
 
-    # -- applying contributions ----------------------------------------------
-
-    def apply_descents(self, var: np.ndarray, eflat: np.ndarray,
-                       eps: float) -> np.ndarray:
+    def apply_descents(self, var: np.ndarray, eps: float) -> np.ndarray:
         """Add eps times every neighbor contribution to var, in slot order.
 
         Contributions are applied one neighborhood slot at a time (ascending
@@ -124,34 +162,34 @@ class RoundKernel:
         """
         d = np.zeros_like(var)
         for grp in self.groups:
-            chunks = eflat[grp.ch]  # (g, msize, p)
+            chunks = self.contrib[grp.ch]  # (g, msize, p)
             for k in range(grp.msize):
                 var[grp.ids] += eps * chunks[:, k]
             d[grp.ids] = chunks.sum(axis=1)
         return d
 
-    # -- curvature updates ----------------------------------------------------
-
-    def bfgs_all(self, matrices: list, old_var_views: list, new_var_views: list,
-                 old_g_views: list, new_g_views: list, gamma: float,
-                 skip_threshold: float, groups=None) -> np.ndarray:
-        """Stacked regularized BFGS update of every batch node.
+    def bfgs_all(self, var_views: list, g_views: list, gamma: float,
+                 groups=None) -> np.ndarray:
+        """Stacked regularized BFGS update of every batch node, from its
+        kept views to these.
 
         Returns the accept mask, one entry per batch node in batch order.
         """
         groups = groups or self.groups
         accepted = np.zeros(sum(len(grp.ids) for grp in groups), dtype=bool)
-        for gi, grp in enumerate(groups):
-            v = grp.dd * (new_var_views[gi] - old_var_views[gi])
-            dg = new_g_views[gi] - old_g_views[gi]
+        for grp, vv, gv in zip(groups, var_views, g_views):
+            flat = (len(grp.ids), -1)
+            v = grp.dd * (vv - self.last[0][grp.rows]).reshape(flat)
+            dg = (gv - self.last[1][grp.rows]).reshape(flat)
             r = dg - gamma * v
             ip = (v * r).sum(axis=1)
             # the norms as np.linalg.norm computes them
-            acc = ip > (skip_threshold * np.sqrt((v * v).sum(axis=1))
+            acc = ip > (SKIP_THRESHOLD * np.sqrt((v * v).sum(axis=1))
                         * np.sqrt((r * r).sum(axis=1)))
             if not acc.any():
                 continue
-            b = np.array([matrices[i] for i in grp.ids.tolist()])
+            stack = self.curvature[grp.msize]
+            b = stack[grp.slot]
             bv = np.einsum("gij,gj->gi", b, v)
             vbv = (v * bv).sum(axis=1)
             acc &= vbv > 0
@@ -165,8 +203,7 @@ class RoundKernel:
             k = grp.msize * self.p
             new.reshape(len(grp.ids), k * k)[:, ::k + 1] += gamma  # the diagonals
             new = 0.5 * (new + np.swapaxes(new, 1, 2))
-            for row in np.flatnonzero(acc):
-                matrices[grp.ids[row]] = new[row]
+            stack[grp.slot[acc]] = new[acc]
             accepted[grp.pos] = acc
         return accepted
 

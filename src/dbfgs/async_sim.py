@@ -26,13 +26,14 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 
 from ._kernel import RoundKernel
-from .curvature import SKIP_THRESHOLD
 from .netgraph import Graph
-from .objectives import DistributedObjective, consensus_error, solve_consensus_optimum
+from .objectives import DistributedObjective, consensus_error
 from .sync_runtime import SyncConfig, Trace, _check_stop
 
 __all__ = [
@@ -143,21 +144,13 @@ class EventQueue:
     """Availability events in (time, node id) total order, batched by time."""
 
     def __init__(self, schedule: ClockSchedule):
-        events = [(float(t), i) for i in range(schedule.n)
-                  for t in schedule.times[i]]
-        events.sort()
-        self.events = events
+        self.events = sorted((float(t), i) for i in range(schedule.n)
+                             for t in schedule.times[i])
 
     def batches(self):
         """Yield (time, [node ids ascending]) with exact-tie events grouped."""
-        k, total = 0, len(self.events)
-        while k < total:
-            t = self.events[k][0]
-            nodes = []
-            while k < total and self.events[k][0] == t:
-                nodes.append(self.events[k][1])
-                k += 1
-            yield t, nodes
+        for t, events in groupby(self.events, key=itemgetter(0)):
+            yield t, [i for _, i in events]
 
 
 @dataclass
@@ -176,30 +169,31 @@ class _Mailbox:
     """Per-node inbox: dated neighbor packages and pending descent chunks.
 
     Package queues are keyed by the layout row the sender occupies in this
-    node's neighborhood.
+    node's neighborhood; pending chunks are (arrival time, block) in
+    enqueue order.
     """
 
     __slots__ = ("queues", "pending")
 
     def __init__(self, rows):
         self.queues = {row: deque() for row in rows}
-        self.pending = deque()
+        self.pending = []
 
     def read(self, now: float, known: np.ndarray) -> list:
         """Deliver everything that arrived strictly before ``now``.
 
         Writes each neighbor's latest package to its row of ``known`` and
-        returns the pending descent chunks in arrival order.
+        returns the arrived descent chunks in arrival order, ties in
+        enqueue order; chunks still in flight stay pending.
         """
         for row, q in self.queues.items():
             if q and q[0][0] < now:
                 while q and q[0][0] < now:
                     pkg = q.popleft()[1]
                 known[:, row] = pkg
-        chunks = []
-        while self.pending and self.pending[0][0] < now:
-            chunks.append(self.pending.popleft()[1])
-        return chunks
+        arrived = sorted((c for c in self.pending if c[0] < now), key=itemgetter(0))
+        self.pending = [c for c in self.pending if c[0] >= now]
+        return [block for _, block in arrived]
 
 
 # ---------------------------------------------------------------------------
@@ -243,12 +237,6 @@ class _AsyncEngine:
                      for i in range(n)]
         self.local_iter = np.zeros(n, dtype=int)
         self.dbfgs = method == "dbfgs"
-        if self.dbfgs:
-            self.matrices = [np.eye(m * p) for m in graph.m]
-            self.prev_var = np.empty((kernel.total_blocks, p))
-            self.prev_g = np.empty((kernel.total_blocks, p))
-            self.eflat = np.empty((kernel.total_blocks, p))
-        self.xstar = solve_consensus_optimum(objective.instance)
         self.trace = Trace(method=method, mode=cfg.mode, seed=cfg.seed,
                            model_time=[], local_iter_min=[], event_log=[])
         self.exchanges = 0
@@ -297,27 +285,17 @@ class _AsyncEngine:
         return False
 
     def _dbfgs_step(self, t, batch, ids, groups, var_views, snapshot, init):
-        """Curvature update and descent contributions on the round kernel;
-        publishes the pre-descent blocks."""
+        """The kernel's D-BFGS round on the batch; publishes the
+        pre-descent blocks."""
         kernel, cfg = self.kernel, self.cfg
-        g_views = self._views(groups, 2)
-        flat = [[v.reshape(len(grp.ids), -1) for grp, v in zip(groups, views)]
-                for views in (var_views, g_views)]
-        if not init:
-            prev = [[arr[grp.rows].reshape(len(grp.ids), -1) for grp in groups]
-                    for arr in (self.prev_var, self.prev_g)]
-            kernel.bfgs_all(self.matrices, prev[0], flat[0], prev[1], flat[1],
-                            cfg.gamma, SKIP_THRESHOLD, groups)
-        kernel.descent(self.matrices, flat[1], cfg.big_gamma, self.eflat, groups)
-        for grp, vv, gv in zip(groups, var_views, g_views):
-            self.prev_var[grp.rows] = vv
-            self.prev_g[grp.rows] = gv
+        kernel.dbfgs_round(var_views, self._views(groups, 2), cfg.gamma,
+                           cfg.big_gamma, init, groups)
         # the virtual engine applies each contribution at once, in the
         # order the physical mailboxes will replay it
         off, cols = kernel.offsets, kernel.cols
         for i in batch:
             lo, hi = off[i], off[i + 1]
-            for j, block in zip(cols[lo:hi].tolist(), self.eflat[lo:hi].copy()):
+            for j, block in zip(cols[lo:hi].tolist(), kernel.contrib[lo:hi].copy()):
                 self.mail[j].pending.append((t if j == i else t + cfg.delta_msg,
                                              block))
                 if self.virtual:
@@ -332,7 +310,7 @@ class _AsyncEngine:
 
     def _record(self, t: float) -> None:
         est = self.var if self.obj.mode == "primal" else self.aux
-        err = consensus_error(est, self.xstar)
+        err = consensus_error(est, self.obj.xstar)
         gnorm = np.linalg.norm(self.obj.runtime_grad(self.var))
         lmin = int(self.local_iter.min())
         self.trace.append(lmin, err, gnorm, self.exchanges,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -104,13 +104,8 @@ def _parse_sections(text: str) -> dict:
 
 
 def _fmt_scalar(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, str):
-        return f'"{v}"'
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+    """A numeric field as written by to_text (no field is a bool or string)."""
+    return repr(v) if isinstance(v, float) else str(v)
 
 
 def _take(section: dict, name: str, key: str, required=True, default=None,
@@ -121,9 +116,10 @@ def _take(section: dict, name: str, key: str, required=True, default=None,
         return default
     val = section.pop(key)
     if kind is not None:
-        if kind is float and isinstance(val, int):
+        if kind is float and type(val) is int:
             val = float(val)
-        if not isinstance(val, kind):
+        # bool is an int subclass; no field takes a boolean
+        if not isinstance(val, kind) or isinstance(val, bool):
             raise ConfigError(f"{name}.{key}: expected {kind.__name__}, "
                               f"got {type(val).__name__}")
     return val
@@ -208,7 +204,7 @@ class ExperimentConfig:
             raise ConfigError("missing [run] section")
         iters = _take(run_sec, "run", "iterations", kind=int)
         seeds = _take(run_sec, "run", "seeds", kind=list)
-        if not seeds or not all(isinstance(s, int) for s in seeds):
+        if not seeds or not all(type(s) is int for s in seeds):
             raise ConfigError("run.seeds: expected a non-empty list of integers")
         thresh = _take(run_sec, "run", "error_threshold", required=False, kind=float)
         stop_err = _take(run_sec, "run", "stop_error", required=False, kind=float)
@@ -220,10 +216,9 @@ class ExperimentConfig:
         methods = []
         for name in list(meth_sec):
             step = meth_sec.pop(name)
-            if isinstance(step, int):
-                step = float(step)
-            if not isinstance(step, float):
+            if type(step) not in (int, float):
                 raise ConfigError(f"methods.{name}: expected a step size number")
+            step = float(step)
             if name not in ("dbfgs", "dgd", "dd", "admm"):
                 raise ConfigError(f"methods.{name}: unknown method")
             methods.append((name, step))
@@ -241,13 +236,10 @@ class ExperimentConfig:
             if bad:
                 raise ConfigError(f"methods.{bad[0]}: not available in the "
                                   "async regime (dbfgs and dd only)")
-            for sec_name, sec in (("async", async_sec),):
-                for k in sec:
-                    raise ConfigError(f"{sec_name}.{k}: unknown key")
 
         for sec_name, sec in (("topology", topo), ("problem", prob),
                               ("mode", mode_sec), ("dbfgs", dbfgs_sec),
-                              ("run", run_sec)):
+                              ("run", run_sec), ("async", async_sec or {})):
             for k in sec:
                 raise ConfigError(f"{sec_name}.{k}: unknown key")
         for sec_name in sections:
@@ -316,26 +308,30 @@ class RunResult:
     csv_path: str | None
 
 
-def _build_instance(cfg: ExperimentConfig, seed: int):
+def _setup(cfg: ExperimentConfig, seed: int, graph: Graph, weights: np.ndarray):
+    """One seed's objective and, in the async regime, clock schedule; every
+    method of the seed runs on them."""
     if cfg.problem_kind == "quadratic":
-        return make_quadratic(cfg.n, cfg.p, cfg.eta, seed)
-    return make_logistic(cfg.n, cfg.p, cfg.q, cfg.lam, cfg.mu,
-                         cfg.sigma_pos, cfg.sigma_neg, seed)
+        instance = make_quadratic(cfg.n, cfg.p, cfg.eta, seed)
+    else:
+        instance = make_logistic(cfg.n, cfg.p, cfg.q, cfg.lam, cfg.mu,
+                                 cfg.sigma_pos, cfg.sigma_neg, seed)
+    objective = DistributedObjective(instance, graph, weights, cfg.mode,
+                                     alpha=cfg.alpha)
+    if cfg.regime != "async":
+        return objective, None
+    horizon = (cfg.horizon if cfg.horizon is not None
+               else cfg.mu_clk * (cfg.iterations + 30))
+    return objective, gen_clock_schedule(cfg.n, cfg.mu_clk, cfg.sigma_clk,
+                                         horizon, seed)
 
 
 def _dispatch(cfg: ExperimentConfig, method: str, step: float, seed: int,
-              graph: Graph, weights: np.ndarray) -> Trace:
-    instance = _build_instance(cfg, seed)
-    objective = DistributedObjective(instance, graph, weights, cfg.mode,
-                                     alpha=cfg.alpha)
+              graph: Graph, objective: DistributedObjective, schedule) -> Trace:
     common = dict(mode=cfg.mode, step_size=step, max_iters=cfg.iterations,
                   gamma=cfg.gamma, big_gamma=cfg.big_gamma, seed=seed,
                   stop_error=cfg.stop_error, stop_grad_norm=cfg.stop_grad_norm)
     if cfg.regime == "async":
-        horizon = (cfg.horizon if cfg.horizon is not None
-                   else cfg.mu_clk * (cfg.iterations + 30))
-        schedule = gen_clock_schedule(cfg.n, cfg.mu_clk, cfg.sigma_clk,
-                                      horizon, seed)
         acfg = AsyncConfig(method=method, delta_msg=cfg.delta_msg, **common)
         runner = run_dbfgs_async if method == "dbfgs" else run_dd_async
         return runner(graph, objective, acfg, schedule)
@@ -345,34 +341,41 @@ def _dispatch(cfg: ExperimentConfig, method: str, step: float, seed: int,
     return runner(graph, objective, scfg)
 
 
+def _write_atomic(path: str, text: str) -> None:
+    """Write through a temporary file and os.replace, so a reader never
+    sees a partial file."""
+    tmp = path + ".tmp"
+    with open(tmp, "w") as fh:
+        fh.write(text)
+    os.replace(tmp, path)
+
+
 def run_experiment(cfg: ExperimentConfig, outdir: str | None = None):
     """Run every (method, seed) pair; write one CSV per run plus a summary.
 
-    Divergence is recorded in the run status, never fatal to the batch.
-    Returns the list of RunResult.
+    Each seed's instance, objective (with its optimum) and schedule are
+    built once and shared by every method. Divergence is recorded in the
+    run status, never fatal to the batch. Returns the list of RunResult.
     """
     graph = build_d_regular_cycle(cfg.n, cfg.d)
     weights = build_weight_matrix(graph, cfg.d)
+    setups = {seed: _setup(cfg, seed, graph, weights) for seed in cfg.seeds}
     tag = cfg.config_hash()
     if outdir is not None:
         os.makedirs(outdir, exist_ok=True)
     results = []
     for method, step in cfg.methods:
         for seed in cfg.seeds:
-            trace = _dispatch(cfg, method, step, seed, graph, weights)
+            trace = _dispatch(cfg, method, step, seed, graph, *setups[seed])
             path = None
             if outdir is not None:
                 path = os.path.join(outdir, f"{method}_{cfg.mode}_s{seed}_{tag}.csv")
-                tmp = path + ".tmp"
-                with open(tmp, "w") as fh:
-                    fh.write(trace.to_csv())
-                os.replace(tmp, path)
+                _write_atomic(path, trace.to_csv())
             results.append(RunResult(method=method, seed=seed, trace=trace,
                                      csv_path=path))
     if outdir is not None:
-        summary = summarize_runs(cfg, results)
-        with open(os.path.join(outdir, f"summary_{tag}.txt"), "w") as fh:
-            fh.write(summary)
+        _write_atomic(os.path.join(outdir, f"summary_{tag}.txt"),
+                      summarize_runs(cfg, results))
     return results
 
 
@@ -474,17 +477,15 @@ def _median_err_at(results, method: str, iteration: int) -> float:
 def _quad_config(n, d, eta, mode, methods, iterations, seeds, alpha=None,
                  gamma=1e-2, big_gamma=1e-3, threshold=None, stop_error=None,
                  async_params=None):
+    mu_clk, sigma_clk, delta_msg, horizon = async_params or (None,) * 4
     return ExperimentConfig(
         n=n, d=d, problem_kind="quadratic", p=4, eta=eta, q=None, lam=None,
         mu=None, sigma_pos=None, sigma_neg=None, mode=mode, alpha=alpha,
         gamma=gamma, big_gamma=big_gamma, iterations=iterations,
         seeds=tuple(seeds), methods=tuple(methods), error_threshold=threshold,
         stop_error=stop_error, stop_grad_norm=None,
-        regime="async" if async_params else "sync",
-        mu_clk=async_params[0] if async_params else None,
-        sigma_clk=async_params[1] if async_params else None,
-        delta_msg=async_params[2] if async_params else None,
-        horizon=async_params[3] if async_params else None,
+        regime="async" if async_params else "sync", mu_clk=mu_clk,
+        sigma_clk=sigma_clk, delta_msg=delta_msg, horizon=horizon,
     )
 
 
@@ -504,41 +505,41 @@ def _profile_fig2(seeds, outdir):
     ]
 
 
-def _ratio_profile(mode, eta, threshold, fast, slow, budgets, seeds, outdir,
-                   alpha=None):
-    methods = [(fast, budgets[fast][1]), (slow, budgets[slow][1])]
-    out = {}
-    for name, step in methods:
-        cfg = _quad_config(
-            50 if mode == "dual" else 100, 4, eta, mode, [(name, step)],
-            budgets[name][0], seeds, alpha=alpha, threshold=threshold,
-            stop_error=threshold)
-        out[name] = run_experiment(cfg, outdir)
-    hist = histogram_exchanges([r.trace for rs in out.values() for r in rs],
-                               threshold)
-    med_fast = hist.median(fast)
-    med_slow = hist.median(slow)
-    if med_fast is None or med_slow is None:
-        return None, hist
-    return med_slow / med_fast, hist
+def _ratio_criteria(fig, mode, threshold, fast, slow, budgets, cases, seeds,
+                    outdir, alpha=None):
+    """One criterion per (eta, label, need, note) case: the slow/fast ratio
+    of median exchanges to the threshold is at least ``need``. Each method
+    runs alone with its own (iterations, step) budget."""
+    results = []
+    for eta, label, need, note in cases:
+        runs = []
+        for name in (fast, slow):
+            iters, step = budgets[name]
+            cfg = _quad_config(
+                50 if mode == "dual" else 100, 4, eta, mode, [(name, step)],
+                iters, seeds, alpha=alpha, threshold=threshold,
+                stop_error=threshold)
+            runs += run_experiment(cfg, outdir)
+        hist = histogram_exchanges([r.trace for r in runs], threshold)
+        med_fast, med_slow = hist.median(fast), hist.median(slow)
+        if med_fast is None or med_slow is None:
+            results.append(CriterionResult(
+                f"{fig}.ratio_{label}", False,
+                f"censored runs prevent the ratio (censored: {hist.censored})"))
+        else:
+            ratio = med_slow / med_fast
+            results.append(CriterionResult(
+                f"{fig}.ratio_{label}", ratio >= need,
+                f"{slow}/{fast} median exchange ratio {ratio:.2f} ({note})"))
+    return results
 
 
 def _profile_fig3(seeds, outdir):
-    budgets = {"dbfgs": (3000, 0.01), "admm": (20000, 0.002)}
-    results = []
-    for eta, need, label in ((0.0, 1.5, "cond1"), (2.0, 5.0, "cond100")):
-        ratio, hist = _ratio_profile("dual", eta, 1e-2, "dbfgs", "admm",
-                                     budgets, seeds, outdir)
-        if ratio is None:
-            cens = hist.censored
-            results.append(CriterionResult(
-                f"fig3.ratio_{label}", False,
-                f"censored runs prevent the ratio (censored: {cens})"))
-        else:
-            results.append(CriterionResult(
-                f"fig3.ratio_{label}", ratio >= need,
-                f"admm/dbfgs median exchange ratio {ratio:.2f} (need >= {need})"))
-    return results
+    return _ratio_criteria(
+        "fig3", "dual", 1e-2, "dbfgs", "admm",
+        {"dbfgs": (3000, 0.01), "admm": (20000, 0.002)},
+        ((0.0, "cond1", 1.5, "need >= 1.5"), (2.0, "cond100", 5.0, "need >= 5.0")),
+        seeds, outdir)
 
 
 def _profile_fig4(seeds, outdir):
@@ -556,20 +557,12 @@ def _profile_fig4(seeds, outdir):
 
 
 def _profile_fig5(seeds, outdir):
-    budgets = {"dbfgs": (800, 0.3), "dgd": (10000, 1.0)}
-    results = []
-    for eta, label in ((0.0, "cond1"), (2.0, "cond100")):
-        ratio, hist = _ratio_profile("primal", eta, 1.9e-2, "dbfgs", "dgd",
-                                     budgets, seeds, outdir, alpha=1e-3)
-        if ratio is None:
-            results.append(CriterionResult(
-                f"fig5.ratio_{label}", False,
-                f"censored runs prevent the ratio (censored: {hist.censored})"))
-        else:
-            results.append(CriterionResult(
-                f"fig5.ratio_{label}", ratio >= 3.0,
-                f"dgd/dbfgs median exchange ratio {ratio:.2f} (need >= 3; reported ~5)"))
-    return results
+    note = "need >= 3; reported ~5"
+    return _ratio_criteria(
+        "fig5", "primal", 1.9e-2, "dbfgs", "dgd",
+        {"dbfgs": (800, 0.3), "dgd": (10000, 1.0)},
+        ((0.0, "cond1", 3.0, note), (2.0, "cond100", 3.0, note)),
+        seeds, outdir, alpha=1e-3)
 
 
 def _profile_fig6(seeds, outdir):
@@ -594,13 +587,11 @@ def _profile_fig6(seeds, outdir):
 
 
 def _profile_fig7(seeds, outdir):
-    cfg = ExperimentConfig(
-        n=100, d=4, problem_kind="logistic", p=4, eta=None, q=100, lam=1e-4,
-        mu=3.0, sigma_pos=1.0, sigma_neg=1.0, mode="primal", alpha=1e-3,
-        gamma=0.1, big_gamma=0.1, iterations=200, seeds=tuple(seeds),
-        methods=(("dbfgs", 0.3), ("dgd", 1.0)), error_threshold=None,
-        stop_error=None, stop_grad_norm=None, regime="sync", mu_clk=None,
-        sigma_clk=None, delta_msg=None, horizon=None)
+    cfg = replace(
+        _quad_config(100, 4, None, "primal", [("dbfgs", 0.3), ("dgd", 1.0)], 200,
+                     seeds, alpha=1e-3, gamma=0.1, big_gamma=0.1),
+        problem_kind="logistic", q=100, lam=1e-4, mu=3.0, sigma_pos=1.0,
+        sigma_neg=1.0)
     res = run_experiment(cfg, outdir)
     g_db = float(np.median([r.trace.grad_norm[-1] for r in res
                             if r.method == "dbfgs"]))

@@ -12,6 +12,7 @@ drawn node-major, so instances are bit-reproducible from their seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -245,6 +246,11 @@ class DistributedObjective:
     @property
     def p(self) -> int:
         return self.instance.p
+
+    @cached_property
+    def xstar(self) -> np.ndarray:
+        """The instance's consensus optimum, solved on first use."""
+        return solve_consensus_optimum(self.instance)
 
     # -- local operations in their textbook (unscaled) form ----------------
 

@@ -9,14 +9,15 @@ cost 1.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
+import scipy.sparse as sp
 
 from ._kernel import RoundKernel
-from .curvature import SKIP_THRESHOLD, CurvatureState
+from .curvature import CurvatureState
 from .netgraph import Graph
-from .objectives import DistributedObjective, consensus_error, solve_consensus_optimum
+from .objectives import DistributedObjective, consensus_error
 
 __all__ = [
     "SyncConfig",
@@ -156,57 +157,41 @@ class DbfgsSyncEngine:
 
     The loop is the synchronous algorithm with the bookkeeping rotated one
     step: each call to step() applies the descents computed at the end of
-    the previous round, re-evaluates gradients, updates every node's
-    curvature from the (previous, current) neighborhood views, and computes
-    the next round's descent contributions.
+    the previous round, re-evaluates gradients, and runs the round kernel's
+    D-BFGS round on every node (curvature update from the previous views,
+    then the next round's descent contributions).
     """
 
     def __init__(self, graph: Graph, objective: DistributedObjective,
                  gamma: float, big_gamma: float, step_size: float,
                  var0: np.ndarray | None = None):
-        self.graph = graph
         self.objective = objective
         self.gamma = gamma
         self.big_gamma = big_gamma
         self.eps = step_size
-        p = objective.p
-        self.kernel = RoundKernel(graph, p)
-        self.var = (np.zeros((graph.n, p)) if var0 is None
+        self.kernel = RoundKernel(graph, objective.p)
+        self.var = (np.zeros((graph.n, objective.p)) if var0 is None
                     else np.array(var0, dtype=float))
-        self.matrices = [np.eye(graph.m[i] * p) for i in range(graph.n)]
-        self.aux = objective.stage1_full(self.var)
-        self.g = objective.stage2_full(self.var, self.aux)
-        self._prev_var_views = self.kernel.gather_views(self.var)
-        self._prev_g_views = self.kernel.gather_views(self.g)
-        self.eflat = self.kernel.descent(
-            self.matrices, self._prev_g_views, big_gamma,
-            np.empty((self.kernel.total_blocks, p)))
-        self.accepted = np.zeros(graph.n, dtype=bool)
         self.last_descent = np.zeros_like(self.var)
+        self._round(first=True)
 
     def step(self) -> None:
-        self.last_descent = self.kernel.apply_descents(self.var, self.eflat, self.eps)
+        self.last_descent = self.kernel.apply_descents(self.var, self.eps)
+        self._round()
+
+    def _round(self, first: bool = False) -> None:
         self.aux = self.objective.stage1_full(self.var)
         self.g = self.objective.stage2_full(self.var, self.aux)
-        var_views = self.kernel.gather_views(self.var)
-        g_views = self.kernel.gather_views(self.g)
-        self.accepted = self.kernel.bfgs_all(
-            self.matrices, self._prev_var_views, var_views,
-            self._prev_g_views, g_views, self.gamma, SKIP_THRESHOLD,
-        )
-        self.kernel.descent(self.matrices, g_views, self.big_gamma, self.eflat)
-        self._prev_var_views = var_views
-        self._prev_g_views = g_views
+        self.accepted = self.kernel.dbfgs_round(
+            self.kernel.gather_views(self.var), self.kernel.gather_views(self.g),
+            self.gamma, self.big_gamma, first)
 
     def states(self) -> list:
-        """Current curvature as CurvatureState objects (diagnostics/tests)."""
-        out = []
-        for i in range(self.graph.n):
-            st = CurvatureState.initial(self.graph, i, self.objective.p,
-                                        self.gamma, self.big_gamma)
-            st.matrix = self.matrices[i]
-            out.append(st)
-        return out
+        """Copies of the current curvature as CurvatureState objects
+        (diagnostics/tests)."""
+        graph, p = self.kernel.graph, self.objective.p
+        return [replace(CurvatureState.initial(graph, i, p, self.gamma, self.big_gamma),
+                        matrix=self.kernel.matrix(i).copy()) for i in range(graph.n)]
 
 
 def run_dbfgs_sync(graph: Graph, objective: DistributedObjective,
@@ -214,14 +199,13 @@ def run_dbfgs_sync(graph: Graph, objective: DistributedObjective,
     """Synchronous D-BFGS; in dual mode the iterated variable is nu and the
     machinery descends -psi, so the update ascends the dual function."""
     cfg.validate(objective)
-    xstar = solve_consensus_optimum(objective.instance)
     engine = DbfgsSyncEngine(graph, objective, cfg.gamma, cfg.big_gamma,
                              cfg.step_size, cfg.var0)
     cost = exchanges_per_iteration("dbfgs", cfg.mode)
     trace = Trace(method="dbfgs", mode=cfg.mode, seed=cfg.seed)
     for t in range(1, cfg.max_iters + 1):
         engine.step()
-        err = consensus_error(objective.recover_x(engine.var), xstar)
+        err = consensus_error(objective.recover_x(engine.var), objective.xstar)
         trace.append(t, err, np.linalg.norm(engine.g), t * cost)
         if _check_stop(trace, cfg):
             break
@@ -237,7 +221,6 @@ def run_dgd(graph: Graph, objective: DistributedObjective,
             cfg: SyncConfig) -> Trace:
     """Decentralized gradient descent on the scaled penalty objective."""
     cfg.validate(objective)
-    xstar = solve_consensus_optimum(objective.instance)
     x = (np.zeros((graph.n, objective.p)) if cfg.var0 is None
          else np.array(cfg.var0, dtype=float))
     g = objective.runtime_grad(x)
@@ -245,7 +228,7 @@ def run_dgd(graph: Graph, objective: DistributedObjective,
     for t in range(1, cfg.max_iters + 1):
         x = x - cfg.step_size * g
         g = objective.runtime_grad(x)
-        trace.append(t, consensus_error(x, xstar), np.linalg.norm(g), t)
+        trace.append(t, consensus_error(x, objective.xstar), np.linalg.norm(g), t)
         if _check_stop(trace, cfg):
             break
     return trace
@@ -257,14 +240,13 @@ def run_dd(graph: Graph, objective: DistributedObjective,
     minimizers. Trace rows carry the state the round computed with (the
     event simulator's rows align with these)."""
     cfg.validate(objective)
-    xstar = solve_consensus_optimum(objective.instance)
     nu = (np.zeros((graph.n, objective.p)) if cfg.var0 is None
           else np.array(cfg.var0, dtype=float))
     trace = Trace(method="dd", mode=cfg.mode, seed=cfg.seed)
     for t in range(1, cfg.max_iters + 1):
         aux = objective.stage1_full(nu)
         g = objective.stage2_full(nu, aux)
-        trace.append(t, consensus_error(aux, xstar), np.linalg.norm(g), t)
+        trace.append(t, consensus_error(aux, objective.xstar), np.linalg.norm(g), t)
         nu = nu - cfg.step_size * g
         if _check_stop(trace, cfg):
             break
@@ -281,13 +263,14 @@ def run_admm(graph: Graph, objective: DistributedObjective, cfg: SyncConfig,
     """
     cfg.validate(objective)
     inst = objective.instance
-    xstar = solve_consensus_optimum(inst)
     n, p = graph.n, objective.p
     rho = cfg.step_size
-    adj = np.zeros((n, n))
-    for i, j in graph.edges:
-        adj[i, j] = adj[j, i] = 1.0
-    deg = np.asarray([graph.degree(i) for i in range(n)], dtype=float)[:, None]
+    # the neighbor sum as CSR: the layout rows without each node's own entry
+    indptr, cols = graph.layout()
+    others = cols != np.repeat(np.arange(n), graph.m)
+    adj = sp.csr_array((np.ones(len(cols) - n), cols[others],
+                        indptr - np.arange(n + 1)), shape=(n, n))
+    deg = np.asarray(graph.m, dtype=float)[:, None] - 1.0
     x = (np.zeros((n, p)) if cfg.var0 is None else np.array(cfg.var0, dtype=float))
     mult = (np.zeros((n, p)) if initial_multipliers is None
             else np.array(initial_multipliers, dtype=float))
@@ -296,7 +279,7 @@ def run_admm(graph: Graph, objective: DistributedObjective, cfg: SyncConfig,
         x = (rho * (deg * x + adj @ x) - mult - inst.b) / (inst.a + 2.0 * rho * deg)
         resid = deg * x - adj @ x
         mult = mult + rho * resid
-        trace.append(t, consensus_error(x, xstar), np.linalg.norm(resid), t)
+        trace.append(t, consensus_error(x, objective.xstar), np.linalg.norm(resid), t)
         if _check_stop(trace, cfg):
             break
     return trace

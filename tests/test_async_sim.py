@@ -4,6 +4,7 @@ import pytest
 import dbfgs
 from dbfgs.async_sim import (
     AsyncConfig,
+    _Mailbox,
     ClockSchedule,
     EventQueue,
     gen_clock_schedule,
@@ -244,6 +245,18 @@ def test_message_delay_changes_trajectory():
     base = run_dbfgs_async(g, obj, dbfgs_cfg(), sched)
     delayed = run_dbfgs_async(g, obj, dbfgs_cfg(delta_msg=1.5), sched)
     assert not np.allclose(base.error, delayed.error)
+
+
+def test_mailbox_delivers_every_arrived_chunk_in_arrival_order():
+    # with delta_msg > 0 a neighbor's chunk queued first arrives after the
+    # node's own chunk queued later; the arrived chunk must not wait
+    box = _Mailbox([])
+    box.pending += [(1.5, "late neighbor"), (1.0, "own"), (0.5, "early"),
+                    (1.0, "own tie")]
+    assert box.read(1.2, None) == ["early", "own", "own tie"]
+    assert box.read(1.5, None) == []
+    assert box.read(1.6, None) == ["late neighbor"]
+    assert box.pending == []
 
 
 # ---------------------------------------------------------------------------

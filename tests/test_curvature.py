@@ -3,7 +3,6 @@ import pytest
 
 from dbfgs._kernel import RoundKernel
 from dbfgs.curvature import (
-    SKIP_THRESHOLD,
     CurvatureState,
     aggregate_descent,
     assemble_global_descent_matrix,
@@ -216,8 +215,8 @@ def irregular_graph():
 
 
 def gather(arr, groups):
-    """Flattened neighborhood views of a batch's groups."""
-    return [arr[grp.nb].reshape(len(grp.ids), -1) for grp in groups]
+    """(g, m, p) neighborhood views of a batch's groups."""
+    return [arr[grp.nb] for grp in groups]
 
 
 def test_kernel_batches_match_per_node_reference():
@@ -231,21 +230,22 @@ def test_kernel_batches_match_per_node_reference():
         groups = kernel.batch(batch)
         states = [CurvatureState.initial(graph, i, p, gamma, big_gamma)
                   for i in range(6)]
-        for st in states:
+        for i, st in enumerate(states):
             st.matrix = random_spd(st.dim, rng, floor=0.5)
-        mats = [st.matrix.copy() for st in states]
-        views = [gather(arr, groups) for arr in (x0, x1, g0, g1)]
-        acc = kernel.bfgs_all(mats, *views, gamma, SKIP_THRESHOLD, groups)
-        eflat = kernel.descent(mats, views[3], big_gamma,
-                               np.zeros((kernel.total_blocks, p)), groups)
+            kernel.matrix(i)[:] = st.matrix
+        # a first round keeps the (x0, g0) views without touching curvature
+        kernel.dbfgs_round(gather(x0, groups), gather(g0, groups), gamma,
+                           big_gamma, first=True, groups=groups)
+        acc = kernel.dbfgs_round(gather(x1, groups), gather(g1, groups), gamma,
+                                 big_gamma, groups=groups)
         for k, i in enumerate(batch):
             nb = list(graph.neighborhoods[i])
             pair = modified_variations(x0[nb], x1[nb], g0[nb], g1[nb],
                                        states[i].d_diag, gamma)
             ref, ok = bfgs_update(states[i], pair)
             assert acc[k] == ok
-            assert np.allclose(mats[i], ref.matrix, rtol=1e-12, atol=1e-12)
-            e = eflat[kernel.offsets[i]:kernel.offsets[i + 1]].ravel()
+            assert np.allclose(kernel.matrix(i), ref.matrix, rtol=1e-12, atol=1e-12)
+            e = kernel.contrib[kernel.offsets[i]:kernel.offsets[i + 1]].ravel()
             assert np.allclose(e, neighborhood_descent(ref, g1[nb]),
                                rtol=1e-10, atol=1e-12)
 
@@ -253,14 +253,12 @@ def test_kernel_batches_match_per_node_reference():
 def test_kernel_descent_names_an_indefinite_node():
     graph = irregular_graph()
     kernel = RoundKernel(graph, 2)
-    mats = [np.eye(2 * m) for m in graph.m]
-    mats[4] = np.diag([1.0, 1.0, -1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
+    kernel.matrix(4)[:] = np.diag([1.0, 1.0, -1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
     g = np.ones((6, 2))
     for groups in (kernel.groups, kernel.batch([4]), kernel.batch([1, 4])):
         with pytest.raises(RuntimeError,
                            match="lost positive definiteness at node 4"):
-            kernel.descent(mats, gather(g, groups), 1e-3,
-                           np.zeros((kernel.total_blocks, 2)), groups)
+            kernel.descent(gather(g, groups), 1e-3, groups)
 
 
 def test_assembled_global_secant_on_quadratic_run():

@@ -70,6 +70,10 @@ def test_parse_async_section():
     (("seeds = [0, 1]", "seeds = []"), "run.seeds"),
     (("kind = \"dual\"", "kind = \"dual\"\nalpha = 0.1"), "mode.alpha"),
     (("n = 8", ""), "topology.n"),
+    (("n = 8", "n = true"), "topology.n"),
+    (("dbfgs = 0.05", "dbfgs = true"), "methods.dbfgs"),
+    (("seeds = [0, 1]", "seeds = [true]"), "run.seeds"),
+    (("eta = 1.0", "eta = false"), "problem.eta"),
 ])
 def test_parse_rejections(mutation, match):
     old, new = mutation
@@ -102,6 +106,37 @@ def test_run_experiment_writes_deterministic_csv(tmp_path):
             assert f1.read() == f2.read()
     names = sorted(os.listdir(out1))
     assert any(n.startswith("summary_") for n in names)
+
+
+def test_run_experiment_writes_every_file_through_replace(tmp_path, monkeypatch):
+    # CSVs and the summary appear whole or not at all
+    replaced = []
+    real_replace = os.replace
+
+    def spy(src, dst):
+        replaced.append(os.path.basename(dst))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", spy)
+    cfg = parse_config(BASE_CONFIG)
+    run_experiment(cfg, str(tmp_path))
+    assert sorted(replaced) == sorted(os.listdir(tmp_path))
+    assert f"summary_{cfg.config_hash()}.txt" in replaced
+
+
+def test_run_experiment_solves_each_optimum_once(tmp_path, monkeypatch):
+    import dbfgs.objectives as objectives
+
+    solved = []
+    real_solve = objectives.solve_consensus_optimum
+
+    def counting(instance):
+        solved.append(instance.seed)
+        return real_solve(instance)
+
+    monkeypatch.setattr(objectives, "solve_consensus_optimum", counting)
+    run_experiment(parse_config(BASE_CONFIG), str(tmp_path))
+    assert solved == [0, 1]  # two methods share each seed's objective
 
 
 def test_csv_round_trip(tmp_path):
