@@ -9,7 +9,8 @@ operations whatever batch it is in, which is what makes lockstep execution
 of the simulator reproduce the synchronous runtime exactly.
 
 Per-node arrays follow the graph's flat neighborhood layout
-(``Graph.layout``): row offsets[i] + k belongs to node i's k-th neighbor.
+(``Graph.layout``, the one the consensus weights are stored in): row
+offsets[i] + k belongs to node i's k-th neighbor.
 A batch's neighborhood views read from a stack of such layout rows (the
 dated copies each node holds of its neighbors) followed by one row per
 node (its current block): a slot whose node is in the batch reads the
@@ -51,12 +52,9 @@ class RoundKernel:
         self.graph = graph
         self.p = p
         self.m = np.asarray(graph.m)
-        self.offsets, self.cols = graph.layout()
+        lay = graph.layout
+        self.offsets, self.cols, self.mirror = lay.indptr, lay.cols, lay.mirror
         self.total_blocks = int(self.offsets[-1])
-        rows = np.repeat(np.arange(graph.n), self.m)
-        # the layout row of (j, i) for the row of (i, j): the graph is
-        # undirected, so sorting by (col, row) lists the mirrored rows
-        self.mirror = np.lexsort((rows, self.cols))
         # D's diagonal block 1/m_j for every layout row
         self.dd = np.repeat(1.0 / self.m[self.cols], p).reshape(-1, p)
         # each node's position among the nodes of its neighborhood size
@@ -68,7 +66,7 @@ class RoundKernel:
         # the node's descent contributions, in layout rows
         self.last = np.zeros((2, self.total_blocks, p))
         self.contrib = np.zeros((self.total_blocks, p))
-        self._batches = {}
+        self._batches, self._work = {}, {}
         self.groups = self.batch(range(graph.n))
 
     @cached_property
@@ -79,6 +77,17 @@ class RoundKernel:
         sizes, counts = np.unique(self.m, return_counts=True)
         return {msize: np.tile(np.eye(msize * self.p), (count, 1, 1))
                 for msize, count in zip(sizes.tolist(), counts.tolist())}
+
+    def _gather(self, grp: Group) -> tuple:
+        """The group's curvature matrices and a spare stack, in scratch kept
+        per neighborhood size: fresh (g, k, k) temporaries may be handed
+        back to the system and paged in again on every round."""
+        stack = self.curvature[grp.msize]
+        if grp.msize not in self._work:
+            self._work[grp.msize] = np.empty((2,) + stack.shape)
+        b, spare = self._work[grp.msize][:, :len(grp.ids)]
+        np.take(stack, grp.slot, axis=0, out=b, mode="clip")
+        return b, spare
 
     def matrix(self, i: int) -> np.ndarray:
         """Node i's curvature matrix (a view into its stack)."""
@@ -140,7 +149,7 @@ class RoundKernel:
         of ``contrib``: row offsets[i] + k is node i's contribution to its
         k-th neighbor."""
         for grp, gv in zip(groups or self.groups, g_views):
-            b = self.curvature[grp.msize][grp.slot]
+            b, _ = self._gather(grp)
             try:
                 np.linalg.cholesky(b)
             except np.linalg.LinAlgError:
@@ -188,22 +197,27 @@ class RoundKernel:
                         * np.sqrt((r * r).sum(axis=1)))
             if not acc.any():
                 continue
-            stack = self.curvature[grp.msize]
-            b = stack[grp.slot]
+            b, new = self._gather(grp)
             bv = np.einsum("gij,gj->gi", b, v)
             vbv = (v * bv).sum(axis=1)
             acc &= vbv > 0
             safe_ip = np.where(acc, ip, 1.0)
             safe_vbv = np.where(acc, vbv, 1.0)
-            new = (
-                b
-                + r[:, :, None] * r[:, None, :] / safe_ip[:, None, None]
-                - bv[:, :, None] * bv[:, None, :] / safe_vbv[:, None, None]
-            )
+            # b + rr'/ip - bv bv'/vbv + gamma I, symmetrized: the float
+            # operations of that expression, done in the two scratch stacks
+            np.multiply(r[:, :, None], r[:, None, :], out=new)
+            new /= safe_ip[:, None, None]
+            new += b
+            np.multiply(bv[:, :, None], bv[:, None, :], out=b)
+            b /= safe_vbv[:, None, None]
+            new -= b
             k = grp.msize * self.p
             new.reshape(len(grp.ids), k * k)[:, ::k + 1] += gamma  # the diagonals
-            new = 0.5 * (new + np.swapaxes(new, 1, 2))
-            stack[grp.slot[acc]] = new[acc]
+            np.add(new, np.swapaxes(new, 1, 2), out=b)
+            b *= 0.5
+            stack = self.curvature[grp.msize]
+            b[~acc] = stack[grp.slot[~acc]]  # skipped nodes keep their matrix
+            stack[grp.slot] = b
             accepted[grp.pos] = acc
         return accepted
 

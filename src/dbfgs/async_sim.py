@@ -232,8 +232,9 @@ class _AsyncEngine:
         self.var, self.aux, self.g = self.store[:, kernel.total_blocks:]
         if cfg.var0 is not None:
             self.var[:] = cfg.var0
+        own = graph.layout.own
         self.mail = [_Mailbox(r for r in range(kernel.offsets[i], kernel.offsets[i + 1])
-                              if kernel.cols[r] != i)
+                              if r != own[i])
                      for i in range(n)]
         self.local_iter = np.zeros(n, dtype=int)
         self.dbfgs = method == "dbfgs"
@@ -252,8 +253,7 @@ class _AsyncEngine:
         # phase 1: read mail, apply pending descents, advance local clocks
         for i in batch:
             for block in self.mail[i].read(t, self.known):
-                if not self.virtual:
-                    self.var[i] += self.cfg.step_size * block
+                self.var[i] += self.cfg.step_size * block
         if not init:
             self.local_iter[ids] += 1
         snapshot = self.var[ids]
@@ -296,10 +296,11 @@ class _AsyncEngine:
         for i in batch:
             lo, hi = off[i], off[i + 1]
             for j, block in zip(cols[lo:hi].tolist(), kernel.contrib[lo:hi].copy()):
-                self.mail[j].pending.append((t if j == i else t + cfg.delta_msg,
-                                             block))
                 if self.virtual:
                     self.var[j] += cfg.step_size * block
+                else:
+                    self.mail[j].pending.append(
+                        (t if j == i else t + cfg.delta_msg, block))
         return snapshot
 
     def _dd_step(self, t, batch, ids, groups, var_views, snapshot, init):

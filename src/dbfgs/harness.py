@@ -1,15 +1,17 @@
 """Experiment front-end: configs, batch runs, histograms, reproduction suites.
 
-Configs use a strict key = value format with TOML-style sections (parsed
-by a small built-in reader; unknown sections or keys are rejected with
-their full path). Every run writes one CSV trace named after its method,
-seed, and a hash of the canonical config serialization.
+Configs are TOML (read with the standard library's ``tomllib``), checked
+strictly: unknown sections or keys, wrongly typed values and values out of
+their range are rejected at parse time with their full path. Every run
+writes one CSV trace named after its method, seed, and a hash of the
+canonical config serialization.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+import tomllib
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -51,56 +53,8 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# minimal strict config reader/writer
+# strict config reader/writer
 # ---------------------------------------------------------------------------
-
-
-def _parse_scalar(token: str, path: str):
-    token = token.strip()
-    if token.startswith('"') and token.endswith('"') and len(token) >= 2:
-        return token[1:-1]
-    if token in ("true", "false"):
-        return token == "true"
-    try:
-        return int(token)
-    except ValueError:
-        pass
-    try:
-        return float(token)
-    except ValueError:
-        raise ConfigError(f"{path}: cannot parse value {token!r}") from None
-
-
-def _parse_sections(text: str) -> dict:
-    sections: dict = {}
-    current = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            current = line[1:-1].strip()
-            if current in sections:
-                raise ConfigError(f"duplicate section [{current}]")
-            sections[current] = {}
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected key = value, got {raw!r}")
-        if current is None:
-            raise ConfigError(f"line {lineno}: key outside of any section")
-        key, _, val = line.partition("=")
-        key = key.strip()
-        val = val.strip()
-        path = f"{current}.{key}"
-        if key in sections[current]:
-            raise ConfigError(f"{path}: duplicate key")
-        if val.startswith("[") and val.endswith("]"):
-            inner = val[1:-1].strip()
-            items = [t for t in (s.strip() for s in inner.split(",")) if t]
-            sections[current][key] = [_parse_scalar(t, path) for t in items]
-        else:
-            sections[current][key] = _parse_scalar(val, path)
-    return sections
 
 
 def _fmt_scalar(v) -> str:
@@ -109,7 +63,9 @@ def _fmt_scalar(v) -> str:
 
 
 def _take(section: dict, name: str, key: str, required=True, default=None,
-          kind=None):
+          kind=None, gt=None, ge=None):
+    """Pop a key; check its type and, if given, its lower bound (> gt or
+    >= ge). An absent optional key takes its default unchecked."""
     if key not in section:
         if required:
             raise ConfigError(f"{name}.{key}: missing required key")
@@ -122,7 +78,17 @@ def _take(section: dict, name: str, key: str, required=True, default=None,
         if not isinstance(val, kind) or isinstance(val, bool):
             raise ConfigError(f"{name}.{key}: expected {kind.__name__}, "
                               f"got {type(val).__name__}")
+    if (gt is not None and not val > gt) or (ge is not None and not val >= ge):
+        bound = f"> {gt}" if gt is not None else f">= {ge}"
+        raise ConfigError(f"{name}.{key}: must be {bound}, got {val!r}")
     return val
+
+
+
+def _section(sections: dict, name: str) -> dict:
+    if name not in sections:
+        raise ConfigError(f"missing [{name}] section")
+    return sections.pop(name)
 
 
 @dataclass(frozen=True)
@@ -157,52 +123,55 @@ class ExperimentConfig:
 
     @classmethod
     def from_text(cls, text: str) -> "ExperimentConfig":
-        sections = _parse_sections(text)
+        try:
+            sections = tomllib.loads(text)
+        except tomllib.TOMLDecodeError as exc:
+            raise ConfigError(f"invalid TOML: {exc}") from None
+        for key, val in sections.items():
+            if not isinstance(val, dict):
+                raise ConfigError(f"{key}: key outside of any section")
 
-        topo = sections.pop("topology", None)
-        if topo is None:
-            raise ConfigError("missing [topology] section")
+        topo = _section(sections, "topology")
         n = _take(topo, "topology", "n", kind=int)
         d = _take(topo, "topology", "d", kind=int)
+        if not 0 < d < n or d % 2:
+            raise ConfigError(f"topology.d: must be a positive even integer "
+                              f"below n = {n}, got {d}")
 
-        prob = sections.pop("problem", None)
-        if prob is None:
-            raise ConfigError("missing [problem] section")
+        prob = _section(sections, "problem")
         kind = _take(prob, "problem", "kind", kind=str)
-        p = _take(prob, "problem", "p", kind=int)
+        p = _take(prob, "problem", "p", kind=int, gt=0)
         eta = q = lam = mu = sp = sn = None
         if kind == "quadratic":
-            eta = _take(prob, "problem", "eta", kind=float)
+            if p % 2:
+                raise ConfigError(f"problem.p: must be even for a quadratic, got {p}")
+            eta = _take(prob, "problem", "eta", kind=float, ge=0)
         elif kind == "logistic":
-            q = _take(prob, "problem", "q", kind=int)
-            lam = _take(prob, "problem", "lam", kind=float)
+            q = _take(prob, "problem", "q", kind=int, ge=1)
+            lam = _take(prob, "problem", "lam", kind=float, gt=0)
             mu = _take(prob, "problem", "mu", kind=float)
             sp = _take(prob, "problem", "sigma_pos", kind=float)
             sn = _take(prob, "problem", "sigma_neg", kind=float)
         else:
             raise ConfigError(f"problem.kind: unknown problem {kind!r}")
 
-        mode_sec = sections.pop("mode", None)
-        if mode_sec is None:
-            raise ConfigError("missing [mode] section")
+        mode_sec = _section(sections, "mode")
         mode = _take(mode_sec, "mode", "kind", kind=str)
         if mode not in ("primal", "dual"):
             raise ConfigError(f"mode.kind: unknown mode {mode!r}")
         alpha = _take(mode_sec, "mode", "alpha", required=(mode == "primal"),
-                      kind=float)
+                      kind=float, gt=0)
         if mode == "dual" and alpha is not None:
             raise ConfigError("mode.alpha: alpha applies to primal mode only")
 
         dbfgs_sec = sections.pop("dbfgs", {})
         gamma = _take(dbfgs_sec, "dbfgs", "gamma", required=False,
-                      default=1e-2, kind=float)
+                      default=1e-2, kind=float, gt=0)
         big_gamma = _take(dbfgs_sec, "dbfgs", "big_gamma", required=False,
-                          default=1e-3, kind=float)
+                          default=1e-3, kind=float, gt=0)
 
-        run_sec = sections.pop("run", None)
-        if run_sec is None:
-            raise ConfigError("missing [run] section")
-        iters = _take(run_sec, "run", "iterations", kind=int)
+        run_sec = _section(sections, "run")
+        iters = _take(run_sec, "run", "iterations", kind=int, ge=1)
         seeds = _take(run_sec, "run", "seeds", kind=list)
         if not seeds or not all(type(s) is int for s in seeds):
             raise ConfigError("run.seeds: expected a non-empty list of integers")
@@ -215,23 +184,20 @@ class ExperimentConfig:
             raise ConfigError("missing or empty [methods] section")
         methods = []
         for name in list(meth_sec):
-            step = meth_sec.pop(name)
-            if type(step) not in (int, float):
-                raise ConfigError(f"methods.{name}: expected a step size number")
-            step = float(step)
             if name not in ("dbfgs", "dgd", "dd", "admm"):
                 raise ConfigError(f"methods.{name}: unknown method")
-            methods.append((name, step))
+            methods.append((name, _take(meth_sec, "methods", name, kind=float, gt=0)))
 
         async_sec = sections.pop("async", None)
         regime = "sync" if async_sec is None else "async"
         mu_clk = sigma_clk = delta = horizon = None
         if async_sec is not None:
-            mu_clk = _take(async_sec, "async", "mu_clk", kind=float)
-            sigma_clk = _take(async_sec, "async", "sigma_clk", kind=float)
+            mu_clk = _take(async_sec, "async", "mu_clk", kind=float, gt=0)
+            sigma_clk = _take(async_sec, "async", "sigma_clk", kind=float, ge=0)
             delta = _take(async_sec, "async", "delta_msg", required=False,
-                          default=0.0, kind=float)
-            horizon = _take(async_sec, "async", "horizon", required=False, kind=float)
+                          default=0.0, kind=float, ge=0)
+            horizon = _take(async_sec, "async", "horizon", required=False,
+                            kind=float, gt=0)
             bad = [m for m, _ in methods if m not in ("dbfgs", "dd")]
             if bad:
                 raise ConfigError(f"methods.{bad[0]}: not available in the "
@@ -308,7 +274,7 @@ class RunResult:
     csv_path: str | None
 
 
-def _setup(cfg: ExperimentConfig, seed: int, graph: Graph, weights: np.ndarray):
+def _setup(cfg: ExperimentConfig, seed: int, graph: Graph, weights):
     """One seed's objective and, in the async regime, clock schedule; every
     method of the seed runs on them."""
     if cfg.problem_kind == "quadratic":

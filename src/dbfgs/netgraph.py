@@ -1,25 +1,41 @@
-"""Communication topologies and consensus weight matrices.
+"""Communication topologies and consensus weights.
 
 Graphs are undirected with 0-based contiguous node ids. Every node's
 neighborhood includes the node itself and is kept sorted ascending, so
 all neighborhood-ordered vectors and matrices across the package agree
-on block order.
+on block order. The closed neighborhoods, flattened node by node, form
+the one layout that weights, views and curvature state share.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
+import scipy.sparse as sp
 
 __all__ = [
     "Graph",
+    "Layout",
     "WeightMatrixReport",
     "build_d_regular_cycle",
     "build_weight_matrix",
     "validate_weight_matrix",
 ]
+
+
+class Layout(NamedTuple):
+    """Flat closed-neighborhood layout: slots indptr[i]:indptr[i+1] hold
+    n_i in ascending order, as CSR rows."""
+
+    indptr: np.ndarray  # (n + 1,) row offsets
+    cols: np.ndarray  # (total,) the neighbor j of each slot (i, j)
+    rows: np.ndarray  # (total,) the owning node i of each slot
+    own: np.ndarray  # (n,) the slot (i, i) of each node
+    mirror: np.ndarray  # (total,) the slot (j, i) of each slot (i, j)
 
 
 @dataclass(frozen=True)
@@ -93,17 +109,16 @@ class Graph:
                     stack.append(j)
         return len(seen) == self.n
 
-    def layout(self) -> tuple:
-        """Flat closed-neighborhood layout (indptr, cols): slots
-        indptr[i]:indptr[i+1] hold n_i in ascending order, as CSR rows."""
+    @cached_property
+    def layout(self) -> Layout:
+        """The flat neighborhood layout, computed once per graph."""
         indptr = np.concatenate(([0], np.cumsum(self.m)))
         cols = np.fromiter(itertools.chain.from_iterable(self.neighborhoods),
                            dtype=np.intp, count=indptr[-1])
-        return indptr, cols
-
-    def neighborhood_index(self, i: int, j: int) -> int:
-        """Position of node j inside n_i (both must satisfy j in n_i)."""
-        return self.neighborhoods[i].index(j)
+        rows = np.repeat(np.arange(self.n), self.m)
+        # the graph is undirected, so sorting by (col, row) lists the mirrors
+        return Layout(indptr, cols, rows, np.flatnonzero(cols == rows),
+                      np.lexsort((rows, cols)))
 
 
 def build_d_regular_cycle(n: int, d: int) -> Graph:
@@ -127,8 +142,9 @@ def build_d_regular_cycle(n: int, d: int) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-def build_weight_matrix(graph: Graph, d: int) -> np.ndarray:
-    """Row-stochastic weights for a d-regular graph.
+def build_weight_matrix(graph: Graph, d: int) -> sp.csr_array:
+    """Row-stochastic weights for a d-regular graph, as CSR rows whose
+    stored entries are exactly the graph's layout.
 
     Diagonal entries 1/2 + 1/(2(d+1)), off-diagonal 1/(2(d+1)) on edges.
     Rows sum to 1 exactly by construction.
@@ -139,12 +155,9 @@ def build_weight_matrix(graph: Graph, d: int) -> np.ndarray:
     if reg != d:
         raise ValueError(f"graph is {reg}-regular, not {d}-regular")
     off = 1.0 / (2.0 * (d + 1))
-    w = np.zeros((graph.n, graph.n))
-    for i, j in graph.edges:
-        w[i, j] = off
-        w[j, i] = off
-    np.fill_diagonal(w, 0.5 + off)
-    return w
+    lay = graph.layout
+    data = np.where(lay.cols == lay.rows, 0.5 + off, off)
+    return sp.csr_array((data, lay.cols, lay.indptr), shape=(graph.n, graph.n))
 
 
 @dataclass(frozen=True)
@@ -163,14 +176,15 @@ class WeightMatrixReport:
         return self.symmetric and self.row_stochastic and self.connectivity
 
 
-def validate_weight_matrix(w: np.ndarray) -> WeightMatrixReport:
+def validate_weight_matrix(w) -> WeightMatrixReport:
     """Check the consensus weight conditions.
 
     Symmetry W = W^T, row sums 1 (tolerance 1e-12), and the null-space
     condition null(I - W) = span(1), checked via the second-smallest
-    eigenvalue of I - W being strictly positive (> 1e-10).
+    eigenvalue of I - W being strictly positive (> 1e-10). Dense
+    eigensolve: test-scale networks only.
     """
-    w = np.asarray(w, dtype=float)
+    w = w.toarray() if sp.issparse(w) else np.asarray(w, dtype=float)
     asym = float(np.max(np.abs(w - w.T))) if w.size else 0.0
     row_err = float(np.max(np.abs(w.sum(axis=1) - 1.0)))
     evals = np.sort(np.linalg.eigvalsh(np.eye(w.shape[0]) - 0.5 * (w + w.T)))

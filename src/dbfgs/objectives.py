@@ -216,7 +216,7 @@ class DistributedObjective:
     closed-form Lagrangian minimizers (quadratic instances only).
     """
 
-    def __init__(self, instance, graph: Graph, weights: np.ndarray, mode: str,
+    def __init__(self, instance, graph: Graph, weights, mode: str,
                  alpha: float | None = None):
         if mode not in ("primal", "dual"):
             raise ValueError(f"mode must be 'primal' or 'dual', got {mode!r}")
@@ -229,15 +229,20 @@ class DistributedObjective:
             raise ValueError("weight matrix shape does not match graph")
         self.instance = instance
         self.graph = graph
-        self.weights = np.asarray(weights, dtype=float)
         self.mode = mode
         self.alpha = alpha
-        # the weights restricted to the closed neighborhoods, as CSR rows
-        indptr, cols = graph.layout()
-        rows = np.repeat(np.arange(graph.n), graph.m)
-        self._mix = sp.csr_array((self.weights[rows, cols], cols, indptr),
-                                 shape=(graph.n, graph.n))
-        self._own_slot = np.flatnonzero(cols == rows) - indptr[:-1]
+        # the one mixing operator: the weights on the layout's slots, as CSR
+        # rows; the given array, dense or sparse, may hold nothing else
+        lay = graph.layout
+        given = sp.csr_array(weights, dtype=float)
+        self.weights = sp.csr_array((given[lay.rows, lay.cols], lay.cols, lay.indptr),
+                                    shape=given.shape)
+        stray = (given - self.weights).tocoo()
+        if stray.nnz:
+            i, j = int(stray.row[0]), int(stray.col[0])
+            raise ValueError(f"weight ({i}, {j}) lies outside the closed "
+                             f"neighborhood of node {i}")
+        self._own_pos = lay.own - lay.indptr[:-1]
 
     @property
     def n(self) -> int:
@@ -262,10 +267,8 @@ class DistributedObjective:
         if self.mode != "primal":
             raise ValueError("primal_grad_i requires primal mode")
         x_nbhd = self._check_view(i, x_nbhd)
-        pos = self.graph.neighborhood_index(i, i)
-        x_i = x_nbhd[pos]
-        wrow = self.weights[i, list(self.graph.neighborhoods[i])]
-        slack = x_i - wrow @ x_nbhd
+        x_i = x_nbhd[self._own_pos[i]]
+        slack = x_i - self._wrow(i) @ x_nbhd
         return self.instance.local_grad(i, x_i) + slack / self.alpha
 
     def dual_lagrangian_minimizer_i(self, i: int, nu_i: np.ndarray,
@@ -278,18 +281,18 @@ class DistributedObjective:
         if self.mode != "dual":
             raise ValueError("dual_lagrangian_minimizer_i requires dual mode")
         view = self._check_view(i, nu_neighbors).copy()
-        pos = self.graph.neighborhood_index(i, i)
-        view[pos] = nu_i
-        wrow = self.weights[i, list(self.graph.neighborhoods[i])]
-        slack = nu_i - wrow @ view
+        view[self._own_pos[i]] = nu_i
+        slack = nu_i - self._wrow(i) @ view
         return -(self.instance.b[i] + slack) / self.instance.a[i]
 
     def dual_grad_i(self, i: int, x_nbhd: np.ndarray) -> np.ndarray:
         """Constraint slack sum_j w_ij (x_i - x_j) over Lagrangian minimizers."""
         x_nbhd = self._check_view(i, x_nbhd)
-        pos = self.graph.neighborhood_index(i, i)
-        wrow = self.weights[i, list(self.graph.neighborhoods[i])]
-        return x_nbhd[pos] - wrow @ x_nbhd
+        return x_nbhd[self._own_pos[i]] - self._wrow(i) @ x_nbhd
+
+    def _wrow(self, i: int) -> np.ndarray:
+        """Node i's weights over n_i: its layout row."""
+        return self.weights.data[self.weights.indptr[i]:self.weights.indptr[i + 1]]
 
     def _check_view(self, i: int, view: np.ndarray) -> np.ndarray:
         view = np.asarray(view, dtype=float)
@@ -313,13 +316,13 @@ class DistributedObjective:
 
     def _mix_block(self, ids: np.ndarray, view: np.ndarray) -> np.ndarray:
         """sum_j w_ij view_j, slot by slot, as the CSR product sums a row."""
-        w = self._mix.data[self._mix.indptr[ids, None] + np.arange(view.shape[1])]
+        w = self.weights.data[self.weights.indptr[ids, None] + np.arange(view.shape[1])]
         return np.add.accumulate(w[:, :, None] * view, axis=1)[:, -1]
 
     def stage1_block(self, ids: np.ndarray, var_view: np.ndarray) -> np.ndarray:
         """Stage 1 of the nodes ``ids`` (one neighborhood size m) from their
         (len(ids), m, p) neighborhood views; one row per node."""
-        own = var_view[np.arange(len(ids)), self._own_slot[ids]]
+        own = var_view[np.arange(len(ids)), self._own_pos[ids]]
         if self.mode == "primal":
             return own
         slack = own - self._mix_block(ids, var_view)
@@ -328,7 +331,7 @@ class DistributedObjective:
     def stage2_block(self, ids: np.ndarray, var_view: np.ndarray,
                      aux_view: np.ndarray) -> np.ndarray:
         """Stage 2 of the nodes ``ids`` from views shaped as in stage1_block."""
-        own = np.arange(len(ids)), self._own_slot[ids]
+        own = np.arange(len(ids)), self._own_pos[ids]
         if self.mode == "primal":
             x = var_view[own]
             slack = x - self._mix_block(ids, var_view)
@@ -338,13 +341,13 @@ class DistributedObjective:
     def stage1_full(self, var: np.ndarray) -> np.ndarray:
         if self.mode == "primal":
             return var
-        slack = var - self._mix @ var
+        slack = var - self.weights @ var
         return -(self.instance.b + slack) / self.instance.a
 
     def stage2_full(self, var: np.ndarray, aux: np.ndarray) -> np.ndarray:
         if self.mode == "primal":
-            return self.alpha * self.instance.grad_all(var) + (var - self._mix @ var)
-        return -(aux - self._mix @ aux)
+            return self.alpha * self.instance.grad_all(var) + (var - self.weights @ var)
+        return -(aux - self.weights @ aux)
 
     def runtime_grad(self, var: np.ndarray) -> np.ndarray:
         return self.stage2_full(var, self.stage1_full(var))

@@ -265,11 +265,10 @@ def run_admm(graph: Graph, objective: DistributedObjective, cfg: SyncConfig,
     inst = objective.instance
     n, p = graph.n, objective.p
     rho = cfg.step_size
-    # the neighbor sum as CSR: the layout rows without each node's own entry
-    indptr, cols = graph.layout()
-    others = cols != np.repeat(np.arange(n), graph.m)
-    adj = sp.csr_array((np.ones(len(cols) - n), cols[others],
-                        indptr - np.arange(n + 1)), shape=(n, n))
+    # the neighbor sum as CSR: the layout rows without each node's own slot
+    lay = graph.layout
+    adj = sp.csr_array((np.ones(len(lay.cols) - n), np.delete(lay.cols, lay.own),
+                        lay.indptr - np.arange(n + 1)), shape=(n, n))
     deg = np.asarray(graph.m, dtype=float)[:, None] - 1.0
     x = (np.zeros((n, p)) if cfg.var0 is None else np.array(cfg.var0, dtype=float))
     mult = (np.zeros((n, p)) if initial_multipliers is None

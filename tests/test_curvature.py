@@ -200,7 +200,7 @@ def test_distributed_descent_matches_assembled_matrix():
     for i in range(5):
         contribs = []
         for j in graph.neighborhoods[i]:
-            slot = graph.neighborhood_index(j, i)
+            slot = graph.neighborhoods[j].index(i)
             contribs.append(descents[j][slot * p:(slot + 1) * p])
         d[i] = aggregate_descent(contribs, expected=graph.m[i])
     big = assemble_global_descent_matrix(states, graph, p)

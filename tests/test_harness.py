@@ -43,6 +43,10 @@ dd = 0.002
 """
 
 
+LOGISTIC_PROBLEM = ('kind = "logistic"\np = 4\nq = {q}\nlam = {lam}\nmu = 1.0\n'
+                       'sigma_pos = 1.0\nsigma_neg = 1.0')
+
+
 def test_parse_and_round_trip():
     cfg = parse_config(BASE_CONFIG)
     assert cfg.n == 8 and cfg.d == 2 and cfg.mode == "dual"
@@ -74,11 +78,44 @@ def test_parse_async_section():
     (("dbfgs = 0.05", "dbfgs = true"), "methods.dbfgs"),
     (("seeds = [0, 1]", "seeds = [true]"), "run.seeds"),
     (("eta = 1.0", "eta = false"), "problem.eta"),
+    (("n = 8", "n = = 8"), "invalid TOML"),
+    (("[topology]", "x = 1\n[topology]"), "x: key outside"),
+    # semantic errors, caught at parse time with the field path
+    (("iterations = 30", "iterations = 0"), "run.iterations"),
+    (("p = 4", "p = 3"), "problem.p"),
+    (("p = 4", "p = 0"), "problem.p"),
+    (("n = 8", "n = 2"), "topology.d"),
+    (("d = 2", "d = 3"), "topology.d"),
+    (("d = 2", "d = 0"), "topology.d"),
+    (("dbfgs = 0.05", "dbfgs = -0.05"), "methods.dbfgs"),
+    (("dd = 0.002", "dd = 0"), "methods.dd"),
+    (("gamma = 0.01", "gamma = 0.0"), "dbfgs.gamma"),
+    (("big_gamma = 0.001", "big_gamma = -1e-3"), "dbfgs.big_gamma"),
+    (("eta = 1.0", "eta = -0.5"), "problem.eta"),
+    (('kind = "dual"', 'kind = "primal"\nalpha = 0.0'), "mode.alpha"),
+    (('kind = "quadratic"\np = 4\neta = 1.0', LOGISTIC_PROBLEM.format(q=0, lam=0.1)),
+     "problem.q"),
+    (('kind = "quadratic"\np = 4\neta = 1.0', LOGISTIC_PROBLEM.format(q=4, lam=0.0)),
+     "problem.lam"),
+    (("dd = 0.002", "dd = 0.002\n[async]\nmu_clk = 0.0\nsigma_clk = 0.1"),
+     "async.mu_clk"),
+    (("dd = 0.002", "dd = 0.002\n[async]\nmu_clk = 1.0\nsigma_clk = -0.1"),
+     "async.sigma_clk"),
+    (("dd = 0.002", "dd = 0.002\n[async]\nmu_clk = 1.0\nsigma_clk = 0.1\n"
+      "delta_msg = -1.0"), "async.delta_msg"),
+    (("dd = 0.002", "dd = 0.002\n[async]\nmu_clk = 1.0\nsigma_clk = 0.1\n"
+      "horizon = 0.0"), "async.horizon"),
 ])
 def test_parse_rejections(mutation, match):
     old, new = mutation
     with pytest.raises(ConfigError, match=match):
         parse_config(BASE_CONFIG.replace(old, new))
+
+
+def test_quoted_hash_is_part_of_the_value():
+    text = BASE_CONFIG.replace('kind = "quadratic"', 'kind = "quad#ratic"')
+    with pytest.raises(ConfigError, match="'quad#ratic'"):
+        parse_config(text)
 
 
 def test_async_regime_rejects_sync_only_methods():
@@ -230,6 +267,14 @@ def test_cli_bad_config_exit_code(tmp_path):
     bad.write_text("[topology]\nn = 8\n")
     rc = cli_main(["run", str(bad)])
     assert rc == 2
+
+
+def test_cli_semantic_config_error_exit_code(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(BASE_CONFIG.replace("iterations = 30", "iterations = 0"))
+    rc = cli_main(["run", str(bad), "--outdir", str(tmp_path / "out")])
+    assert rc == 2
+    assert "run.iterations" in capsys.readouterr().err
 
 
 def test_cli_unknown_profile_is_usage_error():

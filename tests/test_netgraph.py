@@ -57,7 +57,7 @@ def test_from_edges_rejects_disconnected_and_bad_edges():
 def test_weight_matrix_reference_values_d4():
     g = build_d_regular_cycle(50, 4)
     w = build_weight_matrix(g, 4)
-    assert np.allclose(np.diag(w), 0.6)
+    assert np.allclose(w.diagonal(), 0.6)
     i, j = 0, 1
     assert w[i, j] == pytest.approx(0.1)
     assert np.max(np.abs(w.sum(axis=1) - 1.0)) < 1e-12
@@ -66,7 +66,7 @@ def test_weight_matrix_reference_values_d4():
 @pytest.mark.parametrize("n,d", [(4, 2), (10, 2), (50, 4), (9, 6)])
 def test_weight_matrix_rows_sum_to_one(n, d):
     g = build_d_regular_cycle(n, d)
-    w = build_weight_matrix(g, d)
+    w = build_weight_matrix(g, d).toarray()
     assert np.max(np.abs(w.sum(axis=1) - 1.0)) < 1e-12
     assert np.array_equal(w, w.T)
 
@@ -74,9 +74,22 @@ def test_weight_matrix_rows_sum_to_one(n, d):
 def test_weight_matrix_simple_unit_eigenvalue_4cycle():
     # dense eigensolver oracle on the 4x4 circulant
     g = build_d_regular_cycle(4, 2)
-    w = build_weight_matrix(g, 2)
+    w = build_weight_matrix(g, 2).toarray()
     evals = np.linalg.eigvalsh(w)
     assert np.sum(np.abs(evals - 1.0) < 1e-10) == 1
+
+
+@pytest.mark.parametrize("n,d", [(4, 2), (9, 2), (7, 6)])
+def test_weight_matrix_is_stored_on_the_layout(n, d):
+    g = build_d_regular_cycle(n, d)
+    lay = g.layout
+    w = build_weight_matrix(g, d)
+    assert np.array_equal(w.indptr, lay.indptr)
+    assert np.array_equal(w.indices, lay.cols)
+    assert np.array_equal(lay.rows, np.repeat(np.arange(n), g.m))
+    assert np.array_equal(lay.cols[lay.own], np.arange(n))
+    assert np.array_equal(lay.rows[lay.mirror], lay.cols)
+    assert np.array_equal(lay.cols[lay.mirror], lay.rows)
 
 
 def test_weight_matrix_rejects_non_regular():

@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from dbfgs.netgraph import Graph, build_d_regular_cycle, build_weight_matrix
 from dbfgs.objectives import (
@@ -333,3 +336,28 @@ def test_runtime_grad_matches_block_path():
                                    aux_full[nb][None])
             assert np.array_equal(g_i[0], g_full[i])
 
+
+
+@pytest.mark.parametrize("form", [np.asarray, sp.csr_array])
+def test_weights_outside_closed_neighborhoods_are_rejected(form):
+    g = build_d_regular_cycle(6, 2)
+    w = build_weight_matrix(g, 2).toarray()
+    w[0, 3] = w[3, 0] = 0.1  # 0 and 3 are not adjacent on the 6-cycle
+    inst = make_quadratic(6, 4, 1.0, 0)
+    with pytest.raises(ValueError, match=r"weight \(0, 3\) lies outside"):
+        DistributedObjective(inst, g, form(w), "dual")
+
+
+def test_weight_setup_allocates_no_dense_matrix():
+    # a dense n x n float W alone would take 122 MiB at n = 4000
+    n = 4000
+    inst = make_quadratic(n, 4, 2.0, 0)
+    tracemalloc.start()
+    try:
+        g = build_d_regular_cycle(n, 4)
+        obj = DistributedObjective(inst, g, build_weight_matrix(g, 4), "dual")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert obj.weights.nnz == 5 * n
