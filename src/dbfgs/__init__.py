@@ -24,7 +24,6 @@ from .curvature import (
     aggregate_descent,
     assemble_global_descent_matrix,
     bfgs_update,
-    centralized_bfgs_oracle,
     modified_variations,
     neighborhood_descent,
 )

@@ -26,6 +26,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg.lapack import dposv
 
 from .curvature import SKIP_THRESHOLD
 from .netgraph import Graph
@@ -147,17 +148,29 @@ class RoundKernel:
     def descent(self, g_views: list, big_gamma: float, groups=None) -> None:
         """Stacked -(B^{-1} + Gamma D) g for every batch node, into its rows
         of ``contrib``: row offsets[i] + k is node i's contribution to its
-        k-th neighbor."""
+        k-th neighbor.
+
+        Each node's system takes one LAPACK ``dposv`` call, which factors B
+        by Cholesky and solves with that factor. A failed factorization, or
+        a factor with a non-finite diagonal, stops the run."""
         for grp, gv in zip(groups or self.groups, g_views):
             b, _ = self._gather(grp)
-            try:
-                np.linalg.cholesky(b)
-            except np.linalg.LinAlgError:
-                bad = _first_indefinite(b, grp.ids)
-                raise RuntimeError("curvature matrix lost positive definiteness "
-                                   f"at node {bad}") from None
             gv = gv.reshape(len(grp.ids), -1)
-            y = np.linalg.solve(b, gv[..., None])[..., 0]
+            y = gv.copy()
+            info = np.empty(len(grp.ids), dtype=np.intc)
+            for j in range(len(grp.ids)):
+                # b[j] is exactly symmetric, so b[j].T is b[j] in Fortran
+                # order: factored (lower triangle, as the per-node reference
+                # does) and solved in the scratch, never in the stack
+                info[j] = dposv(b[j].T, y[j], lower=1, overwrite_a=1,
+                                overwrite_b=1)[2]
+            # OpenBLAS's Cholesky reports no error on a NaN pivot, so the
+            # factor's diagonal is checked too
+            diag = np.diagonal(b, axis1=1, axis2=2)
+            bad = (info != 0) | ~np.isfinite(diag).all(axis=1)
+            if bad.any():
+                raise RuntimeError("curvature matrix lost positive definiteness "
+                                   f"at node {grp.ids[bad.argmax()]}")
             e = -(y + big_gamma * grp.dd * gv)
             self.contrib[grp.rows] = e.reshape(grp.rows.shape + (self.p,))
 
@@ -203,8 +216,8 @@ class RoundKernel:
             acc &= vbv > 0
             safe_ip = np.where(acc, ip, 1.0)
             safe_vbv = np.where(acc, vbv, 1.0)
-            # b + rr'/ip - bv bv'/vbv + gamma I, symmetrized: the float
-            # operations of that expression, done in the two scratch stacks
+            # b + rr'/ip - bv bv'/vbv + gamma I in the two scratch stacks;
+            # every term is exactly symmetric when b is, so the sum is too
             np.multiply(r[:, :, None], r[:, None, :], out=new)
             new /= safe_ip[:, None, None]
             new += b
@@ -213,19 +226,8 @@ class RoundKernel:
             new -= b
             k = grp.msize * self.p
             new.reshape(len(grp.ids), k * k)[:, ::k + 1] += gamma  # the diagonals
-            np.add(new, np.swapaxes(new, 1, 2), out=b)
-            b *= 0.5
             stack = self.curvature[grp.msize]
-            b[~acc] = stack[grp.slot[~acc]]  # skipped nodes keep their matrix
-            stack[grp.slot] = b
+            new[~acc] = stack[grp.slot[~acc]]  # skipped nodes keep their matrix
+            stack[grp.slot] = new
             accepted[grp.pos] = acc
         return accepted
-
-
-def _first_indefinite(stack: np.ndarray, ids: np.ndarray) -> int:
-    """Id of the first node whose matrix has no Cholesky factor."""
-    for i, b in zip(ids.tolist(), stack):
-        try:
-            np.linalg.cholesky(b)
-        except np.linalg.LinAlgError:
-            return i

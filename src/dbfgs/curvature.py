@@ -29,7 +29,6 @@ __all__ = [
     "neighborhood_descent",
     "aggregate_descent",
     "assemble_global_descent_matrix",
-    "centralized_bfgs_oracle",
     "SKIP_THRESHOLD",
 ]
 
@@ -182,12 +181,3 @@ def assemble_global_descent_matrix(states, graph: Graph, p: int) -> np.ndarray:
     h[np.diag_indices_from(h)] += big_gammas.pop()
     return h
 
-
-def centralized_bfgs_oracle(b: np.ndarray, v: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Classical BFGS update (test oracle); requires v'r > 0."""
-    v, r = np.ravel(v), np.ravel(r)
-    ip = float(v @ r)
-    if ip <= 0.0:
-        raise ValueError("centralized BFGS requires positive curvature v'r > 0")
-    bv = b @ v
-    return b + np.outer(r, r) / ip - np.outer(bv, bv) / float(v @ bv)

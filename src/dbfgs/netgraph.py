@@ -135,11 +135,15 @@ def build_d_regular_cycle(n: int, d: int) -> Graph:
         raise ValueError(f"connectivity d must be a positive even integer, got {d}")
     if d >= n:
         raise ValueError(f"connectivity d={d} must be smaller than n={n}")
-    edges = set()
-    for i in range(n):
-        for k in range(1, d // 2 + 1):
-            edges.add((min(i, (i + k) % n), max(i, (i + k) % n)))
-    return Graph.from_edges(n, edges)
+    # d < n, so the offsets -d/2..d/2 reach d + 1 distinct nodes and the
+    # d/2 forward edges of each node are distinct; the ring connects them
+    i = np.arange(n)[:, None]
+    ahead = (i + np.arange(1, d // 2 + 1)) % n
+    edges = zip(np.minimum(i, ahead).ravel().tolist(),
+                np.maximum(i, ahead).ravel().tolist())
+    nbhd = np.sort((i + np.arange(-(d // 2), d // 2 + 1)) % n, axis=1)
+    return Graph(n=n, edges=frozenset(edges),
+                 neighborhoods=tuple(map(tuple, nbhd.tolist())), m=(d + 1,) * n)
 
 
 def build_weight_matrix(graph: Graph, d: int) -> sp.csr_array:

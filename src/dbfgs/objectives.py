@@ -209,7 +209,7 @@ class DistributedObjective:
     + sum_{j in n_i} w_ij (x_i - x_j); this is alpha times the penalty
     gradient of the 1/(2 alpha) formulation and is the only scaling under
     which the standard constant stepsizes for DGD and quasi-Newton DGD are
-    stable. ``primal_grad_i`` exposes the unscaled form.
+    stable.
 
     Dual mode minimizes F(nu) = -psi(nu), the negative dual function of the
     consensus-constrained problem; gradients are evaluated through the
@@ -256,51 +256,6 @@ class DistributedObjective:
     def xstar(self) -> np.ndarray:
         """The instance's consensus optimum, solved on first use."""
         return solve_consensus_optimum(self.instance)
-
-    # -- local operations in their textbook (unscaled) form ----------------
-
-    def primal_grad_i(self, i: int, x_nbhd: np.ndarray) -> np.ndarray:
-        """Penalty gradient block grad f_i(x_i) + (1/alpha) sum w_ij (x_i - x_j).
-
-        ``x_nbhd`` is (m_i, p) in sorted-neighborhood order.
-        """
-        if self.mode != "primal":
-            raise ValueError("primal_grad_i requires primal mode")
-        x_nbhd = self._check_view(i, x_nbhd)
-        x_i = x_nbhd[self._own_pos[i]]
-        slack = x_i - self._wrow(i) @ x_nbhd
-        return self.instance.local_grad(i, x_i) + slack / self.alpha
-
-    def dual_lagrangian_minimizer_i(self, i: int, nu_i: np.ndarray,
-                                    nu_neighbors: np.ndarray) -> np.ndarray:
-        """x_i(nu) = -A_i^{-1}(b_i + sum_j w_ij (nu_i - nu_j)).
-
-        ``nu_neighbors`` is (m_i, p), the full neighborhood in sorted order
-        (the entry for i itself is taken from ``nu_i``).
-        """
-        if self.mode != "dual":
-            raise ValueError("dual_lagrangian_minimizer_i requires dual mode")
-        view = self._check_view(i, nu_neighbors).copy()
-        view[self._own_pos[i]] = nu_i
-        slack = nu_i - self._wrow(i) @ view
-        return -(self.instance.b[i] + slack) / self.instance.a[i]
-
-    def dual_grad_i(self, i: int, x_nbhd: np.ndarray) -> np.ndarray:
-        """Constraint slack sum_j w_ij (x_i - x_j) over Lagrangian minimizers."""
-        x_nbhd = self._check_view(i, x_nbhd)
-        return x_nbhd[self._own_pos[i]] - self._wrow(i) @ x_nbhd
-
-    def _wrow(self, i: int) -> np.ndarray:
-        """Node i's weights over n_i: its layout row."""
-        return self.weights.data[self.weights.indptr[i]:self.weights.indptr[i + 1]]
-
-    def _check_view(self, i: int, view: np.ndarray) -> np.ndarray:
-        view = np.asarray(view, dtype=float)
-        want = (self.graph.m[i], self.p)
-        if view.shape != want:
-            raise ValueError(f"neighborhood view for node {i} must have shape {want}, "
-                             f"got {view.shape}")
-        return view
 
     # -- runtime surface: staged evaluation -----------------------------------
     #
@@ -359,20 +314,7 @@ class DistributedObjective:
             return float(self.alpha * self.instance.value_all(var) + pen)
         return -self.dual_function_value(var)
 
-    def recover_x(self, var: np.ndarray) -> np.ndarray:
-        """Primal estimate used for the error metric."""
-        if self.mode == "primal":
-            return var
-        return self.stage1_full(var)
-
     # -- reference values for tests and diagnostics -------------------------
-
-    def penalty_objective_value(self, x: np.ndarray) -> float:
-        """Unscaled phi(x) = sum f_i + (1/2 alpha) x'(I-Z)x."""
-        if self.mode != "primal":
-            raise ValueError("penalty objective requires primal mode")
-        pen = 0.5 * np.sum(x * (x - self.weights @ x)) / self.alpha
-        return float(self.instance.value_all(x) + pen)
 
     def dual_function_value(self, nu: np.ndarray) -> float:
         """psi(nu) = L(x(nu), nu) for quadratic instances."""

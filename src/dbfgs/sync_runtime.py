@@ -205,7 +205,8 @@ def run_dbfgs_sync(graph: Graph, objective: DistributedObjective,
     trace = Trace(method="dbfgs", mode=cfg.mode, seed=cfg.seed)
     for t in range(1, cfg.max_iters + 1):
         engine.step()
-        err = consensus_error(objective.recover_x(engine.var), objective.xstar)
+        # the round's stage 1: the Lagrangian minimizers, or var in primal mode
+        err = consensus_error(engine.aux, objective.xstar)
         trace.append(t, err, np.linalg.norm(engine.g), t * cost)
         if _check_stop(trace, cfg):
             break

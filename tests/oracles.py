@@ -1,0 +1,78 @@
+"""Textbook oracles the tests check the library against.
+
+Per-node operations of ``DistributedObjective`` in their unscaled form,
+the unscaled penalty objective, and the classical BFGS update. The
+runtimes never call these; they evaluate the staged, scaled forms.
+"""
+
+import numpy as np
+
+
+def _wrow(obj, i: int) -> np.ndarray:
+    """Node i's weights over n_i: its layout row."""
+    return obj.weights.data[obj.weights.indptr[i]:obj.weights.indptr[i + 1]]
+
+
+def _check_view(obj, i: int, view) -> np.ndarray:
+    view = np.asarray(view, dtype=float)
+    want = (obj.graph.m[i], obj.p)
+    if view.shape != want:
+        raise ValueError(f"neighborhood view for node {i} must have shape {want}, "
+                         f"got {view.shape}")
+    return view
+
+
+def _own(obj, i: int) -> int:
+    """Position of node i in its sorted closed neighborhood."""
+    return obj.graph.neighborhoods[i].index(i)
+
+
+def primal_grad_i(obj, i: int, x_nbhd) -> np.ndarray:
+    """Penalty gradient block grad f_i(x_i) + (1/alpha) sum w_ij (x_i - x_j).
+
+    ``x_nbhd`` is (m_i, p) in sorted-neighborhood order.
+    """
+    if obj.mode != "primal":
+        raise ValueError("primal_grad_i requires primal mode")
+    x_nbhd = _check_view(obj, i, x_nbhd)
+    x_i = x_nbhd[_own(obj, i)]
+    slack = x_i - _wrow(obj, i) @ x_nbhd
+    return obj.instance.local_grad(i, x_i) + slack / obj.alpha
+
+
+def dual_lagrangian_minimizer_i(obj, i: int, nu_i, nu_neighbors) -> np.ndarray:
+    """x_i(nu) = -A_i^{-1}(b_i + sum_j w_ij (nu_i - nu_j)).
+
+    ``nu_neighbors`` is (m_i, p), the full neighborhood in sorted order
+    (the entry for i itself is taken from ``nu_i``).
+    """
+    if obj.mode != "dual":
+        raise ValueError("dual_lagrangian_minimizer_i requires dual mode")
+    view = _check_view(obj, i, nu_neighbors).copy()
+    view[_own(obj, i)] = nu_i
+    slack = nu_i - _wrow(obj, i) @ view
+    return -(obj.instance.b[i] + slack) / obj.instance.a[i]
+
+
+def dual_grad_i(obj, i: int, x_nbhd) -> np.ndarray:
+    """Constraint slack sum_j w_ij (x_i - x_j) over Lagrangian minimizers."""
+    x_nbhd = _check_view(obj, i, x_nbhd)
+    return x_nbhd[_own(obj, i)] - _wrow(obj, i) @ x_nbhd
+
+
+def penalty_objective_value(obj, x: np.ndarray) -> float:
+    """Unscaled phi(x) = sum f_i + (1/2 alpha) x'(I-Z)x."""
+    if obj.mode != "primal":
+        raise ValueError("penalty objective requires primal mode")
+    pen = 0.5 * np.sum(x * (x - obj.weights @ x)) / obj.alpha
+    return float(obj.instance.value_all(x) + pen)
+
+
+def centralized_bfgs_oracle(b: np.ndarray, v: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Classical BFGS update; requires v'r > 0."""
+    v, r = np.ravel(v), np.ravel(r)
+    ip = float(v @ r)
+    if ip <= 0.0:
+        raise ValueError("centralized BFGS requires positive curvature v'r > 0")
+    bv = b @ v
+    return b + np.outer(r, r) / ip - np.outer(bv, bv) / float(v @ bv)

@@ -42,6 +42,7 @@ from dbfgs.harness import PROFILES
 from dbfgs.netgraph import build_d_regular_cycle, build_weight_matrix
 from dbfgs.objectives import DistributedObjective, make_quadratic
 from dbfgs.sync_runtime import DbfgsSyncEngine, SyncConfig, run_dbfgs_sync
+from oracles import dual_grad_i, penalty_objective_value, primal_grad_i
 
 SEEDS = tuple(range(20))
 
@@ -211,27 +212,27 @@ def test_gradient_locality_and_finite_differences():
     rng = np.random.default_rng(1)
     x = rng.normal(size=(9, 4))
     nb = list(graph.neighborhoods[0])
-    base_p = primal.primal_grad_i(0, x[nb])
-    base_d = dual.dual_grad_i(0, x[nb])
+    base_p = primal_grad_i(primal, 0, x[nb])
+    base_d = dual_grad_i(dual, 0, x[nb])
     locality = True
     for k in [k for k in range(9) if k not in nb]:
         x2 = x.copy()
         x2[k] += rng.normal(size=4)
-        locality &= np.array_equal(primal.primal_grad_i(0, x2[nb]), base_p)
-        locality &= np.array_equal(dual.dual_grad_i(0, x2[nb]), base_d)
+        locality &= np.array_equal(primal_grad_i(primal, 0, x2[nb]), base_p)
+        locality &= np.array_equal(dual_grad_i(dual, 0, x2[nb]), base_d)
 
     h = 1e-6
     direction = rng.normal(size=(9, 4))
     direction /= np.linalg.norm(direction)
-    grads = np.stack([primal.primal_grad_i(i, x[list(graph.neighborhoods[i])])
+    grads = np.stack([primal_grad_i(primal, i, x[list(graph.neighborhoods[i])])
                       for i in range(9)])
-    fd_p = (primal.penalty_objective_value(x + h * direction)
-            - primal.penalty_objective_value(x - h * direction)) / (2 * h)
+    fd_p = (penalty_objective_value(primal, x + h * direction)
+            - penalty_objective_value(primal, x - h * direction)) / (2 * h)
     rel_p = abs(fd_p - float(np.sum(grads * direction))) / abs(fd_p)
 
     nu = rng.normal(size=(9, 4))
     xs = dual.stage1_full(nu)
-    dgrads = np.stack([dual.dual_grad_i(i, xs[list(graph.neighborhoods[i])])
+    dgrads = np.stack([dual_grad_i(dual, i, xs[list(graph.neighborhoods[i])])
                        for i in range(9)])
     fd_d = (dual.dual_function_value(nu + h * direction)
             - dual.dual_function_value(nu - h * direction)) / (2 * h)

@@ -7,11 +7,12 @@ from dbfgs.curvature import (
     aggregate_descent,
     assemble_global_descent_matrix,
     bfgs_update,
-    centralized_bfgs_oracle,
     modified_variations,
     neighborhood_descent,
 )
-from dbfgs.netgraph import Graph, build_d_regular_cycle
+from dbfgs.netgraph import Graph, build_d_regular_cycle, build_weight_matrix
+from dbfgs.objectives import DistributedObjective, make_quadratic
+from oracles import centralized_bfgs_oracle
 
 
 def random_spd(dim, rng, floor=0.1):
@@ -250,15 +251,81 @@ def test_kernel_batches_match_per_node_reference():
                                rtol=1e-10, atol=1e-12)
 
 
+def test_kernel_descent_equals_per_node_reference_bitwise():
+    # one Cholesky factorization and solve per node, in the reference's
+    # triangle and float order, on exactly symmetric matrices
+    rng = np.random.default_rng(9)
+    p, big_gamma = 2, 1e-3
+    graph = irregular_graph()
+    kernel = RoundKernel(graph, p)
+    g = rng.normal(size=(6, p))
+    for batch in ([2], [0, 5], [1, 2, 3, 4], list(range(6))):
+        groups = kernel.batch(batch)
+        states = [CurvatureState.initial(graph, i, p, 1e-2, big_gamma)
+                  for i in range(6)]
+        for i, st in enumerate(states):
+            st.matrix = random_spd(st.dim, rng, floor=0.5)
+            assert np.array_equal(st.matrix, st.matrix.T)
+            kernel.matrix(i)[:] = st.matrix
+        kernel.descent(gather(g, groups), big_gamma, groups)
+        for i in batch:
+            e = kernel.contrib[kernel.offsets[i]:kernel.offsets[i + 1]].ravel()
+            nb = list(graph.neighborhoods[i])
+            assert np.array_equal(e, neighborhood_descent(states[i], g[nb]))
+            # the factorization works on scratch, not on the node's state
+            assert np.array_equal(kernel.matrix(i), states[i].matrix)
+
+
 def test_kernel_descent_names_an_indefinite_node():
     graph = irregular_graph()
     kernel = RoundKernel(graph, 2)
-    kernel.matrix(4)[:] = np.diag([1.0, 1.0, -1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
     g = np.ones((6, 2))
-    for groups in (kernel.groups, kernel.batch([4]), kernel.batch([1, 4])):
-        with pytest.raises(RuntimeError,
-                           match="lost positive definiteness at node 4"):
-            kernel.descent(gather(g, groups), 1e-3, groups)
+    for bad in (np.diag([1.0, 1.0, -1.0, 1.0, 1.0, 1.0, 1.0, 1.0]),
+                np.full((8, 8), np.nan)):
+        kernel.matrix(4)[:] = bad
+        for groups in (kernel.groups, kernel.batch([4]), kernel.batch([1, 4])):
+            with pytest.raises(RuntimeError,
+                               match="lost positive definiteness at node 4"):
+                kernel.descent(gather(g, groups), 1e-3, groups)
+
+
+def metropolis_dual(graph, seed):
+    w = np.zeros((graph.n, graph.n))
+    for i, j in graph.edges:
+        w[i, j] = w[j, i] = 1.0 / (1 + max(graph.degree(i), graph.degree(j)))
+    np.fill_diagonal(w, 1.0 - w.sum(axis=1))
+    return DistributedObjective(make_quadratic(graph.n, 4, 2.0, seed), graph, w, "dual")
+
+
+def test_curvature_stays_exactly_symmetric():
+    # the update's terms are each exactly symmetric, so B = B' bit for bit
+    # after every accepted update, in the synchronous engine and in events
+    from dbfgs.async_sim import AsyncConfig, _AsyncEngine, gen_clock_schedule
+    from dbfgs.sync_runtime import DbfgsSyncEngine
+
+    fig2 = build_d_regular_cycle(50, 4)
+    fig2_obj = DistributedObjective(make_quadratic(50, 4, 2.0, 0), fig2,
+                                    build_weight_matrix(fig2, 4), "dual")
+    irregular = irregular_graph()
+    for graph, obj in ((fig2, fig2_obj), (irregular, metropolis_dual(irregular, 1))):
+        engine = DbfgsSyncEngine(graph, obj, 1e-2, 1e-3, 0.01)
+        accepted = 0
+        for _ in range(200):
+            engine.step()
+            accepted += int(engine.accepted.sum())
+        assert accepted > 100 * graph.n
+        for i in range(graph.n):
+            b = engine.kernel.matrix(i)
+            assert np.array_equal(b, b.T)
+    cfg = AsyncConfig(method="dbfgs", mode="dual", step_size=0.01,
+                      max_iters=10**9, gamma=0.1, big_gamma=0.1)
+    schedule = gen_clock_schedule(50, 1.0, 0.1, 30.0, 2)
+    engine = _AsyncEngine(fig2, fig2_obj, cfg, schedule, "dbfgs")
+    engine.run()
+    for i in range(fig2.n):
+        b = engine.kernel.matrix(i)
+        assert not np.array_equal(b, np.eye(len(b)))
+        assert np.array_equal(b, b.T)
 
 
 def test_assembled_global_secant_on_quadratic_run():

@@ -45,6 +45,13 @@ def test_graph_invariants(n, d):
             assert i in g.neighborhoods[j]
 
 
+@pytest.mark.parametrize("n,d", [(5, 4), (7, 6), (50, 4), (400, 4), (1000, 4),
+                                 (1000, 10)])
+def test_cycle_equals_the_graph_of_its_edges(n, d):
+    edges = [(i, (i + k) % n) for i in range(n) for k in range(1, d // 2 + 1)]
+    assert build_d_regular_cycle(n, d) == Graph.from_edges(n, edges)
+
+
 def test_from_edges_rejects_disconnected_and_bad_edges():
     with pytest.raises(ValueError, match="not connected"):
         Graph.from_edges(4, [(0, 1), (2, 3)])

@@ -14,6 +14,12 @@ from dbfgs.objectives import (
     make_quadratic,
     solve_consensus_optimum,
 )
+from oracles import (
+    dual_grad_i,
+    dual_lagrangian_minimizer_i,
+    penalty_objective_value,
+    primal_grad_i,
+)
 
 
 def two_node_objective(a, b, w01, mode, alpha=None):
@@ -92,7 +98,7 @@ def test_logistic_determinism():
 def test_primal_grad_zero_at_consensus_with_zero_gradient():
     obj, _ = two_node_objective([[1.0], [1.0]], [[0.0], [0.0]], 0.1,
                                 "primal", alpha=1.0)
-    out = obj.primal_grad_i(0, np.zeros((2, 1)))
+    out = primal_grad_i(obj, 0, np.zeros((2, 1)))
     assert np.array_equal(out, np.zeros(1))
 
 
@@ -100,7 +106,7 @@ def test_primal_grad_scalar_example():
     # A=I, b=0, p=1, alpha=1, x_i=1, neighbor x_j=0, w_ij=0.1 -> 1.1
     obj, _ = two_node_objective([[1.0], [1.0]], [[0.0], [0.0]], 0.1,
                                 "primal", alpha=1.0)
-    out = obj.primal_grad_i(0, np.array([[1.0], [0.0]]))
+    out = primal_grad_i(obj, 0, np.array([[1.0], [0.0]]))
     assert out == pytest.approx([1.1], abs=1e-12)
 
 
@@ -113,8 +119,8 @@ def test_primal_grad_matches_finite_difference_of_penalty_objective():
     xp, xm = x.copy(), x.copy()
     xp[0, 0] += h
     xm[0, 0] -= h
-    fd = (obj.penalty_objective_value(xp) - obj.penalty_objective_value(xm)) / (2 * h)
-    assert obj.primal_grad_i(0, x)[0] == pytest.approx(fd, rel=1e-7)
+    fd = (penalty_objective_value(obj, xp) - penalty_objective_value(obj, xm)) / (2 * h)
+    assert primal_grad_i(obj, 0, x)[0] == pytest.approx(fd, rel=1e-7)
 
 
 def test_logistic_single_sample_gradient_at_zero():
@@ -130,7 +136,7 @@ def test_primal_grad_dimension_mismatch():
     obj, _ = two_node_objective([[1.0], [1.0]], [[0.0], [0.0]], 0.1,
                                 "primal", alpha=1.0)
     with pytest.raises(ValueError, match="shape"):
-        obj.primal_grad_i(0, np.zeros((3, 1)))
+        primal_grad_i(obj, 0, np.zeros((3, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +147,7 @@ def test_primal_grad_dimension_mismatch():
 def test_dual_minimizer_zero_case():
     obj, _ = two_node_objective([[2.0], [2.0]], [[0.0], [0.0]], 0.1, "dual")
     nu = np.array([[3.0], [3.0]])
-    out = obj.dual_lagrangian_minimizer_i(0, nu[0], nu)
+    out = dual_lagrangian_minimizer_i(obj, 0, nu[0], nu)
     assert np.allclose(out, 0.0, atol=1e-15)
 
 
@@ -149,7 +155,7 @@ def test_dual_minimizer_scalar_example():
     # A=2I, b=0, nu_i - nu_j = 1, w_ij = 0.1 -> x_i = -0.05
     obj, _ = two_node_objective([[2.0], [2.0]], [[0.0], [0.0]], 0.1, "dual")
     nu = np.array([[1.0], [0.0]])
-    out = obj.dual_lagrangian_minimizer_i(0, nu[0], nu)
+    out = dual_lagrangian_minimizer_i(obj, 0, nu[0], nu)
     assert out == pytest.approx([-0.05], abs=1e-14)
     # oracle: numerically minimize the scalar Lagrangian term
     grid = np.linspace(-1.0, 1.0, 200001)
@@ -166,7 +172,7 @@ def test_dual_minimizer_zeroes_lagrangian_gradient():
     nu = rng.normal(size=(6, 4))
     for i in range(6):
         nb = list(g.neighborhoods[i])
-        x_i = obj.dual_lagrangian_minimizer_i(i, nu[i], nu[nb])
+        x_i = dual_lagrangian_minimizer_i(obj, i, nu[i], nu[nb])
         wrow = w[i, nb]
         slack = nu[i] - wrow @ nu[nb]
         grad = inst.a[i] * x_i + inst.b[i] + slack
@@ -176,9 +182,9 @@ def test_dual_minimizer_zeroes_lagrangian_gradient():
 def test_dual_grad_examples():
     obj, g = two_node_objective([[1.0], [1.0]], [[0.0], [0.0]], 0.1, "dual")
     # consensus slack vanishes
-    assert np.allclose(obj.dual_grad_i(0, np.array([[2.0], [2.0]])), 0.0)
+    assert np.allclose(dual_grad_i(obj, 0, np.array([[2.0], [2.0]])), 0.0)
     # p=1, x_i=1, neighbor 0, w=0.1 -> 0.1
-    out = obj.dual_grad_i(0, np.array([[1.0], [0.0]]))
+    out = dual_grad_i(obj, 0, np.array([[1.0], [0.0]]))
     assert out == pytest.approx([0.1], abs=1e-15)
 
 
@@ -190,7 +196,7 @@ def test_dual_ascent_improves_dual_function():
     rng = np.random.default_rng(1)
     nu = rng.normal(size=(5, 2))
     x = obj.stage1_full(nu)
-    ascent = np.stack([obj.dual_grad_i(i, x[list(g.neighborhoods[i])])
+    ascent = np.stack([dual_grad_i(obj, i, x[list(g.neighborhoods[i])])
                        for i in range(5)])
     before = obj.dual_function_value(nu)
     after = obj.dual_function_value(nu + 1e-4 * ascent)
@@ -260,14 +266,14 @@ def test_gradient_locality_primal_and_dual():
     dual = DistributedObjective(inst, g, w, "dual")
     i = 0
     nb = list(g.neighborhoods[i])
-    base_p = primal.primal_grad_i(i, x[nb])
-    base_d = dual.dual_grad_i(i, x[nb])
+    base_p = primal_grad_i(primal, i, x[nb])
+    base_d = dual_grad_i(dual, i, x[nb])
     outside = [k for k in range(9) if k not in nb]
     for k in outside:
         x2 = x.copy()
         x2[k] += rng.normal(size=4)
-        assert np.array_equal(primal.primal_grad_i(i, x2[nb]), base_p)
-        assert np.array_equal(dual.dual_grad_i(i, x2[nb]), base_d)
+        assert np.array_equal(primal_grad_i(primal, i, x2[nb]), base_p)
+        assert np.array_equal(dual_grad_i(dual, i, x2[nb]), base_d)
 
 
 def test_finite_difference_consistency_primal():
@@ -279,11 +285,11 @@ def test_finite_difference_consistency_primal():
     x = rng.normal(size=(7, 4))
     direction = rng.normal(size=(7, 4))
     direction /= np.linalg.norm(direction)
-    grad = np.stack([obj.primal_grad_i(i, x[list(g.neighborhoods[i])])
+    grad = np.stack([primal_grad_i(obj, i, x[list(g.neighborhoods[i])])
                      for i in range(7)])
     h = 1e-6
-    fd = (obj.penalty_objective_value(x + h * direction)
-          - obj.penalty_objective_value(x - h * direction)) / (2 * h)
+    fd = (penalty_objective_value(obj, x + h * direction)
+          - penalty_objective_value(obj, x - h * direction)) / (2 * h)
     analytic = float(np.sum(grad * direction))
     assert fd == pytest.approx(analytic, rel=1e-5)
 
@@ -298,7 +304,7 @@ def test_finite_difference_consistency_dual():
     direction = rng.normal(size=(7, 4))
     direction /= np.linalg.norm(direction)
     x = obj.stage1_full(nu)
-    grad = np.stack([obj.dual_grad_i(i, x[list(g.neighborhoods[i])])
+    grad = np.stack([dual_grad_i(obj, i, x[list(g.neighborhoods[i])])
                      for i in range(7)])
     h = 1e-6
     fd = (obj.dual_function_value(nu + h * direction)
