@@ -28,8 +28,10 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg.lapack import dposv
 
-from .curvature import SKIP_THRESHOLD
 from .netgraph import Graph
+
+# relative threshold for the update feasibility test
+SKIP_THRESHOLD = 1e-10
 
 
 class Group(NamedTuple):

@@ -24,7 +24,7 @@ physical engine at every node's availability events.
 
 from __future__ import annotations
 
-from collections import deque
+import heapq
 from dataclasses import dataclass
 from itertools import groupby
 from operator import itemgetter
@@ -166,34 +166,37 @@ class AsyncConfig(SyncConfig):
 
 
 class _Mailbox:
-    """Per-node inbox: dated neighbor packages and pending descent chunks.
+    """Per-node inbox: one queue of messages in (arrival time, send order).
 
-    Package queues are keyed by the layout row the sender occupies in this
-    node's neighborhood; pending chunks are (arrival time, block) in
-    enqueue order.
+    A message is a dated neighbor package, filed under the layout row its
+    sender occupies in this node's neighborhood, or a descent chunk (row None).
     """
 
-    __slots__ = ("queues", "pending")
+    __slots__ = ("heap", "sent")
 
-    def __init__(self, rows):
-        self.queues = {row: deque() for row in rows}
-        self.pending = []
+    def __init__(self):
+        self.heap = []
+        self.sent = 0
+
+    def push(self, arrival: float, row, payload) -> None:
+        heapq.heappush(self.heap, (arrival, self.sent, row, payload))
+        self.sent += 1
 
     def read(self, now: float, known: np.ndarray) -> list:
         """Deliver everything that arrived strictly before ``now``.
 
-        Writes each neighbor's latest package to its row of ``known`` and
-        returns the arrived descent chunks in arrival order, ties in
-        enqueue order; chunks still in flight stay pending.
+        Writes each package to its row of ``known``, so the latest wins,
+        and returns the arrived descent chunks in (arrival, send order);
+        messages still in flight stay queued.
         """
-        for row, q in self.queues.items():
-            if q and q[0][0] < now:
-                while q and q[0][0] < now:
-                    pkg = q.popleft()[1]
-                known[:, row] = pkg
-        arrived = sorted((c for c in self.pending if c[0] < now), key=itemgetter(0))
-        self.pending = [c for c in self.pending if c[0] >= now]
-        return [block for _, block in arrived]
+        chunks = []
+        while self.heap and self.heap[0][0] < now:
+            _, _, row, payload = heapq.heappop(self.heap)
+            if row is None:
+                chunks.append(payload)
+            else:
+                known[:, row] = payload
+        return chunks
 
 
 # ---------------------------------------------------------------------------
@@ -232,10 +235,7 @@ class _AsyncEngine:
         self.var, self.aux, self.g = self.store[:, kernel.total_blocks:]
         if cfg.var0 is not None:
             self.var[:] = cfg.var0
-        own = graph.layout.own
-        self.mail = [_Mailbox(r for r in range(kernel.offsets[i], kernel.offsets[i + 1])
-                              if r != own[i])
-                     for i in range(n)]
+        self.mail = [_Mailbox() for _ in range(n)]
         self.local_iter = np.zeros(n, dtype=int)
         self.dbfgs = method == "dbfgs"
         self.trace = Trace(method=method, mode=cfg.mode, seed=cfg.seed,
@@ -248,12 +248,13 @@ class _AsyncEngine:
 
     def _process_batch(self, t: float, batch: list, init: bool) -> bool:
         """Run one batch; True when a stop rule ends the run."""
-        groups = self.kernel.batch(batch)
+        cfg, kernel = self.cfg, self.kernel
+        groups = kernel.batch(batch)
         ids = np.array(batch)
         # phase 1: read mail, apply pending descents, advance local clocks
         for i in batch:
             for block in self.mail[i].read(t, self.known):
-                self.var[i] += self.cfg.step_size * block
+                self.var[i] += cfg.step_size * block
         if not init:
             self.local_iter[ids] += 1
         snapshot = self.var[ids]
@@ -269,45 +270,33 @@ class _AsyncEngine:
         self.exchanges += len(batch)
         if not init:
             self._record(t)
-            if _check_stop(self.trace, self.cfg):
+            if _check_stop(self.trace, cfg):
                 return True
-        # phase 3: the method's local step, then the packages
-        local_step = self._dbfgs_step if self.dbfgs else self._dd_step
-        published = local_step(t, batch, ids, groups, var_views, snapshot, init)
-        off, cols, mirror = self.kernel.offsets, self.kernel.cols, self.kernel.mirror
-        arrival = t + self.cfg.delta_msg
+        # phase 3: the method's local step, then one send per layout slot:
+        # the neighbor's mirror row gets the node's package and, for D-BFGS,
+        # the slot's descent chunk, which the virtual engine applies at once
+        if self.dbfgs:
+            kernel.dbfgs_round(var_views, self._views(groups, 2), cfg.gamma,
+                               cfg.big_gamma, init, groups)
+            published = snapshot  # the pre-descent blocks
+        else:
+            if not init:
+                self.var[ids] -= cfg.step_size * self.g[ids]
+            published = self.var[ids]
+        off, cols, mirror = kernel.offsets, kernel.cols, kernel.mirror
+        arrival = t + cfg.delta_msg
         for i, var_i in zip(batch, published):
             pkg = np.array((var_i, self.aux[i], self.g[i]))
             lo, hi = off[i], off[i + 1]
-            for j, row in zip(cols[lo:hi].tolist(), mirror[lo:hi].tolist()):
+            for j, row, chunk in zip(cols[lo:hi].tolist(), mirror[lo:hi].tolist(),
+                                     kernel.contrib[lo:hi].copy()):
                 if j != i:
-                    self.mail[j].queues[row].append((arrival, pkg))
-        return False
-
-    def _dbfgs_step(self, t, batch, ids, groups, var_views, snapshot, init):
-        """The kernel's D-BFGS round on the batch; publishes the
-        pre-descent blocks."""
-        kernel, cfg = self.kernel, self.cfg
-        kernel.dbfgs_round(var_views, self._views(groups, 2), cfg.gamma,
-                           cfg.big_gamma, init, groups)
-        # the virtual engine applies each contribution at once, in the
-        # order the physical mailboxes will replay it
-        off, cols = kernel.offsets, kernel.cols
-        for i in batch:
-            lo, hi = off[i], off[i + 1]
-            for j, block in zip(cols[lo:hi].tolist(), kernel.contrib[lo:hi].copy()):
+                    self.mail[j].push(arrival, row, pkg)
                 if self.virtual:
-                    self.var[j] += cfg.step_size * block
-                else:
-                    self.mail[j].pending.append(
-                        (t if j == i else t + cfg.delta_msg, block))
-        return snapshot
-
-    def _dd_step(self, t, batch, ids, groups, var_views, snapshot, init):
-        """Gradient step on the dual blocks; publishes the stepped blocks."""
-        if not init:
-            self.var[ids] -= self.cfg.step_size * self.g[ids]
-        return self.var[ids]
+                    self.var[j] += cfg.step_size * chunk
+                elif self.dbfgs:
+                    self.mail[j].push(t if j == i else arrival, None, chunk)
+        return False
 
     def _record(self, t: float) -> None:
         est = self.var if self.obj.mode == "primal" else self.aux
@@ -318,11 +307,9 @@ class _AsyncEngine:
                           model_time=t, local_iter_min=lmin)
 
     def run(self) -> Trace:
-        first = True
-        for t, batch in EventQueue(self.schedule).batches():
-            if self._process_batch(t, batch, init=first):
+        for k, (t, batch) in enumerate(EventQueue(self.schedule).batches()):
+            if self._process_batch(t, batch, init=k == 0):
                 break
-            first = False
         return self.trace
 
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
+from ._kernel import SKIP_THRESHOLD
 from .netgraph import Graph
 
 __all__ = [
@@ -31,9 +32,6 @@ __all__ = [
     "assemble_global_descent_matrix",
     "SKIP_THRESHOLD",
 ]
-
-# relative threshold for the update feasibility test
-SKIP_THRESHOLD = 1e-10
 
 
 @dataclass

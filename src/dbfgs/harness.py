@@ -24,6 +24,7 @@ from .objectives import (
     make_quadratic,
 )
 from .sync_runtime import (
+    METHOD_MODES,
     SyncConfig,
     Trace,
     run_admm,
@@ -159,6 +160,9 @@ class ExperimentConfig:
         mode = _take(mode_sec, "mode", "kind", kind=str)
         if mode not in ("primal", "dual"):
             raise ConfigError(f"mode.kind: unknown mode {mode!r}")
+        if mode == "dual" and kind != "quadratic":
+            raise ConfigError(f"mode.kind: dual mode needs a quadratic problem, "
+                              f"got {kind!r}")
         alpha = _take(mode_sec, "mode", "alpha", required=(mode == "primal"),
                       kind=float, gt=0)
         if mode == "dual" and alpha is not None:
@@ -184,8 +188,12 @@ class ExperimentConfig:
             raise ConfigError("missing or empty [methods] section")
         methods = []
         for name in list(meth_sec):
-            if name not in ("dbfgs", "dgd", "dd", "admm"):
+            if name not in METHOD_MODES:
                 raise ConfigError(f"methods.{name}: unknown method")
+            if mode not in METHOD_MODES[name]:
+                raise ConfigError(f"methods.{name}: runs in "
+                                  f"{' or '.join(METHOD_MODES[name])} mode only, "
+                                  f"not {mode}")
             methods.append((name, _take(meth_sec, "methods", name, kind=float, gt=0)))
 
         async_sec = sections.pop("async", None)

@@ -9,13 +9,13 @@ cost 1.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from itertools import count
 
 import numpy as np
 import scipy.sparse as sp
 
 from ._kernel import RoundKernel
-from .curvature import CurvatureState
 from .netgraph import Graph
 from .objectives import DistributedObjective, consensus_error
 
@@ -29,9 +29,14 @@ __all__ = [
     "run_admm",
     "exchanges_per_iteration",
     "DIVERGENCE_LIMIT",
+    "METHOD_MODES",
 ]
 
 DIVERGENCE_LIMIT = 1e12
+
+# the modes each method runs in
+METHOD_MODES = {"dbfgs": ("primal", "dual"), "dgd": ("primal",),
+                "dd": ("dual",), "admm": ("dual",)}
 
 SYNC_CSV_HEADER = "iter,error,grad_norm,exchanges,method,mode,seed"
 ASYNC_CSV_HEADER = SYNC_CSV_HEADER + ",model_time,local_iter_min"
@@ -61,7 +66,7 @@ class SyncConfig:
     var0: np.ndarray | None = None
 
     def validate(self, objective: DistributedObjective) -> None:
-        if self.method not in ("dbfgs", "dgd", "dd", "admm"):
+        if self.method not in METHOD_MODES:
             raise ValueError(f"unknown method {self.method!r}")
         if self.mode not in ("primal", "dual"):
             raise ValueError(f"unknown mode {self.mode!r}")
@@ -77,10 +82,9 @@ class SyncConfig:
                 raise ValueError("dbfgs requires gamma > 0")
             if self.big_gamma is None or self.big_gamma <= 0:
                 raise ValueError("dbfgs requires big_gamma > 0")
-        if self.method == "dgd" and self.mode != "primal":
-            raise ValueError("dgd runs in primal mode only")
-        if self.method in ("dd", "admm") and self.mode != "dual":
-            raise ValueError(f"{self.method} runs in dual mode only")
+        if self.mode not in METHOD_MODES[self.method]:
+            raise ValueError(f"{self.method} runs in "
+                             f"{' or '.join(METHOD_MODES[self.method])} mode only")
 
 
 @dataclass
@@ -134,6 +138,7 @@ class Trace:
 
 
 def _check_stop(trace: Trace, cfg: SyncConfig) -> bool:
+    """Apply the stop rules to the trace's last row; True ends the run."""
     err, gnorm = trace.error[-1], trace.grad_norm[-1]
     if not np.isfinite(err) or err > DIVERGENCE_LIMIT:
         trace.status = "diverged"
@@ -143,6 +148,9 @@ def _check_stop(trace: Trace, cfg: SyncConfig) -> bool:
         return True
     if cfg.stop_grad_norm is not None and gnorm <= cfg.stop_grad_norm:
         trace.status = "grad_stop"
+        return True
+    if trace.iters[-1] >= cfg.max_iters:
+        trace.status = "max_iters"
         return True
     return False
 
@@ -186,13 +194,6 @@ class DbfgsSyncEngine:
             self.kernel.gather_views(self.var), self.kernel.gather_views(self.g),
             self.gamma, self.big_gamma, first)
 
-    def states(self) -> list:
-        """Copies of the current curvature as CurvatureState objects
-        (diagnostics/tests)."""
-        graph, p = self.kernel.graph, self.objective.p
-        return [replace(CurvatureState.initial(graph, i, p, self.gamma, self.big_gamma),
-                        matrix=self.kernel.matrix(i).copy()) for i in range(graph.n)]
-
 
 def run_dbfgs_sync(graph: Graph, objective: DistributedObjective,
                    cfg: SyncConfig) -> Trace:
@@ -203,7 +204,7 @@ def run_dbfgs_sync(graph: Graph, objective: DistributedObjective,
                              cfg.step_size, cfg.var0)
     cost = exchanges_per_iteration("dbfgs", cfg.mode)
     trace = Trace(method="dbfgs", mode=cfg.mode, seed=cfg.seed)
-    for t in range(1, cfg.max_iters + 1):
+    for t in count(1):
         engine.step()
         # the round's stage 1: the Lagrangian minimizers, or var in primal mode
         err = consensus_error(engine.aux, objective.xstar)
@@ -226,7 +227,7 @@ def run_dgd(graph: Graph, objective: DistributedObjective,
          else np.array(cfg.var0, dtype=float))
     g = objective.runtime_grad(x)
     trace = Trace(method="dgd", mode=cfg.mode, seed=cfg.seed)
-    for t in range(1, cfg.max_iters + 1):
+    for t in count(1):
         x = x - cfg.step_size * g
         g = objective.runtime_grad(x)
         trace.append(t, consensus_error(x, objective.xstar), np.linalg.norm(g), t)
@@ -244,7 +245,7 @@ def run_dd(graph: Graph, objective: DistributedObjective,
     nu = (np.zeros((graph.n, objective.p)) if cfg.var0 is None
           else np.array(cfg.var0, dtype=float))
     trace = Trace(method="dd", mode=cfg.mode, seed=cfg.seed)
-    for t in range(1, cfg.max_iters + 1):
+    for t in count(1):
         aux = objective.stage1_full(nu)
         g = objective.stage2_full(nu, aux)
         trace.append(t, consensus_error(aux, objective.xstar), np.linalg.norm(g), t)
@@ -275,7 +276,7 @@ def run_admm(graph: Graph, objective: DistributedObjective, cfg: SyncConfig,
     mult = (np.zeros((n, p)) if initial_multipliers is None
             else np.array(initial_multipliers, dtype=float))
     trace = Trace(method="admm", mode=cfg.mode, seed=cfg.seed)
-    for t in range(1, cfg.max_iters + 1):
+    for t in count(1):
         x = (rho * (deg * x + adj @ x) - mult - inst.b) / (inst.a + 2.0 * rho * deg)
         resid = deg * x - adj @ x
         mult = mult + rho * resid

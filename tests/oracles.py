@@ -5,7 +5,11 @@ the unscaled penalty objective, and the classical BFGS update. The
 runtimes never call these; they evaluate the staged, scaled forms.
 """
 
+from dataclasses import replace
+
 import numpy as np
+
+from dbfgs.curvature import CurvatureState
 
 
 def _wrow(obj, i: int) -> np.ndarray:
@@ -76,3 +80,13 @@ def centralized_bfgs_oracle(b: np.ndarray, v: np.ndarray, r: np.ndarray) -> np.n
         raise ValueError("centralized BFGS requires positive curvature v'r > 0")
     bv = b @ v
     return b + np.outer(r, r) / ip - np.outer(bv, bv) / float(v @ bv)
+
+
+def curvature_states(eng) -> list:
+    """Every node's current curvature in a ``DbfgsSyncEngine``, copied into
+    per-node reference ``CurvatureState`` objects."""
+    kernel = eng.kernel
+    return [replace(CurvatureState.initial(kernel.graph, i, kernel.p, eng.gamma,
+                                           eng.big_gamma),
+                    matrix=kernel.matrix(i).copy())
+            for i in range(kernel.graph.n)]

@@ -42,7 +42,12 @@ from dbfgs.harness import PROFILES
 from dbfgs.netgraph import build_d_regular_cycle, build_weight_matrix
 from dbfgs.objectives import DistributedObjective, make_quadratic
 from dbfgs.sync_runtime import DbfgsSyncEngine, SyncConfig, run_dbfgs_sync
-from oracles import dual_grad_i, penalty_objective_value, primal_grad_i
+from oracles import (
+    curvature_states,
+    dual_grad_i,
+    penalty_objective_value,
+    primal_grad_i,
+)
 
 SEEDS = tuple(range(20))
 
@@ -124,7 +129,7 @@ def test_global_secant_identity():
             r = (eng.g - g_prev).ravel()
             if bool(np.all(eng.accepted)) and np.linalg.norm(v) > 0:
                 eligible += 1
-                h = (assemble_global_descent_matrix(eng.states(), graph, 4)
+                h = (assemble_global_descent_matrix(curvature_states(eng), graph, 4)
                      - 1e-3 * np.eye(20))
                 rel = np.linalg.norm(h @ r - v) / np.linalg.norm(v)
                 passed += rel <= 1e-8
@@ -146,10 +151,10 @@ def test_spectrum_bounds():
     for _ in range(50):
         eng.step()
         evals = np.linalg.eigvalsh(
-            assemble_global_descent_matrix(eng.states(), graph, p))
+            assemble_global_descent_matrix(curvature_states(eng), graph, p))
         lo_ok &= evals.min() >= big_gamma - 1e-10
         hi_ok &= evals.max() <= big_gamma + n / gamma + 1e-6
-        for st in eng.states():
+        for st in curvature_states(eng):
             m_hat = max(graph.m[j] for j in st.nodes)
             m_chk = min(graph.m[j] for j in st.nodes)
             desc = np.linalg.inv(st.matrix) + big_gamma * np.diag(st.d_diag)

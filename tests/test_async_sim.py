@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dbfgs
 from dbfgs.async_sim import (
@@ -250,13 +252,51 @@ def test_message_delay_changes_trajectory():
 def test_mailbox_delivers_every_arrived_chunk_in_arrival_order():
     # with delta_msg > 0 a neighbor's chunk queued first arrives after the
     # node's own chunk queued later; the arrived chunk must not wait
-    box = _Mailbox([])
-    box.pending += [(1.5, "late neighbor"), (1.0, "own"), (0.5, "early"),
-                    (1.0, "own tie")]
+    box = _Mailbox()
+    for arrival, block in [(1.5, "late neighbor"), (1.0, "own"), (0.5, "early"),
+                           (1.0, "own tie")]:
+        box.push(arrival, None, block)
     assert box.read(1.2, None) == ["early", "own", "own tie"]
     assert box.read(1.5, None) == []
     assert box.read(1.6, None) == ["late neighbor"]
-    assert box.pending == []
+    assert box.heap == []
+
+
+# bounded property runs: no deadline (the first calls build kernels), and
+# no example database left behind
+PROPERTY = settings(max_examples=40, deadline=None, database=None)
+
+_TIMES = st.integers(0, 8).map(lambda k: k / 2)  # coarse grid: many ties
+_OPS = st.lists(st.one_of(
+    st.tuples(st.just("push"), _TIMES, st.sampled_from([None, 0, 1, 2])),
+    st.tuples(st.just("read"), _TIMES)), max_size=40)
+
+
+@PROPERTY
+@given(_OPS)
+def test_inbox_delivers_each_message_once_after_arrival(ops):
+    # messages: packages to rows 0-2 and chunks (row None); a payload is its
+    # push order, so each delivery names the message it came from
+    box = _Mailbox()
+    known = np.full((3, 3, 1), -1.0)
+    sent, delivered = [], set()
+    for op in ops + [("read", np.inf)]:
+        if op[0] == "push":
+            _, arrival, row = op
+            box.push(arrival, row, np.full((3, 1), float(len(sent))))
+            sent.append((arrival, row))
+            continue
+        now = op[1]
+        due = sorted((arrival, k) for k, (arrival, _) in enumerate(sent)
+                     if k not in delivered and arrival < now)
+        chunks = [int(c[0, 0]) for c in box.read(now, known)]
+        assert chunks == [k for _, k in due if sent[k][1] is None]
+        for row in range(3):
+            latest = [k for _, k in due if sent[k][1] == row]
+            if latest:
+                assert (known[:, row] == latest[-1]).all()
+        delivered.update(k for _, k in due)
+    assert len(delivered) == len(sent) and box.heap == []
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +380,28 @@ def test_async_stop_rules(method):
         assert tr.to_csv().splitlines() == full.to_csv().splitlines()[:hit + 2]
 
 
+@pytest.mark.parametrize("method", ["dbfgs", "dd"])
+def test_async_run_stops_at_iteration_cap(method):
+    # the run ends after the first row whose local_iter_min reaches the cap
+    g, obj = ring_dual(8, 2, 1.0, 23)
+    sched = gen_clock_schedule(8, 1.0, 0.2, 60.0, 4)
+    step = 0.01 if method == "dbfgs" else 0.002
+    runner = run_dbfgs_async if method == "dbfgs" else run_dd_async
+
+    def cfg(cap):
+        return AsyncConfig(method=method, mode="dual", step_size=step,
+                           max_iters=cap, gamma=1e-2, big_gamma=1e-3)
+
+    full = runner(g, obj, cfg(10**9), sched)
+    cap = 20
+    hit = full.local_iter_min.index(cap)
+    assert hit < len(full.error) - 1
+    tr = runner(g, obj, cfg(cap), sched)
+    assert tr.status == "max_iters"
+    assert len(tr.error) == hit + 1 and tr.local_iter_min[-1] == cap
+    assert tr.to_csv().splitlines() == full.to_csv().splitlines()[:hit + 2]
+
+
 def test_event_determinism():
     g, obj = ring_dual(8, 2, 1.0, 23)
     sched = gen_clock_schedule(8, 1.0, 0.3, 30.0, 11)
@@ -367,3 +429,52 @@ def test_schedule_must_start_at_zero():
                         horizon=2.0, mu=1.0, sigma=0.0, seed=0)
     with pytest.raises(ValueError, match="start at t = 0"):
         run_dbfgs_async(graph, objective, dbfgs_cfg(), bad)
+
+
+# ---------------------------------------------------------------------------
+# properties over random irregular graphs and schedules
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def metropolis_dual(draw):
+    """A connected irregular graph (a random tree plus random chords) with
+    Metropolis weights and a dual quadratic on it."""
+    n = draw(st.integers(2, 7))
+    edges = {(draw(st.integers(0, k - 1)), k) for k in range(1, n)}
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=n)))
+    g = Graph.from_edges(n, sorted(edges))
+    w = np.zeros((n, n))
+    for i, j in g.edges:
+        w[i, j] = w[j, i] = 1.0 / (1 + max(g.degree(i), g.degree(j)))
+    np.fill_diagonal(w, 1.0 - w.sum(axis=1))
+    inst = make_quadratic(n, 4, draw(st.sampled_from([0.0, 1.0, 2.0])),
+                          draw(st.integers(0, 2**16)))
+    return g, DistributedObjective(inst, g, w, "dual")
+
+
+@PROPERTY
+@given(metropolis_dual(), st.sampled_from([0.1, 0.3]), st.integers(0, 2**16))
+def test_physical_equals_virtual_bitwise_on_random_graphs(problem, sigma, seed):
+    g, obj = problem
+    sched = gen_clock_schedule(g.n, 1.0, sigma, 8.0, seed)
+    phys = run_dbfgs_async(g, obj, dbfgs_cfg(eps=0.05), sched)
+    virt = virtual_replay(g, obj, dbfgs_cfg(eps=0.05), sched)
+    assert len(phys.event_log) == len(virt.event_log)
+    for (t1, i1, l1, x1), (t2, i2, l2, x2) in zip(phys.event_log, virt.event_log):
+        assert (t1, i1, l1) == (t2, i2, l2)
+        assert x1.tobytes() == x2.tobytes()
+
+
+@PROPERTY
+@given(metropolis_dual())
+def test_lockstep_equals_sync_engine_on_random_graphs(problem):
+    g, obj = problem
+    sched = gen_clock_schedule(g.n, 1.0, 0.0, 12.0, 0)
+    scfg = SyncConfig(method="dbfgs", mode="dual", step_size=0.05,
+                      max_iters=12, gamma=1e-2, big_gamma=1e-3)
+    pairs = align_against_sync(run_dbfgs_async(g, obj, dbfgs_cfg(eps=0.05), sched),
+                               run_dbfgs_sync(g, obj, scfg))
+    assert len(pairs) == 12
+    assert all(a == b for a, b in pairs)

@@ -12,7 +12,7 @@ from dbfgs.curvature import (
 )
 from dbfgs.netgraph import Graph, build_d_regular_cycle, build_weight_matrix
 from dbfgs.objectives import DistributedObjective, make_quadratic
-from oracles import centralized_bfgs_oracle
+from oracles import centralized_bfgs_oracle, curvature_states
 
 
 def random_spd(dim, rng, floor=0.1):
@@ -346,7 +346,7 @@ def test_assembled_global_secant_on_quadratic_run():
         r = (eng.g - g_prev).ravel()
         if bool(np.all(eng.accepted)) and np.linalg.norm(v) > 0:
             eligible += 1
-            h = (assemble_global_descent_matrix(eng.states(), graph, 4)
+            h = (assemble_global_descent_matrix(curvature_states(eng), graph, 4)
                  - 1e-3 * np.eye(20))
             rel = np.linalg.norm(h @ r - v) / np.linalg.norm(v)
             checked += rel <= 1e-8
@@ -368,7 +368,7 @@ def test_assembled_spectrum_lemma_bounds():
     for _ in range(50):
         eng.step()
         evals = np.linalg.eigvalsh(
-            assemble_global_descent_matrix(eng.states(), graph, p))
+            assemble_global_descent_matrix(curvature_states(eng), graph, p))
         assert evals.min() >= big_gamma - 1e-10
         assert evals.max() <= big_gamma + n / gamma + 1e-6
 

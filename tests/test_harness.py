@@ -46,6 +46,14 @@ dd = 0.002
 LOGISTIC_PROBLEM = ('kind = "logistic"\np = 4\nq = {q}\nlam = {lam}\nmu = 1.0\n'
                        'sigma_pos = 1.0\nsigma_neg = 1.0')
 
+# configs whose method or problem cannot run in their mode
+MODE_MISMATCHES = [
+    (("dd = 0.002", "dgd = 0.5"), "methods.dgd"),
+    (('kind = "dual"', 'kind = "primal"\nalpha = 0.1'), "methods.dd"),
+    (('kind = "quadratic"\np = 4\neta = 1.0', LOGISTIC_PROBLEM.format(q=4, lam=0.1)),
+     "mode.kind"),
+]
+
 
 def test_parse_and_round_trip():
     cfg = parse_config(BASE_CONFIG)
@@ -105,6 +113,7 @@ def test_parse_async_section():
       "delta_msg = -1.0"), "async.delta_msg"),
     (("dd = 0.002", "dd = 0.002\n[async]\nmu_clk = 1.0\nsigma_clk = 0.1\n"
       "horizon = 0.0"), "async.horizon"),
+    *MODE_MISMATCHES,
 ])
 def test_parse_rejections(mutation, match):
     old, new = mutation
@@ -275,6 +284,16 @@ def test_cli_semantic_config_error_exit_code(tmp_path, capsys):
     rc = cli_main(["run", str(bad), "--outdir", str(tmp_path / "out")])
     assert rc == 2
     assert "run.iterations" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mutation,path", MODE_MISMATCHES)
+def test_cli_mode_mismatch_exit_code(tmp_path, capsys, mutation, path):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(BASE_CONFIG.replace(*mutation))
+    rc = cli_main(["run", str(bad), "--outdir", str(tmp_path / "out")])
+    assert rc == 2
+    assert path in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_unknown_profile_is_usage_error():

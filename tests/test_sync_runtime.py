@@ -14,6 +14,7 @@ from dbfgs.sync_runtime import (
     run_dd,
     run_dgd,
 )
+from oracles import curvature_states
 
 
 def ring_objective(n, d, p, eta, seed, mode, alpha=None):
@@ -269,13 +270,13 @@ def test_descent_block_conservation():
     g, obj = ring_objective(5, 2, 4, 1.0, 11, "primal", alpha=1e-2)
     eng = DbfgsSyncEngine(g, obj, 1e-2, 1e-3, 0.1)
     for _ in range(20):
-        states_before = [st.matrix.copy() for st in eng.states()]
+        states_before = [st.matrix.copy() for st in curvature_states(eng)]
         g_before = eng.g.copy()
         eng.step()
         big = assemble_global_descent_matrix(
             [type(st)(nodes=st.nodes, matrix=mat, gamma=st.gamma,
                       big_gamma=st.big_gamma, d_diag=st.d_diag)
-             for st, mat in zip(eng.states(), states_before)], g, 4)
+             for st, mat in zip(curvature_states(eng), states_before)], g, 4)
         expected = -(big @ g_before.ravel())
         assert np.linalg.norm(eng.last_descent.ravel() - expected) <= 1e-10
 
