@@ -12,10 +12,8 @@ from .async_sim import (
     ClockSchedule,
     EventQueue,
     gen_clock_schedule,
-    measure_asynchronicity,
     run_dbfgs_async,
     run_dd_async,
-    time_functions,
     virtual_replay,
 )
 from .curvature import (

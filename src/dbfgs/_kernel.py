@@ -1,8 +1,8 @@
 """Stacked per-neighborhood round primitives and the D-BFGS node state.
 
 Every operation works on a batch of nodes: the synchronous engine's batch
-is the whole network, the event simulator's is the set of nodes available
-at one event time. Nodes are grouped by neighborhood size so stacked linear
+is the whole network, the event simulator's is the nodes of one window
+of commuting events. Nodes are grouped by neighborhood size so stacked linear
 algebra applies on regular and irregular graphs alike, and each node's
 result depends on its own rows only. One node therefore sees the same float
 operations whatever batch it is in, which is what makes lockstep execution
@@ -34,11 +34,20 @@ from .netgraph import Graph
 SKIP_THRESHOLD = 1e-10
 
 
+class CurvatureLost(RuntimeError):
+    """No finite Cholesky factor for the batch's ``nodes``, group by group."""
+
+    def __init__(self, nodes: list):
+        super().__init__("curvature matrix lost positive definiteness "
+                         f"at node {nodes[0]}")
+        self.nodes = nodes
+
+
 class Group(NamedTuple):
     """Batch nodes sharing one neighborhood size m."""
 
     msize: int
-    ids: np.ndarray  # (g,) node ids, ascending
+    ids: np.ndarray  # (g,) node ids, in batch order
     pos: np.ndarray  # (g,) positions of ids in the batch
     slot: np.ndarray  # (g,) positions of ids in the size-m curvature stack
     nb: np.ndarray  # (g, m) neighborhoods
@@ -69,7 +78,7 @@ class RoundKernel:
         # the node's descent contributions, in layout rows
         self.last = np.zeros((2, self.total_blocks, p))
         self.contrib = np.zeros((self.total_blocks, p))
-        self._batches, self._work = {}, {}
+        self._work = {}
         self.groups = self.batch(range(graph.n))
 
     @cached_property
@@ -97,17 +106,10 @@ class RoundKernel:
         return self.curvature[int(self.m[i])][self.slot[i]]
 
     def batch(self, ids) -> list:
-        """Groups of the ascending node ids ``ids``, by neighborhood size.
-
-        Memoized: an event simulation meets the same batch, usually a
-        single node, at many events.
-        """
-        key = tuple(ids)
-        if key not in self._batches:
-            self._batches[key] = self._group(np.array(key, dtype=np.intp))
-        return self._batches[key]
-
-    def _group(self, ids: np.ndarray) -> list:
+        """Groups of the distinct node ids ``ids``, by neighborhood size. A
+        slot whose node is in ``ids`` reads the current block, any other
+        slot the dated copy."""
+        ids = np.asarray(ids, dtype=np.intp)
         sizes = self.m[ids]
         in_batch = np.zeros(self.graph.n, dtype=bool)
         in_batch[ids] = True
@@ -153,8 +155,9 @@ class RoundKernel:
         k-th neighbor.
 
         Each node's system takes one LAPACK ``dposv`` call, which factors B
-        by Cholesky and solves with that factor. A failed factorization, or
-        a factor with a non-finite diagonal, stops the run."""
+        by Cholesky and solves with that factor. Failed factorizations, or
+        factors with a non-finite diagonal, raise ``CurvatureLost`` last."""
+        lost = []
         for grp, gv in zip(groups or self.groups, g_views):
             b, _ = self._gather(grp)
             gv = gv.reshape(len(grp.ids), -1)
@@ -169,12 +172,11 @@ class RoundKernel:
             # OpenBLAS's Cholesky reports no error on a NaN pivot, so the
             # factor's diagonal is checked too
             diag = np.diagonal(b, axis1=1, axis2=2)
-            bad = (info != 0) | ~np.isfinite(diag).all(axis=1)
-            if bad.any():
-                raise RuntimeError("curvature matrix lost positive definiteness "
-                                   f"at node {grp.ids[bad.argmax()]}")
+            lost += grp.ids[(info != 0) | ~np.isfinite(diag).all(axis=1)].tolist()
             e = -(y + big_gamma * grp.dd * gv)
             self.contrib[grp.rows] = e.reshape(grp.rows.shape + (self.p,))
+        if lost:
+            raise CurvatureLost(lost)
 
     def apply_descents(self, var: np.ndarray, eps: float) -> np.ndarray:
         """Add eps times every neighbor contribution to var, in slot order.

@@ -9,12 +9,12 @@ and computes descent contributions for its neighborhood; dual
 decomposition steps along its own gradient block.
 
 Events sharing an exact wall time form a batch processed as a synchronized
-sub-round: tied nodes see each other's fresh values. Every batch, from a
-singleton to all nodes, goes through one engine and the round kernel the
-synchronous engine uses, so a zero-drift schedule reproduces the
-synchronous runtime bit for bit by construction. Continuous random
-schedules have singleton batches almost surely, which is the asynchronous
-algorithm proper.
+sub-round: tied nodes see each other's fresh values. An event touches only
+its node's neighborhood, so a maximal run of batches with pairwise
+non-adjacent nodes commutes: it runs as one window through the round kernel
+the synchronous engine uses, with one trace row per batch in event order.
+Every batch takes this path, so a zero-drift schedule (a window per batch)
+reproduces the synchronous runtime bit for bit.
 
 The virtual engine re-runs the same event sequence but applies every
 finished descent to a global variable immediately instead of through
@@ -26,14 +26,14 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import accumulate, groupby
 from operator import itemgetter
 
 import numpy as np
 
-from ._kernel import RoundKernel
+from ._kernel import CurvatureLost, RoundKernel
 from .netgraph import Graph
-from .objectives import DistributedObjective, consensus_error
+from .objectives import DistributedObjective
 from .sync_runtime import SyncConfig, Trace, _check_stop
 
 __all__ = [
@@ -41,8 +41,6 @@ __all__ = [
     "AsyncConfig",
     "EventQueue",
     "gen_clock_schedule",
-    "time_functions",
-    "measure_asynchronicity",
     "run_dbfgs_async",
     "run_dd_async",
     "virtual_replay",
@@ -97,44 +95,6 @@ def gen_clock_schedule(n: int, mu_clk: float, sigma_clk: float, horizon: float,
                          mu=float(mu_clk), sigma=float(sigma_clk), seed=seed)
 
 
-def _last_before(ticks: np.ndarray, t) -> np.ndarray:
-    """max{t_hat in ticks : t_hat < t}, or 0.0 before the first tick."""
-    idx = np.searchsorted(ticks, t, side="left") - 1
-    vals = ticks[np.clip(idx, 0, None)]
-    return np.where(idx < 0, 0.0, vals)
-
-
-def time_functions(schedule: ClockSchedule, i: int, j: int, t: float):
-    """(pi_i(t), pi_i_j(t)): node i's last availability strictly before t,
-    and the generation time of node j's data held by i (pi_j after pi_i)."""
-    if t < 0:
-        raise ValueError("time must be nonnegative")
-    pi_i = float(_last_before(schedule.times[i], t))
-    pi_ij = float(_last_before(schedule.times[j], pi_i))
-    return pi_i, pi_ij
-
-
-def measure_asynchronicity(schedule: ClockSchedule, horizon: float | None = None) -> float:
-    """Smallest staleness bound B with t - pi_i_j(t) < B over the event grid.
-
-    Cross-node staleness composes pi_j(pi_i(t)); a node's own block is dated
-    at its last availability, so the i = j staleness is t - pi_i(t).
-    """
-    grid = np.unique(np.concatenate(schedule.times))
-    if horizon is not None:
-        grid = grid[grid <= horizon]
-    worst = 0.0
-    for i in range(schedule.n):
-        pi_i = _last_before(schedule.times[i], grid)
-        worst = max(worst, float(np.max(grid - pi_i)))
-        for j in range(schedule.n):
-            if j == i:
-                continue
-            pi_ij = _last_before(schedule.times[j], pi_i)
-            worst = max(worst, float(np.max(grid - pi_ij)))
-    return worst
-
-
 # ---------------------------------------------------------------------------
 # event queue
 # ---------------------------------------------------------------------------
@@ -151,6 +111,20 @@ class EventQueue:
         """Yield (time, [node ids ascending]) with exact-tie events grouped."""
         for t, events in groupby(self.events, key=itemgetter(0)):
             yield t, [i for _, i in events]
+
+    def windows(self, layout):
+        """Yield maximal runs of consecutive batches in which no batch holds
+        a node of another or a neighbor of one: such batches commute."""
+        blocked = np.zeros(len(layout.indptr) - 1, dtype=bool)
+        window = []
+        for t, batch in self.batches():
+            if window and blocked[batch].any():
+                yield window
+                window, blocked[:] = [], False
+            window.append((t, batch))
+            for i in batch:
+                blocked[layout.cols[layout.indptr[i]:layout.indptr[i + 1]]] = True
+        yield window
 
 
 @dataclass
@@ -207,10 +181,10 @@ class _Mailbox:
 class _AsyncEngine:
     """One event loop for asynchronous D-BFGS (physical and virtual) and DD.
 
-    Every batch reads its nodes' mail, evaluates their gradients from views
-    that mix the batch's fresh blocks with dated packages, records a trace
-    row, takes the method's local step on the round kernel or the gradient,
-    and publishes the nodes' packages.
+    A window reads its batches' mail, evaluates their gradients from views
+    that mix each batch's fresh blocks with dated packages and takes the
+    local step on the round kernel; then each batch in turn records its
+    trace row and publishes its nodes' packages.
     """
 
     def __init__(self, graph: Graph, objective: DistributedObjective,
@@ -241,25 +215,27 @@ class _AsyncEngine:
         self.trace = Trace(method=method, mode=cfg.mode, seed=cfg.seed,
                            model_time=[], local_iter_min=[], event_log=[])
         self.exchanges = 0
+        # consensus_error's term per node; each row refreshes the stale ones
+        self.denom = float(objective.xstar @ objective.xstar)
+        if self.denom == 0.0:
+            raise ValueError("consensus error is undefined for a zero optimum")
+        self.err_terms, self.stale = np.zeros(n), np.ones(n, dtype=bool)
 
     def _views(self, groups, q: int) -> list:
         """Per-group (g, m, p) views of quantity q (0 var, 1 aux, 2 g)."""
         return [self.store[q][grp.view] for grp in groups]
 
-    def _process_batch(self, t: float, batch: list, init: bool) -> bool:
-        """Run one batch; True when a stop rule ends the run."""
+    def _process_window(self, window: list, init: bool) -> bool:
+        """Run one window; True when a stop rule ends the run."""
         cfg, kernel = self.cfg, self.kernel
-        groups = kernel.batch(batch)
-        ids = np.array(batch)
-        # phase 1: read mail, apply pending descents, advance local clocks
-        for i in batch:
-            for block in self.mail[i].read(t, self.known):
-                self.var[i] += cfg.step_size * block
-        if not init:
-            self.local_iter[ids] += 1
-        snapshot = self.var[ids]
-        for i, block in zip(batch, snapshot):
-            self.trace.event_log.append((t, i, int(self.local_iter[i]), block))
+        ids = np.concatenate([batch for _, batch in window])
+        groups = kernel.batch(ids)
+        before = self.var[ids], self.aux[ids]
+        # phase 1, each batch at its time: read mail, apply pending descents
+        for t, batch in window:
+            for i in batch:
+                for block in self.mail[i].read(t, self.known):
+                    self.var[i] += cfg.step_size * block
         # phase 2: gradients from fresh and dated views
         var_views = self._views(groups, 0)
         for grp, vv in zip(groups, var_views):
@@ -267,48 +243,72 @@ class _AsyncEngine:
         aux_views = self._views(groups, 1)
         for grp, vv, av in zip(groups, var_views, aux_views):
             self.g[grp.ids] = self.obj.stage2_block(grp.ids, vv, av)
-        self.exchanges += len(batch)
-        if not init:
-            self._record(t)
-            if _check_stop(self.trace, cfg):
-                return True
-        # phase 3: the method's local step, then one send per layout slot:
-        # the neighbor's mirror row gets the node's package and, for D-BFGS,
-        # the slot's descent chunk, which the virtual engine applies at once
+        # D-BFGS's step; a lost curvature ends the run at its batch's row
+        lost = []
         if self.dbfgs:
-            kernel.dbfgs_round(var_views, self._views(groups, 2), cfg.gamma,
-                               cfg.big_gamma, init, groups)
-            published = snapshot  # the pre-descent blocks
-        else:
-            if not init:
-                self.var[ids] -= cfg.step_size * self.g[ids]
-            published = self.var[ids]
+            try:
+                kernel.dbfgs_round(var_views, self._views(groups, 2), cfg.gamma,
+                                   cfg.big_gamma, init, groups)
+            except CurvatureLost as exc:
+                lost = exc.nodes
+        # phase 3: fresh blocks go back batch by batch, so each row reads
+        # the state that event order gives it
+        fresh = self.var[ids], self.aux[ids]
+        self.var[ids], self.aux[ids] = before
         off, cols, mirror = kernel.offsets, kernel.cols, kernel.mirror
-        arrival = t + cfg.delta_msg
-        for i, var_i in zip(batch, published):
-            pkg = np.array((var_i, self.aux[i], self.g[i]))
-            lo, hi = off[i], off[i + 1]
-            for j, row, chunk in zip(cols[lo:hi].tolist(), mirror[lo:hi].tolist(),
-                                     kernel.contrib[lo:hi].copy()):
-                if j != i:
-                    self.mail[j].push(arrival, row, pkg)
-                if self.virtual:
-                    self.var[j] += cfg.step_size * chunk
-                elif self.dbfgs:
-                    self.mail[j].push(t if j == i else arrival, None, chunk)
+        ends = list(accumulate(len(batch) for _, batch in window))
+        for (t, batch), start, stop in zip(window, [0] + ends, ends):
+            snapshot = fresh[0][start:stop]
+            self.var[batch], self.aux[batch] = snapshot, fresh[1][start:stop]
+            self.stale[batch] = True
+            if not init:
+                self.local_iter[batch] += 1
+            for i, block in zip(batch, snapshot):
+                self.trace.event_log.append((t, i, int(self.local_iter[i]), block))
+            self.exchanges += len(batch)
+            if not init:
+                self._record(t)
+                if _check_stop(self.trace, cfg):
+                    return True
+            if set(lost).intersection(batch):
+                raise CurvatureLost([i for i in lost if i in batch])
+            if not (self.dbfgs or init):
+                self.var[batch] -= cfg.step_size * self.g[batch]
+            published = snapshot if self.dbfgs else self.var[batch]
+            # one send per layout slot: the package to the neighbor's mirror
+            # row and, for D-BFGS, the slot's descent chunk (D-BFGS publishes
+            # the pre-descent blocks), which the virtual engine applies at once
+            arrival = t + cfg.delta_msg
+            for i, var_i in zip(batch, published):
+                pkg = np.array((var_i, self.aux[i], self.g[i]))
+                lo, hi = off[i], off[i + 1]
+                self.stale[cols[lo:hi]] = True  # every row the step may write
+                for j, row, chunk in zip(cols[lo:hi].tolist(), mirror[lo:hi].tolist(),
+                                         kernel.contrib[lo:hi].copy()):
+                    if j != i:
+                        self.mail[j].push(arrival, row, pkg)
+                    if self.virtual:
+                        self.var[j] += cfg.step_size * chunk
+                    elif self.dbfgs:
+                        self.mail[j].push(t if j == i else arrival, None, chunk)
         return False
 
     def _record(self, t: float) -> None:
+        rows = np.flatnonzero(self.stale)
+        self.stale[rows] = False
         est = self.var if self.obj.mode == "primal" else self.aux
-        err = consensus_error(est, self.obj.xstar)
+        diff = est[rows] - self.obj.xstar
+        self.err_terms[rows] = np.sum(diff * diff, axis=1)
+        err = np.mean(self.err_terms) / self.denom
         gnorm = np.linalg.norm(self.obj.runtime_grad(self.var))
         lmin = int(self.local_iter.min())
         self.trace.append(lmin, err, gnorm, self.exchanges,
                           model_time=t, local_iter_min=lmin)
 
     def run(self) -> Trace:
-        for k, (t, batch) in enumerate(EventQueue(self.schedule).batches()):
-            if self._process_batch(t, batch, init=k == 0):
+        windows = EventQueue(self.schedule).windows(self.kernel.graph.layout)
+        for k, window in enumerate(windows):
+            if self._process_window(window, init=k == 0):
                 break
         return self.trace
 

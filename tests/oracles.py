@@ -1,8 +1,9 @@
 """Textbook oracles the tests check the library against.
 
 Per-node operations of ``DistributedObjective`` in their unscaled form,
-the unscaled penalty objective, and the classical BFGS update. The
-runtimes never call these; they evaluate the staged, scaled forms.
+the unscaled penalty objective, the classical BFGS update, and the time
+functions and staleness bound of a clock schedule. The runtimes never call
+these; they evaluate the staged, scaled forms.
 """
 
 from dataclasses import replace
@@ -90,3 +91,42 @@ def curvature_states(eng) -> list:
                                            eng.big_gamma),
                     matrix=kernel.matrix(i).copy())
             for i in range(kernel.graph.n)]
+
+
+def _last_before(ticks: np.ndarray, t) -> np.ndarray:
+    """max{t_hat in ticks : t_hat < t}, or 0.0 before the first tick."""
+    idx = np.searchsorted(ticks, t, side="left") - 1
+    vals = ticks[np.clip(idx, 0, None)]
+    return np.where(idx < 0, 0.0, vals)
+
+
+def time_functions(schedule, i: int, j: int, t: float):
+    """(pi_i(t), pi_i_j(t)): node i's last availability strictly before t,
+    and the generation time of node j's data held by i (pi_j after pi_i)."""
+    if t < 0:
+        raise ValueError("time must be nonnegative")
+    pi_i = float(_last_before(schedule.times[i], t))
+    pi_ij = float(_last_before(schedule.times[j], pi_i))
+    return pi_i, pi_ij
+
+
+def measure_asynchronicity(schedule, horizon: float | None = None) -> float:
+    """Smallest staleness bound B with t - pi_i_j(t) < B over the event grid.
+
+    Cross-node staleness composes pi_j(pi_i(t)); a node's own block is dated
+    at its last availability, so the i = j staleness is t - pi_i(t). The
+    cost is O(n^2) searches over the grid.
+    """
+    grid = np.unique(np.concatenate(schedule.times))
+    if horizon is not None:
+        grid = grid[grid <= horizon]
+    worst = 0.0
+    for i in range(schedule.n):
+        pi_i = _last_before(schedule.times[i], grid)
+        worst = max(worst, float(np.max(grid - pi_i)))
+        for j in range(schedule.n):
+            if j == i:
+                continue
+            pi_ij = _last_before(schedule.times[j], pi_i)
+            worst = max(worst, float(np.max(grid - pi_ij)))
+    return worst

@@ -5,20 +5,27 @@ from hypothesis import strategies as st
 
 import dbfgs
 from dbfgs.async_sim import (
+    CLOCK_INCREMENT_FLOOR,
     AsyncConfig,
+    _AsyncEngine,
     _Mailbox,
     ClockSchedule,
     EventQueue,
     gen_clock_schedule,
-    measure_asynchronicity,
     run_dbfgs_async,
     run_dd_async,
-    time_functions,
     virtual_replay,
 )
+from dbfgs._kernel import RoundKernel
 from dbfgs.netgraph import Graph, build_d_regular_cycle, build_weight_matrix
-from dbfgs.objectives import DistributedObjective, QuadraticInstance, make_quadratic
+from dbfgs.objectives import (
+    DistributedObjective,
+    QuadraticInstance,
+    consensus_error,
+    make_quadratic,
+)
 from dbfgs.sync_runtime import SyncConfig, run_dbfgs_sync, run_dd
+from oracles import measure_asynchronicity, time_functions
 
 
 def ring_dual(n, d, eta, seed):
@@ -437,10 +444,10 @@ def test_schedule_must_start_at_zero():
 
 
 @st.composite
-def metropolis_dual(draw):
+def metropolis_dual(draw, max_n=7):
     """A connected irregular graph (a random tree plus random chords) with
     Metropolis weights and a dual quadratic on it."""
-    n = draw(st.integers(2, 7))
+    n = draw(st.integers(2, max_n))
     edges = {(draw(st.integers(0, k - 1)), k) for k in range(1, n)}
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=n)))
@@ -478,3 +485,188 @@ def test_lockstep_equals_sync_engine_on_random_graphs(problem):
                                run_dbfgs_sync(g, obj, scfg))
     assert len(pairs) == 12
     assert all(a == b for a, b in pairs)
+
+
+# ---------------------------------------------------------------------------
+# conflict-free windows
+# ---------------------------------------------------------------------------
+
+
+def conflicts(graph, nodes, batch):
+    """Whether a node of ``batch`` is one of ``nodes`` or adjacent to one."""
+    return any(j in graph.neighborhoods[i] for i in nodes for j in batch)
+
+
+@PROPERTY
+@given(metropolis_dual(max_n=12), st.sampled_from([0.0, 0.1, 0.3]),
+       st.integers(0, 2**16))
+def test_schedule_and_window_invariants(problem, sigma, seed):
+    g, _ = problem
+    sched = gen_clock_schedule(g.n, 1.0, sigma, 9.0, seed)
+    again = gen_clock_schedule(g.n, 1.0, sigma, 9.0, seed)
+    for ticks, same in zip(sched.times, again.times):
+        assert ticks[0] == 0.0 and ticks[-1] <= 9.0
+        assert np.all(np.diff(ticks) > 0)
+        # accumulated addition rounds tick gaps by ~eps * t
+        assert np.all(np.diff(ticks) >= CLOCK_INCREMENT_FLOOR - 1e-12)
+        assert ticks.tobytes() == same.tobytes()
+    queue = EventQueue(sched)
+    windows = list(queue.windows(g.layout))
+    # the windows partition the batches in event order
+    assert [b for w in windows for b in w] == list(queue.batches())
+    for w, following in zip(windows, windows[1:] + [None]):
+        nodes = []
+        for _, batch in w:
+            # no node of a batch is in, or adjacent to, an earlier batch
+            assert not conflicts(g, nodes, batch)
+            nodes += batch
+        if following is not None:  # greedy: the next batch did not fit
+            assert conflicts(g, nodes, following[0][1])
+
+
+def one_batch_per_window(runner, *args):
+    """The run with every batch as its own window, in event order."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(EventQueue, "windows",
+                      lambda self, layout: ([batch] for batch in self.batches()))
+        return runner(*args)
+
+
+def run_bytes(tr):
+    return (tr.to_csv(), tr.status,
+            [(t, i, li, x.tobytes()) for t, i, li, x in tr.event_log])
+
+
+# engine -> (runner, method, mode, step size)
+ENGINES = {
+    "physical": (run_dbfgs_async, "dbfgs", "dual", 0.05),
+    "virtual": (virtual_replay, "dbfgs", "dual", 0.05),
+    "dd": (run_dd_async, "dd", "dual", 0.002),
+    "primal": (run_dbfgs_async, "dbfgs", "primal", 0.1),
+    "primal-virtual": (virtual_replay, "dbfgs", "primal", 0.1),
+}
+
+
+def engine_run(engine, g, obj, sched, **cfg):
+    runner, method, mode, step = ENGINES[engine]
+    if mode == "primal":
+        obj = DistributedObjective(obj.instance, g, obj.weights, "primal", alpha=0.1)
+    cfg.setdefault("max_iters", 10**9)
+    acfg = AsyncConfig(method=method, mode=mode, step_size=step, gamma=1e-2,
+                       big_gamma=1e-3, **cfg)
+    return runner, (g, obj, acfg, sched)
+
+
+@PROPERTY
+@given(metropolis_dual(max_n=12), st.sampled_from(sorted(ENGINES)),
+       st.sampled_from([0.0, 0.1, 0.3]), st.sampled_from([None, 0.25, 0.5]),
+       st.sampled_from([0.0, 0.5]), st.integers(0, 2**16))
+def test_windows_equal_per_batch_runs_bytewise(problem, engine, sigma, grid,
+                                              delta, seed):
+    g, obj = problem
+    sched = gen_clock_schedule(g.n, 1.0, sigma, 8.0, seed)
+    if grid is not None:  # quantized times: ties across nodes
+        sched = ClockSchedule(
+            times=tuple(np.unique(np.round(t / grid) * grid) for t in sched.times),
+            horizon=8.0, mu=1.0, sigma=sigma, seed=seed)
+    runner, args = engine_run(engine, g, obj, sched, delta_msg=delta)
+    assert run_bytes(runner(*args)) == run_bytes(one_batch_per_window(runner, *args))
+
+
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+def test_rows_equal_a_recompute_from_the_state(engine):
+    # the error column, kept as per-node terms refreshed where stale, is
+    # consensus_error of the state at the row, bit for bit
+    g, obj = ring_dual(30, 4, 1.0, 23)
+    sched = gen_clock_schedule(30, 1.0, 0.1, 20.0, 4)
+    record = _AsyncEngine._record
+    checked = []
+
+    def recompute(eng, t):
+        record(eng, t)
+        est = eng.var if eng.obj.mode == "primal" else eng.aux
+        assert eng.trace.error[-1] == consensus_error(est, eng.obj.xstar)
+        checked.append(t)
+
+    runner, args = engine_run(engine, g, obj, sched, delta_msg=0.5)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_AsyncEngine, "_record", recompute)
+        tr = runner(*args)
+    assert len(checked) == len(tr.error) > 500
+
+
+def rows_closing_a_window(g, sched):
+    """Per trace row (every batch but the first): whether its batch is the
+    last of its window."""
+    last = []
+    for window in EventQueue(sched).windows(g.layout):
+        last += [False] * (len(window) - 1) + [True]
+    return last[1:]
+
+
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+def test_stop_inside_a_window_matches_per_batch(engine):
+    # a stop rule or the iteration cap that fires on a batch which is not
+    # the last of its window: nothing after that batch is applied or logged
+    g, obj = ring_dual(30, 4, 1.0, 23)
+    sched = gen_clock_schedule(30, 1.0, 0.1, 40.0, 4)
+    closing = rows_closing_a_window(g, sched)
+    assert closing.count(False) > 100  # the windows do group batches
+    runner, args = engine_run(engine, g, obj, sched)
+    full = runner(*args)
+    err = full.error
+    # the first row inside a window whose error is a new minimum
+    hit = next(k for k in range(1, len(err))
+               if err[k] < min(err[:k]) and not closing[k])
+    cap = next(c for c in range(1, full.local_iter_min[-1])
+               if not closing[full.local_iter_min.index(c)])
+    for stop, status, rows in (({"stop_error": err[hit]}, "error_stop", hit + 1),
+                               ({"max_iters": cap}, "max_iters",
+                                full.local_iter_min.index(cap) + 1)):
+        runner, args = engine_run(engine, g, obj, sched, **stop)
+        tr = runner(*args)
+        assert tr.status == status and len(tr.error) == rows
+        assert tr.to_csv().splitlines() == full.to_csv().splitlines()[:rows + 1]
+        assert run_bytes(tr) == run_bytes(one_batch_per_window(runner, *args))
+
+
+def test_lost_curvature_in_a_window_raises_only_after_earlier_rows():
+    # a node's curvature fails in a window whose first batch stops the run:
+    # the run ends with the stop, as in event order; without the stop it
+    # raises, naming the node, as in event order
+    g, obj = ring_dual(30, 4, 1.0, 23)
+    sched = gen_clock_schedule(30, 1.0, 0.1, 40.0, 4)
+    runner, args = engine_run("physical", g, obj, sched)
+    err = runner(*args).error
+    row = 0  # the row of each window's first batch
+    for window in list(EventQueue(sched).windows(g.layout))[1:]:
+        if len(window) > 1 and err[row] < min(err[:row], default=np.inf):
+            break
+        row += len(window)
+    t, (node, *_) = window[-1]
+    events = int(np.sum(sched.times[node] <= t))  # descents holding the node
+    descent = RoundKernel.descent
+
+    def poisoned(kernel, g_views, big_gamma, groups=None):
+        if any(node in grp.ids for grp in groups):
+            kernel.seen = getattr(kernel, "seen", 0) + 1
+            if kernel.seen == events:
+                kernel.matrix(node)[:] = np.nan
+        return descent(kernel, g_views, big_gamma, groups)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(RoundKernel, "descent", poisoned)
+        for stop_error in (None, err[row]):
+            runner, args = engine_run("physical", g, obj, sched,
+                                      stop_error=stop_error)
+            outcomes = []
+            for run in (runner, lambda *a: one_batch_per_window(runner, *a)):
+                try:
+                    outcomes.append(run_bytes(run(*args)))
+                except RuntimeError as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1]
+            if stop_error is None:
+                assert outcomes[0].endswith(f"at node {node}")
+            else:
+                assert outcomes[0][1] == "error_stop"

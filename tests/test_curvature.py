@@ -297,6 +297,52 @@ def metropolis_dual(graph, seed):
     return DistributedObjective(make_quadratic(graph.n, 4, 2.0, seed), graph, w, "dual")
 
 
+@pytest.mark.parametrize("graph, nodes", [
+    (build_d_regular_cycle(20, 4), [0, 3, 6, 9, 12, 15]),
+    (irregular_graph(), [0, 1, 3, 5]),  # m = 3, 3, 3, 2: two groups
+])
+def test_kernel_batch_of_non_adjacent_nodes_equals_one_at_a_time(graph, nodes):
+    # pairwise non-adjacent nodes commute: run as one batch, each node gets
+    # the bits it gets alone (stages, curvature, contributions, kept views)
+    rng = np.random.default_rng(11)
+    obj, p = metropolis_dual(graph, 5), 4
+    kernels = [RoundKernel(graph, p) for _ in range(2)]
+    x0, x1, g0, g1 = (rng.normal(size=(graph.n, p)) for _ in range(4))
+    for kernel in kernels:  # two network rounds: curvature away from I
+        kernel.dbfgs_round(gather(x0, kernel.groups), gather(g0, kernel.groups),
+                           1e-2, 1e-3, first=True)
+        kernel.dbfgs_round(gather(x1, kernel.groups), gather(g1, kernel.groups),
+                           1e-2, 1e-3)
+    # a view stack as the simulator keeps it: dated copies, then own blocks
+    var, aux, g = (rng.normal(size=(kernels[0].total_blocks + graph.n, p))
+                   for _ in range(3))
+
+    def step(kernel, batch):
+        groups = kernel.batch(batch)
+        stages = {}
+        for grp in groups:
+            one = obj.stage1_block(grp.ids, var[grp.view])
+            two = obj.stage2_block(grp.ids, var[grp.view], aux[grp.view])
+            stages.update({i: (a, b) for i, a, b in zip(grp.ids.tolist(), one, two)})
+        acc = kernel.dbfgs_round([var[grp.view] for grp in groups],
+                                 [g[grp.view] for grp in groups], 1e-2, 1e-3,
+                                 groups=groups)
+        return stages, acc.tolist()
+
+    together, alone = kernels
+    stages, acc = step(together, nodes)
+    for k, i in enumerate(nodes):
+        own, own_acc = step(alone, [i])
+        assert own_acc == [acc[k]]
+        for a, b in zip(stages[i], own[i]):
+            assert a.tobytes() == b.tobytes()
+    assert any(acc)  # some updates ran
+    for msize, stack in together.curvature.items():
+        assert stack.tobytes() == alone.curvature[msize].tobytes()
+    assert together.contrib.tobytes() == alone.contrib.tobytes()
+    assert together.last.tobytes() == alone.last.tobytes()
+
+
 def test_curvature_stays_exactly_symmetric():
     # the update's terms are each exactly symmetric, so B = B' bit for bit
     # after every accepted update, in the synchronous engine and in events
