@@ -16,6 +16,16 @@ the synchronous engine uses, with one trace row per batch in event order.
 Every batch takes this path, so a zero-drift schedule (a window per batch)
 reproduces the synchronous runtime bit for bit.
 
+After the kernel step a window runs three phases. Apply lands each batch's
+fresh blocks and step in event order and keeps the state each row reads.
+Record computes every row's error and gradient norm at once: a row's
+events move only their nodes' blocks, so it refreshes only the per-node
+error terms they moved and the runtime gradient blocks within reach of them
+(two hops in dual mode, one in primal mode), and takes the norm of the
+whole gradient. Emit then goes through the batches in order: event log,
+trace row, stop rules, lost curvature, sends. A stop ends the run at its
+batch; what apply wrote after that batch is never observed.
+
 The virtual engine re-runs the same event sequence but applies every
 finished descent to a global variable immediately instead of through
 mailboxes; with zero message delay its trajectory coincides with the
@@ -173,6 +183,23 @@ class _Mailbox:
         return chunks
 
 
+def _distinct(parts, size: int) -> np.ndarray:
+    """The distinct values in the index arrays ``parts``, all below
+    ``size``, ascending."""
+    seen = np.zeros(size, dtype=bool)
+    for part in parts:
+        seen[part] = True
+    return seen.nonzero()[0]
+
+
+def _by_row(keys: np.ndarray, nodes: np.ndarray, values: np.ndarray,
+            cuts: np.ndarray) -> list:
+    """(nodes, values) of each row, from keys in row order and each row's
+    first key ``cuts``."""
+    bounds = np.searchsorted(keys, cuts).tolist()
+    return [(nodes[lo:hi], values[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+
+
 # ---------------------------------------------------------------------------
 # the event engine
 # ---------------------------------------------------------------------------
@@ -183,8 +210,10 @@ class _AsyncEngine:
 
     A window reads its batches' mail, evaluates their gradients from views
     that mix each batch's fresh blocks with dated packages and takes the
-    local step on the round kernel; then each batch in turn records its
-    trace row and publishes its nodes' packages.
+    local step on the round kernel. Then it applies each batch's changes in
+    event order, keeping the state each trace row reads; records every row
+    from the blocks the rows' events moved; and emits each batch in turn:
+    its events, its row, the stop rules and its nodes' packages.
     """
 
     def __init__(self, graph: Graph, objective: DistributedObjective,
@@ -215,11 +244,15 @@ class _AsyncEngine:
         self.trace = Trace(method=method, mode=cfg.mode, seed=cfg.seed,
                            model_time=[], local_iter_min=[], event_log=[])
         self.exchanges = 0
-        # consensus_error's term per node; each row refreshes the stale ones
+        # the record at the last row: consensus_error's term per node, and
+        # the runtime objective's stage-1 and gradient blocks; the next row
+        # refreshes those its events can have moved
         self.denom = float(objective.xstar @ objective.xstar)
         if self.denom == 0.0:
             raise ValueError("consensus error is undefined for a zero optimum")
-        self.err_terms, self.stale = np.zeros(n), np.ones(n, dtype=bool)
+        self.err_terms = np.zeros(n)
+        self.runtime_aux, self.runtime_grad = np.zeros((n, p)), np.zeros((n, p))
+        self.pending = []  # the nodes whose var moved after the last row
 
     def _views(self, groups, q: int) -> list:
         """Per-group (g, m, p) views of quantity q (0 var, 1 aux, 2 g)."""
@@ -243,7 +276,8 @@ class _AsyncEngine:
         aux_views = self._views(groups, 1)
         for grp, vv, av in zip(groups, var_views, aux_views):
             self.g[grp.ids] = self.obj.stage2_block(grp.ids, vv, av)
-        # D-BFGS's step; a lost curvature ends the run at its batch's row
+        # D-BFGS's step; a lost curvature ends the run at the first batch
+        # holding one, so nothing after that batch is applied
         lost = []
         if self.dbfgs:
             try:
@@ -251,59 +285,150 @@ class _AsyncEngine:
                                    cfg.big_gamma, init, groups)
             except CurvatureLost as exc:
                 lost = exc.nodes
-        # phase 3: fresh blocks go back batch by batch, so each row reads
-        # the state that event order gives it
+                window = window[:1 + next(k for k, (_, batch) in enumerate(window)
+                                          if set(lost).intersection(batch))]
+        # phase 3, apply: the fresh blocks go back and each batch's step
+        # lands, batch by batch, so each row reads the state that event
+        # order gives it
         fresh = self.var[ids], self.aux[ids]
         self.var[ids], self.aux[ids] = before
         off, cols, mirror = kernel.offsets, kernel.cols, kernel.mirror
         ends = list(accumulate(len(batch) for _, batch in window))
-        for (t, batch), start, stop in zip(window, [0] + ends, ends):
-            snapshot = fresh[0][start:stop]
-            self.var[batch], self.aux[batch] = snapshot, fresh[1][start:stop]
-            self.stale[batch] = True
+        slices = [slice(start, stop) for start, stop in zip([0] + ends, ends)]
+        # per row: its (var, aux) at rows r n to (r + 1) n of the record's
+        # scratch, the keys r n + i of the nodes moved since the row before,
+        # and its local_iter_min
+        n = len(self.local_iter)
+        states = np.empty((3, len(window) * n, self.var.shape[1]))
+        moved, lmin = [], []
+        for r, ((t, batch), rows) in enumerate(zip(window, slices)):
+            self.var[batch], self.aux[batch] = fresh[0][rows], fresh[1][rows]
             if not init:
                 self.local_iter[batch] += 1
+                states[:2, r * n:(r + 1) * n] = self.store[:2, kernel.total_blocks:]
+                moved += [r * n + i for i in self.pending + batch]
+                lmin.append(int(self.local_iter.min()))
+            self.pending = []
+            if self.virtual:  # every finished descent lands at once
+                for i in batch:
+                    nb = cols[off[i]:off[i + 1]]
+                    self.var[nb] += cfg.step_size * kernel.contrib[off[i]:off[i + 1]]
+                    self.pending += nb.tolist()
+            elif not (self.dbfgs or init):  # DD's gradient step
+                self.var[batch] -= cfg.step_size * self.g[batch]
+                self.pending = batch
+        if init:
+            self._record_all()
+        else:
+            errors, gnorms = self._record(states, moved)
+        # phase 3, emit: each batch's events, row, stop check and sends
+        for r, ((t, batch), rows) in enumerate(zip(window, slices)):
+            snapshot = fresh[0][rows]
             for i, block in zip(batch, snapshot):
                 self.trace.event_log.append((t, i, int(self.local_iter[i]), block))
             self.exchanges += len(batch)
             if not init:
-                self._record(t)
+                self.trace.append(lmin[r], errors[r], gnorms[r], self.exchanges,
+                                  model_time=t, local_iter_min=lmin[r])
                 if _check_stop(self.trace, cfg):
                     return True
             if set(lost).intersection(batch):
                 raise CurvatureLost([i for i in lost if i in batch])
-            if not (self.dbfgs or init):
-                self.var[batch] -= cfg.step_size * self.g[batch]
             published = snapshot if self.dbfgs else self.var[batch]
             # one send per layout slot: the package to the neighbor's mirror
-            # row and, for D-BFGS, the slot's descent chunk (D-BFGS publishes
-            # the pre-descent blocks), which the virtual engine applies at once
+            # row and, for physical D-BFGS, the slot's descent chunk (D-BFGS
+            # publishes the pre-descent blocks)
             arrival = t + cfg.delta_msg
             for i, var_i in zip(batch, published):
                 pkg = np.array((var_i, self.aux[i], self.g[i]))
                 lo, hi = off[i], off[i + 1]
-                self.stale[cols[lo:hi]] = True  # every row the step may write
-                for j, row, chunk in zip(cols[lo:hi].tolist(), mirror[lo:hi].tolist(),
-                                         kernel.contrib[lo:hi].copy()):
+                for j, row in zip(cols[lo:hi].tolist(), mirror[lo:hi].tolist()):
                     if j != i:
                         self.mail[j].push(arrival, row, pkg)
-                    if self.virtual:
-                        self.var[j] += cfg.step_size * chunk
-                    elif self.dbfgs:
+                if self.dbfgs and not self.virtual:
+                    for j, chunk in zip(cols[lo:hi].tolist(), kernel.contrib[lo:hi].copy()):
                         self.mail[j].push(t if j == i else arrival, None, chunk)
         return False
 
-    def _record(self, t: float) -> None:
-        rows = np.flatnonzero(self.stale)
-        self.stale[rows] = False
+    def _record_all(self) -> None:
+        """The record of the current state, over every node."""
         est = self.var if self.obj.mode == "primal" else self.aux
-        diff = est[rows] - self.obj.xstar
-        self.err_terms[rows] = np.sum(diff * diff, axis=1)
-        err = np.mean(self.err_terms) / self.denom
-        gnorm = np.linalg.norm(self.obj.runtime_grad(self.var))
-        lmin = int(self.local_iter.min())
-        self.trace.append(lmin, err, gnorm, self.exchanges,
-                          model_time=t, local_iter_min=lmin)
+        diff = est - self.obj.xstar
+        self.err_terms[:] = np.sum(diff * diff, axis=1)
+        self.runtime_aux[:] = self.obj.stage1_full(self.var)
+        self.runtime_grad[:] = self.obj.stage2_full(self.var, self.runtime_aux)
+        self.pending = []
+
+    def _record(self, states: np.ndarray, moved: list) -> tuple:
+        """Each row's error and gradient norm, as consensus_error and the norm
+        of runtime_grad give them at the row's state.
+
+        ``states[:2]`` holds the (var, aux) each row reads, row r at rows
+        r n to (r + 1) n, and plane 2 takes the rows' stage-1 blocks.
+        ``moved`` holds, row by row, the keys r n + i of the nodes whose
+        blocks changed since the row before r. A stage-1 block mixes var over
+        its node's neighborhood (in dual mode) and a gradient block mixes
+        stage-1 blocks, so only the keys within reach of a moved one change:
+        they are evaluated for the whole window at once and written in row
+        by row.
+        """
+        n = len(self.local_iter)
+        rows = len(states[0]) // n
+        cuts = np.arange(0, (rows + 1) * n, n)  # the first key of each row
+        keys = np.array(moved)
+        diff = states[1 if self.obj.mode == "dual" else 0][keys] - self.obj.xstar
+        terms = np.sum(diff * diff, axis=1)
+        aux_keys = keys
+        if self.obj.mode == "dual":
+            aux_keys = _distinct([nb for *_, nb in self._neighborhoods(keys)[1]],
+                                 rows * n)
+        nodes, around = self._neighborhoods(aux_keys)
+        aux = self._stage(around, len(aux_keys), self.obj.stage1_block, states[0])
+        for r, (at, blocks) in enumerate(_by_row(aux_keys, nodes, aux, cuts)):
+            self.runtime_aux[at] = blocks
+            states[2, r * n:(r + 1) * n] = self.runtime_aux
+        grad_keys = _distinct([nb for *_, nb in around], rows * n)
+        nodes, around = self._neighborhoods(grad_keys)
+        grad = self._stage(around, len(grad_keys), self.obj.stage2_block,
+                           states[0], states[2])
+        errors, gnorms = [], []
+        for (at, et), (gat, gb) in zip(_by_row(keys, keys % n, terms, cuts),
+                                       _by_row(grad_keys, nodes, grad, cuts)):
+            self.err_terms[at] = et
+            # np.mean's sum and division
+            errors.append(self.err_terms.sum() / n / self.denom)
+            self.runtime_grad[gat] = gb
+            gnorms.append(np.linalg.norm(self.runtime_grad))
+        return errors, gnorms
+
+    def _neighborhoods(self, keys: np.ndarray) -> tuple:
+        """The nodes of ``keys``, and per neighborhood size m the (positions,
+        nodes, (g, m) neighborhood keys) of the keys of that size: the key of
+        each neighbor at the key's row, in layout order."""
+        kernel, n = self.kernel, len(self.local_iter)
+        nodes = keys % n
+        base = (keys - nodes)[:, None]
+        if len(kernel.groups) == 1:  # one neighborhood size: slot is node id
+            return nodes, [(slice(None), nodes, base + kernel.groups[0].nb[nodes])]
+        sizes = kernel.m[nodes]
+        out = []
+        for grp in kernel.groups:
+            sel = np.flatnonzero(sizes == grp.msize)
+            if len(sel):
+                ids = nodes[sel]
+                out.append((sel, ids, base[sel] + grp.nb[kernel.slot[ids]]))
+        return nodes, out
+
+    def _stage(self, around: list, count: int, stage, *planes) -> np.ndarray:
+        """``stage`` of the keys ``around`` describes, from their
+        neighborhood views of the given (rows n, p) planes."""
+        if len(around) == 1:  # one neighborhood size: the keys in order
+            _, ids, nb = around[0]
+            return stage(ids, *(plane[nb] for plane in planes))
+        out = np.empty((count, self.var.shape[1]))
+        for sel, ids, nb in around:
+            out[sel] = stage(ids, *(plane[nb] for plane in planes))
+        return out
 
     def run(self) -> Trace:
         windows = EventQueue(self.schedule).windows(self.kernel.graph.layout)

@@ -1,3 +1,6 @@
+from itertools import groupby
+from operator import itemgetter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -573,26 +576,84 @@ def test_windows_equal_per_batch_runs_bytewise(problem, engine, sigma, grid,
     assert run_bytes(runner(*args)) == run_bytes(one_batch_per_window(runner, *args))
 
 
+def row_states(runner, args):
+    """The run, and the (var, aux) state each of its rows was recorded from:
+    the states the engine keeps for its record, one per row in order."""
+    record = _AsyncEngine._record
+    states = []
+
+    def keep(eng, window_states, moved):
+        by_row = window_states[:2].reshape((2, -1) + eng.var.shape)
+        states.extend(by_row.swapaxes(0, 1).copy())
+        return record(eng, window_states, moved)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_AsyncEngine, "_record", keep)
+        tr = runner(*args)
+    return tr, states
+
+
+def assert_rows_equal_a_recompute(runner, args):
+    # every row's error is consensus_error of its state and its gradient
+    # norm the norm of the full runtime gradient there, bit for bit; each
+    # batch node's var in that state is the block its event logged
+    tr, states = row_states(runner, args)
+    obj = args[1]
+    assert len(states) >= len(tr.error)
+    # the first batch only initializes; every later batch is one row
+    batches = [list(events) for _, events in groupby(tr.event_log, itemgetter(0))]
+    for k, (var, aux) in enumerate(states[:len(tr.error)]):
+        est = var if obj.mode == "primal" else aux
+        assert tr.error[k] == consensus_error(est, obj.xstar)
+        assert tr.grad_norm[k] == np.linalg.norm(obj.runtime_grad(var))
+        for t, i, _, block in batches[k + 1]:
+            assert t == tr.model_time[k] and var[i].tobytes() == block.tobytes()
+    return tr
+
+
 @pytest.mark.parametrize("engine", sorted(ENGINES))
 def test_rows_equal_a_recompute_from_the_state(engine):
-    # the error column, kept as per-node terms refreshed where stale, is
-    # consensus_error of the state at the row, bit for bit
     g, obj = ring_dual(30, 4, 1.0, 23)
     sched = gen_clock_schedule(30, 1.0, 0.1, 20.0, 4)
-    record = _AsyncEngine._record
-    checked = []
-
-    def recompute(eng, t):
-        record(eng, t)
-        est = eng.var if eng.obj.mode == "primal" else eng.aux
-        assert eng.trace.error[-1] == consensus_error(est, eng.obj.xstar)
-        checked.append(t)
-
     runner, args = engine_run(engine, g, obj, sched, delta_msg=0.5)
+    assert len(assert_rows_equal_a_recompute(runner, args).error) > 500
+
+
+@PROPERTY
+@given(metropolis_dual(max_n=12), st.sampled_from(sorted(ENGINES)),
+       st.sampled_from([0.0, 0.1, 0.3]), st.sampled_from([0.0, 0.5]),
+       st.integers(0, 2**16))
+def test_rows_equal_a_recompute_on_random_graphs(problem, engine, sigma, delta,
+                                                 seed):
+    # irregular graphs mix neighborhood sizes within a window's blocks
+    g, obj = problem
+    sched = gen_clock_schedule(g.n, 1.0, sigma, 8.0, seed)
+    runner, args = engine_run(engine, g, obj, sched, delta_msg=delta)
+    assert_rows_equal_a_recompute(runner, args)
+
+
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+def test_async_run_evaluates_the_full_gradient_at_most_once(engine):
+    # the record refreshes the blocks its events moved: a full gradient
+    # evaluation per row would be O(n) work per row again
+    g, obj = ring_dual(30, 4, 1.0, 23)
+    sched = gen_clock_schedule(30, 1.0, 0.1, 20.0, 4)
+    runner, args = engine_run(engine, g, obj, sched, delta_msg=0.5)
+    calls = dict.fromkeys(("runtime_grad", "stage1_full", "stage2_full"), 0)
+
+    def counted(name, method):
+        def wrapper(*a, **kw):
+            calls[name] += 1
+            return method(*a, **kw)
+        return wrapper
+
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(_AsyncEngine, "_record", recompute)
+        for name in calls:
+            patch.setattr(DistributedObjective, name,
+                          counted(name, getattr(DistributedObjective, name)))
         tr = runner(*args)
-    assert len(checked) == len(tr.error) > 500
+    assert len(tr.error) > 500
+    assert max(calls.values()) <= 1, calls
 
 
 def rows_closing_a_window(g, sched):

@@ -2,6 +2,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dbfgs.cli import main as cli_main
 from dbfgs.harness import (
@@ -13,7 +15,7 @@ from dbfgs.harness import (
     reproduce_paper_suite,
     run_experiment,
 )
-from dbfgs.sync_runtime import Trace
+from dbfgs.sync_runtime import METHOD_MODES, Trace
 
 BASE_CONFIG = """
 [topology]
@@ -62,6 +64,60 @@ def test_parse_and_round_trip():
     assert cfg.seeds == (0, 1)
     again = parse_config(cfg.to_text())
     assert again == cfg
+    assert again.config_hash() == cfg.config_hash()
+
+
+_REAL = st.floats(allow_nan=False, allow_infinity=False)
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_NONNEGATIVE = st.floats(min_value=0.0, allow_infinity=False)
+_INT64 = st.integers(-2**63, 2**63 - 1)
+
+
+@st.composite
+def valid_configs(draw):
+    """Any configuration the parser accepts, as the dataclass it returns."""
+    n = draw(st.integers(3, 10**6))
+    fields = dict(n=n, d=2 * draw(st.integers(1, (n - 1) // 2)),
+                  eta=None, q=None, lam=None, mu=None, sigma_pos=None,
+                  sigma_neg=None, alpha=None, mu_clk=None, sigma_clk=None,
+                  delta_msg=None, horizon=None)
+    fields["mode"] = draw(st.sampled_from(["primal", "dual"]))
+    if fields["mode"] == "primal":
+        fields["alpha"] = draw(_POSITIVE)
+    fields["problem_kind"] = ("quadratic" if fields["mode"] == "dual"
+                              else draw(st.sampled_from(["quadratic", "logistic"])))
+    if fields["problem_kind"] == "quadratic":
+        fields["p"] = 2 * draw(st.integers(1, 10**6))
+        fields["eta"] = draw(_NONNEGATIVE)
+    else:
+        fields.update(p=draw(st.integers(1, 10**6)), q=draw(st.integers(1, 10**6)),
+                      lam=draw(_POSITIVE), mu=draw(_REAL), sigma_pos=draw(_REAL),
+                      sigma_neg=draw(_REAL))
+    fields["regime"] = draw(st.sampled_from(["sync", "async"]))
+    if fields["regime"] == "async":
+        fields.update(mu_clk=draw(_POSITIVE), sigma_clk=draw(_NONNEGATIVE),
+                      delta_msg=draw(_NONNEGATIVE),
+                      horizon=draw(st.none() | _POSITIVE))
+    names = [m for m, modes in METHOD_MODES.items() if fields["mode"] in modes
+             and (fields["regime"] == "sync" or m in ("dbfgs", "dd"))]
+    names = draw(st.lists(st.sampled_from(names), min_size=1, unique=True))
+    fields["methods"] = tuple((m, draw(_POSITIVE)) for m in names)
+    fields.update(gamma=draw(_POSITIVE), big_gamma=draw(_POSITIVE),
+                  iterations=draw(st.integers(1, 2**63 - 1)),
+                  seeds=tuple(draw(st.lists(_INT64, min_size=1, max_size=5))),
+                  error_threshold=draw(st.none() | _REAL),
+                  stop_error=draw(st.none() | _REAL),
+                  stop_grad_norm=draw(st.none() | _REAL))
+    return ExperimentConfig(**fields)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(valid_configs())
+def test_config_text_round_trip_and_stable_hash(cfg):
+    text = cfg.to_text()
+    again = ExperimentConfig.from_text(text)
+    assert again == cfg
+    assert again.to_text() == text
     assert again.config_hash() == cfg.config_hash()
 
 
