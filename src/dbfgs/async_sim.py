@@ -245,8 +245,9 @@ class _AsyncEngine:
                            model_time=[], local_iter_min=[], event_log=[])
         self.exchanges = 0
         # the record at the last row: consensus_error's term per node, and
-        # the runtime objective's stage-1 and gradient blocks; the next row
-        # refreshes those its events can have moved
+        # the runtime objective's gradient blocks and (read in dual mode
+        # only) stage-1 blocks; the next row refreshes those its events can
+        # have moved
         self.denom = float(objective.xstar @ objective.xstar)
         if self.denom == 0.0:
             raise ValueError("consensus error is undefined for a zero optimum")
@@ -295,17 +296,17 @@ class _AsyncEngine:
         off, cols, mirror = kernel.offsets, kernel.cols, kernel.mirror
         ends = list(accumulate(len(batch) for _, batch in window))
         slices = [slice(start, stop) for start, stop in zip([0] + ends, ends)]
-        # per row: its (var, aux) at rows r n to (r + 1) n of the record's
-        # scratch, the keys r n + i of the nodes moved since the row before,
-        # and its local_iter_min
-        n = len(self.local_iter)
-        states = np.empty((3, len(window) * n, self.var.shape[1]))
+        # per row: the planes the record reads (var, and aux in dual mode) at
+        # rows r n to (r + 1) n, the keys r n + i of the nodes moved since the
+        # row before, and its local_iter_min
+        n, planes = len(self.local_iter), 2 if self.obj.mode == "dual" else 1
+        states = np.empty((planes, len(window) * n, self.var.shape[1]))
         moved, lmin = [], []
         for r, ((t, batch), rows) in enumerate(zip(window, slices)):
             self.var[batch], self.aux[batch] = fresh[0][rows], fresh[1][rows]
             if not init:
                 self.local_iter[batch] += 1
-                states[:2, r * n:(r + 1) * n] = self.store[:2, kernel.total_blocks:]
+                states[:, r * n:(r + 1) * n] = self.store[:planes, kernel.total_blocks:]
                 moved += [r * n + i for i in self.pending + batch]
                 lmin.append(int(self.local_iter.min()))
             self.pending = []
@@ -363,37 +364,40 @@ class _AsyncEngine:
         """Each row's error and gradient norm, as consensus_error and the norm
         of runtime_grad give them at the row's state.
 
-        ``states[:2]`` holds the (var, aux) each row reads, row r at rows
-        r n to (r + 1) n, and plane 2 takes the rows' stage-1 blocks.
-        ``moved`` holds, row by row, the keys r n + i of the nodes whose
-        blocks changed since the row before r. A stage-1 block mixes var over
-        its node's neighborhood (in dual mode) and a gradient block mixes
-        stage-1 blocks, so only the keys within reach of a moved one change:
-        they are evaluated for the whole window at once and written in row
-        by row.
+        ``states`` holds the planes each row reads, row r at rows r n to
+        (r + 1) n: var, and in dual mode aux, the estimate consensus_error
+        measures there. ``moved`` holds, row by row, the keys r n + i of the
+        nodes whose blocks changed since the row before r. A gradient block
+        mixes var over its node's neighborhood in primal mode; in dual mode a
+        stage-1 block does and a gradient block mixes stage-1 blocks. So only
+        the keys within reach of a moved one change: they are evaluated for
+        the whole window at once and written in row by row.
         """
         n = len(self.local_iter)
         rows = len(states[0]) // n
         cuts = np.arange(0, (rows + 1) * n, n)  # the first key of each row
         keys = np.array(moved)
-        diff = states[1 if self.obj.mode == "dual" else 0][keys] - self.obj.xstar
+        diff = states[-1][keys] - self.obj.xstar  # aux in dual mode, else var
         terms = np.sum(diff * diff, axis=1)
-        aux_keys = keys
+        around = self._neighborhoods(keys)
+        planes = [states[0]]
         if self.obj.mode == "dual":
-            aux_keys = _distinct([nb for *_, nb in self._neighborhoods(keys)[1]],
-                                 rows * n)
-        nodes, around = self._neighborhoods(aux_keys)
-        aux = self._stage(around, len(aux_keys), self.obj.stage1_block, states[0])
-        for r, (at, blocks) in enumerate(_by_row(aux_keys, nodes, aux, cuts)):
-            self.runtime_aux[at] = blocks
-            states[2, r * n:(r + 1) * n] = self.runtime_aux
+            aux_keys = _distinct([nb for *_, nb in around], rows * n)
+            around = self._neighborhoods(aux_keys)
+            aux = self._stage(around, len(aux_keys), self.obj.stage1_block, states[0])
+            planes.append(np.empty_like(states[0]))
+            by_row = _by_row(aux_keys, aux_keys % n, aux, cuts)
+            for r, (at, blocks) in enumerate(by_row):
+                self.runtime_aux[at] = blocks
+                planes[1][r * n:(r + 1) * n] = self.runtime_aux
+        else:  # stage 2 reads var alone
+            planes.append(states[0])
         grad_keys = _distinct([nb for *_, nb in around], rows * n)
-        nodes, around = self._neighborhoods(grad_keys)
-        grad = self._stage(around, len(grad_keys), self.obj.stage2_block,
-                           states[0], states[2])
+        around = self._neighborhoods(grad_keys)
+        grad = self._stage(around, len(grad_keys), self.obj.stage2_block, *planes)
         errors, gnorms = [], []
         for (at, et), (gat, gb) in zip(_by_row(keys, keys % n, terms, cuts),
-                                       _by_row(grad_keys, nodes, grad, cuts)):
+                                       _by_row(grad_keys, grad_keys % n, grad, cuts)):
             self.err_terms[at] = et
             # np.mean's sum and division
             errors.append(self.err_terms.sum() / n / self.denom)
@@ -401,15 +405,13 @@ class _AsyncEngine:
             gnorms.append(np.linalg.norm(self.runtime_grad))
         return errors, gnorms
 
-    def _neighborhoods(self, keys: np.ndarray) -> tuple:
-        """The nodes of ``keys``, and per neighborhood size m the (positions,
-        nodes, (g, m) neighborhood keys) of the keys of that size: the key of
-        each neighbor at the key's row, in layout order."""
+    def _neighborhoods(self, keys: np.ndarray) -> list:
+        """Per neighborhood size m, the (positions, nodes, (g, m) neighborhood
+        keys) of the keys of that size: the key of each neighbor at the key's
+        row, in layout order."""
         kernel, n = self.kernel, len(self.local_iter)
         nodes = keys % n
         base = (keys - nodes)[:, None]
-        if len(kernel.groups) == 1:  # one neighborhood size: slot is node id
-            return nodes, [(slice(None), nodes, base + kernel.groups[0].nb[nodes])]
         sizes = kernel.m[nodes]
         out = []
         for grp in kernel.groups:
@@ -417,14 +419,11 @@ class _AsyncEngine:
             if len(sel):
                 ids = nodes[sel]
                 out.append((sel, ids, base[sel] + grp.nb[kernel.slot[ids]]))
-        return nodes, out
+        return out
 
     def _stage(self, around: list, count: int, stage, *planes) -> np.ndarray:
         """``stage`` of the keys ``around`` describes, from their
         neighborhood views of the given (rows n, p) planes."""
-        if len(around) == 1:  # one neighborhood size: the keys in order
-            _, ids, nb = around[0]
-            return stage(ids, *(plane[nb] for plane in planes))
         out = np.empty((count, self.var.shape[1]))
         for sel, ids, nb in around:
             out[sel] = stage(ids, *(plane[nb] for plane in planes))

@@ -578,12 +578,13 @@ def test_windows_equal_per_batch_runs_bytewise(problem, engine, sigma, grid,
 
 def row_states(runner, args):
     """The run, and the (var, aux) state each of its rows was recorded from:
-    the states the engine keeps for its record, one per row in order."""
+    the states the engine keeps for its record, one per row in order (aux
+    only in dual mode; var stands in for it in primal mode)."""
     record = _AsyncEngine._record
     states = []
 
     def keep(eng, window_states, moved):
-        by_row = window_states[:2].reshape((2, -1) + eng.var.shape)
+        by_row = window_states[[0, -1]].reshape((2, -1) + eng.var.shape)
         states.extend(by_row.swapaxes(0, 1).copy())
         return record(eng, window_states, moved)
 
