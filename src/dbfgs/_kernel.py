@@ -18,6 +18,15 @@ current block, any other slot the dated copy. Views enter the kernel as
 one (g, m, p) array per group. The kernel also keeps every node's D-BFGS
 state: its curvature, and in layout rows the (var, g) views the curvature
 was last fitted to and the node's descent contributions.
+
+Per neighborhood size, the curvature stack shares one allocation with a
+scratch stack of its shape. A round's curvature update (``bfgs_all``)
+works through the batch in cache-sized blocks of nodes: it copies a
+block's matrices from the stack into the scratch, updates them there and
+writes them back to the stack once. The descent then factors those
+matrices in the scratch, never in the stack, with one LAPACK ``dposv`` per
+node; on a first round, or when called on its own, it copies them from the
+stack first.
 """
 
 from __future__ import annotations
@@ -32,6 +41,9 @@ from .netgraph import Graph
 
 # relative threshold for the update feasibility test
 SKIP_THRESHOLD = 1e-10
+# bytes of one (block, k, k) stack of the curvature update: a block's matrices
+# and its update term then stay in a core's L2 cache together
+BLOCK_BYTES = 1 << 18
 
 
 class CurvatureLost(RuntimeError):
@@ -78,7 +90,6 @@ class RoundKernel:
         # the node's descent contributions, in layout rows
         self.last = np.zeros((2, self.total_blocks, p))
         self.contrib = np.zeros((self.total_blocks, p))
-        self._work = {}
         self.groups = self.batch(range(graph.n))
 
     @cached_property
@@ -86,20 +97,25 @@ class RoundKernel:
         """Neighborhood size m -> (count, m p, m p) stack of the curvature
         matrices of the nodes of that size, by ``slot``; starts at I.
         Built on first use, so kernels without D-BFGS never hold it."""
-        sizes, counts = np.unique(self.m, return_counts=True)
-        return {msize: np.tile(np.eye(msize * self.p), (count, 1, 1))
-                for msize, count in zip(sizes.tolist(), counts.tolist())}
+        return {msize: stack for msize, (stack, _, _) in self._state.items()}
 
-    def _gather(self, grp: Group) -> tuple:
-        """The group's curvature matrices and a spare stack, in scratch kept
-        per neighborhood size: fresh (g, k, k) temporaries may be handed
-        back to the system and paged in again on every round."""
-        stack = self.curvature[grp.msize]
-        if grp.msize not in self._work:
-            self._work[grp.msize] = np.empty((2,) + stack.shape)
-        b, spare = self._work[grp.msize][:, :len(grp.ids)]
-        np.take(stack, grp.slot, axis=0, out=b, mode="clip")
-        return b, spare
+    @cached_property
+    def _state(self) -> dict:
+        """Neighborhood size m -> (stack, scratch, term), three parts of
+        one allocation kept for the kernel's life, so no round pages in
+        fresh (g, k, k) memory: the curvature stack; a scratch stack of its
+        shape, which holds the matrices of a batch's nodes by batch
+        position and in which ``descent`` factors them; and the update
+        term of one block, whose length is the update's block size."""
+        sizes, counts = np.unique(self.m, return_counts=True)
+        out = {}
+        for msize, count in zip(sizes.tolist(), counts.tolist()):
+            k = msize * self.p
+            block = min(count, max(1, BLOCK_BYTES // (8 * k * k)))
+            buf = np.empty((2 * count + block, k, k))
+            buf[:count] = np.eye(k)
+            out[msize] = buf[:count], buf[count:2 * count], buf[2 * count:]
+        return out
 
     def matrix(self, i: int) -> np.ndarray:
         """Node i's curvature matrix (a view into its stack)."""
@@ -135,6 +151,7 @@ class RoundKernel:
                     big_gamma: float, first: bool = False, groups=None) -> np.ndarray:
         """Curvature update (not on a node's first round), descent
         contributions, then keep the views for the batch's next round.
+        The descent factors the matrices the update left in the scratch.
 
         Returns the accept mask, one entry per batch node in batch order.
         """
@@ -143,38 +160,47 @@ class RoundKernel:
             accepted = np.zeros(sum(len(grp.ids) for grp in groups), dtype=bool)
         else:
             accepted = self.bfgs_all(var_views, g_views, gamma, groups)
-        self.descent(g_views, big_gamma, groups)
+        self.descent(g_views, big_gamma, groups, loaded=not first)
         for grp, vv, gv in zip(groups, var_views, g_views):
             self.last[0][grp.rows] = vv
             self.last[1][grp.rows] = gv
         return accepted
 
-    def descent(self, g_views: list, big_gamma: float, groups=None) -> None:
+    def descent(self, g_views: list, big_gamma: float, groups=None, *,
+                loaded: bool = False) -> None:
         """Stacked -(B^{-1} + Gamma D) g for every batch node, into its rows
         of ``contrib``: row offsets[i] + k is node i's contribution to its
         k-th neighbor.
 
         Each node's system takes one LAPACK ``dposv`` call, which factors B
-        by Cholesky and solves with that factor. Failed factorizations, or
-        factors with a non-finite diagonal, raise ``CurvatureLost`` last."""
+        by Cholesky and solves with that factor, in the per-size scratch,
+        never in the stack. The batch's matrices are copied from the stack
+        into the scratch first, unless ``loaded`` says ``bfgs_all`` has
+        just left them there. Failed factorizations, or factors with a
+        non-finite diagonal, raise ``CurvatureLost`` last."""
         lost = []
         for grp, gv in zip(groups or self.groups, g_views):
-            b, _ = self._gather(grp)
+            stack, mats, term = self._state[grp.msize]
+            mats = mats[:len(grp.ids)]
+            if not loaded:
+                np.take(stack, grp.slot, axis=0, out=mats, mode="clip")
             gv = gv.reshape(len(grp.ids), -1)
-            y = gv.copy()
-            info = np.empty(len(grp.ids), dtype=np.intc)
-            for j in range(len(grp.ids)):
-                # b[j] is exactly symmetric, so b[j].T is b[j] in Fortran
-                # order: factored (lower triangle, as the per-node reference
-                # does) and solved in the scratch, never in the stack
-                info[j] = dposv(b[j].T, y[j], lower=1, overwrite_a=1,
-                                overwrite_b=1)[2]
-            # OpenBLAS's Cholesky reports no error on a NaN pivot, so the
-            # factor's diagonal is checked too
-            diag = np.diagonal(b, axis1=1, axis2=2)
-            lost += grp.ids[(info != 0) | ~np.isfinite(diag).all(axis=1)].tolist()
-            e = -(y + big_gamma * grp.dd * gv)
-            self.contrib[grp.rows] = e.reshape(grp.rows.shape + (self.p,))
+            for lo in range(0, len(grp.ids), len(term)):
+                blk = slice(lo, lo + len(term))
+                b, y = mats[blk], gv[blk].copy()
+                # b[j] is exactly symmetric, so its transpose is b[j] in
+                # Fortran order: factored (lower triangle, as the per-node
+                # reference does) and solved in place; the flags are
+                # lower, overwrite_a and overwrite_b
+                info = [dposv(a, x, 1, 1, 1)[2]
+                        for a, x in zip(b.transpose(0, 2, 1), y)]
+                # OpenBLAS's Cholesky reports no error on a NaN pivot, so
+                # the factor's diagonal is checked too
+                bad = np.not_equal(info, 0)
+                bad |= ~np.isfinite(np.diagonal(b, axis1=1, axis2=2)).all(axis=1)
+                lost += grp.ids[blk][bad].tolist()
+                e = -(y + big_gamma * grp.dd[blk] * gv[blk])
+                self.contrib[grp.rows[blk]] = e.reshape(len(y), grp.msize, self.p)
         if lost:
             raise CurvatureLost(lost)
 
@@ -183,14 +209,18 @@ class RoundKernel:
 
         Contributions are applied one neighborhood slot at a time (ascending
         sender id per recipient) so the event simulator's incremental
-        mailbox application performs the identical float sequence.
+        mailbox application performs the identical float sequence. Each
+        group's rows of var are read once and written once.
         Returns the aggregated descent d (without eps) for diagnostics.
         """
         d = np.zeros_like(var)
         for grp in self.groups:
             chunks = self.contrib[grp.ch]  # (g, msize, p)
+            steps = eps * chunks
+            x = var[grp.ids]
             for k in range(grp.msize):
-                var[grp.ids] += eps * chunks[:, k]
+                x += steps[:, k]
+            var[grp.ids] = x
             d[grp.ids] = chunks.sum(axis=1)
         return d
 
@@ -199,39 +229,50 @@ class RoundKernel:
         """Stacked regularized BFGS update of every batch node, from its
         kept views to these.
 
+        Works through each group in blocks of nodes small enough to stay in
+        cache: a block's matrices are copied from the stack into the
+        per-size scratch, updated there, and written back to the stack once.
+        Skipped nodes keep their matrix. The scratch then holds every batch
+        node's new matrix, in batch order, for ``descent``.
+
         Returns the accept mask, one entry per batch node in batch order.
         """
         groups = groups or self.groups
         accepted = np.zeros(sum(len(grp.ids) for grp in groups), dtype=bool)
         for grp, vv, gv in zip(groups, var_views, g_views):
-            flat = (len(grp.ids), -1)
-            v = grp.dd * (vv - self.last[0][grp.rows]).reshape(flat)
-            dg = (gv - self.last[1][grp.rows]).reshape(flat)
-            r = dg - gamma * v
-            ip = (v * r).sum(axis=1)
-            # the norms as np.linalg.norm computes them
-            acc = ip > (SKIP_THRESHOLD * np.sqrt((v * v).sum(axis=1))
-                        * np.sqrt((r * r).sum(axis=1)))
-            if not acc.any():
-                continue
-            b, new = self._gather(grp)
-            bv = np.einsum("gij,gj->gi", b, v)
-            vbv = (v * bv).sum(axis=1)
-            acc &= vbv > 0
-            safe_ip = np.where(acc, ip, 1.0)
-            safe_vbv = np.where(acc, vbv, 1.0)
-            # b + rr'/ip - bv bv'/vbv + gamma I in the two scratch stacks;
-            # every term is exactly symmetric when b is, so the sum is too
-            np.multiply(r[:, :, None], r[:, None, :], out=new)
-            new /= safe_ip[:, None, None]
-            new += b
-            np.multiply(bv[:, :, None], bv[:, None, :], out=b)
-            b /= safe_vbv[:, None, None]
-            new -= b
+            stack, mats, term = self._state[grp.msize]
+            mats = mats[:len(grp.ids)]
             k = grp.msize * self.p
-            new.reshape(len(grp.ids), k * k)[:, ::k + 1] += gamma  # the diagonals
-            stack = self.curvature[grp.msize]
-            new[~acc] = stack[grp.slot[~acc]]  # skipped nodes keep their matrix
-            stack[grp.slot] = new
-            accepted[grp.pos] = acc
+            flat = (-1, k)
+            for lo in range(0, len(grp.ids), len(term)):
+                blk = slice(lo, lo + len(term))
+                rows, slot, b = grp.rows[blk], grp.slot[blk], mats[blk]
+                np.take(stack, slot, axis=0, out=b, mode="clip")
+                v = grp.dd[blk] * (vv[blk] - self.last[0][rows]).reshape(flat)
+                dg = (gv[blk] - self.last[1][rows]).reshape(flat)
+                r = dg - gamma * v
+                ip = (v * r).sum(axis=1)
+                # the norms as np.linalg.norm computes them
+                acc = ip > (SKIP_THRESHOLD * np.sqrt((v * v).sum(axis=1))
+                            * np.sqrt((r * r).sum(axis=1)))
+                if acc.any():
+                    bv = np.einsum("gij,gj->gi", b, v)
+                    vbv = (v * bv).sum(axis=1)
+                    acc &= vbv > 0
+                    safe_ip = np.where(acc, ip, 1.0)
+                    safe_vbv = np.where(acc, vbv, 1.0)
+                    # b + rr'/ip - bv bv'/vbv + gamma I, with the first two
+                    # terms in the update term and the third in b; every
+                    # term is exactly symmetric when b is, so the sum is too
+                    new = term[:len(slot)]
+                    np.einsum("gi,gj->gij", r, r, out=new)
+                    new /= safe_ip[:, None, None]
+                    new += b
+                    np.einsum("gi,gj->gij", bv, bv, out=b)
+                    b /= safe_vbv[:, None, None]
+                    np.subtract(new, b, out=b)
+                    b.reshape(len(slot), k * k)[:, ::k + 1] += gamma  # the diagonals
+                    b[~acc] = stack[slot[~acc]]  # skipped nodes keep their matrix
+                    stack[slot] = b
+                accepted[grp.pos[blk]] = acc
         return accepted

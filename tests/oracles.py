@@ -1,16 +1,21 @@
 """Textbook oracles the tests check the library against.
 
 Per-node operations of ``DistributedObjective`` in their unscaled form,
-the unscaled penalty objective, the classical BFGS update, and the time
-functions and staleness bound of a clock schedule. The runtimes never call
-these; they evaluate the staged, scaled forms.
+the unscaled penalty objective, the classical BFGS update, the round
+kernel's curvature update in its one-shot stacked form, the time functions
+and staleness bound of a clock schedule, and random Metropolis problems.
+The runtimes never call these; they evaluate the staged, scaled forms.
 """
 
 from dataclasses import replace
 
 import numpy as np
+from hypothesis import strategies as st
 
+from dbfgs._kernel import SKIP_THRESHOLD
 from dbfgs.curvature import CurvatureState
+from dbfgs.netgraph import Graph
+from dbfgs.objectives import DistributedObjective, make_quadratic
 
 
 def _wrow(obj, i: int) -> np.ndarray:
@@ -83,6 +88,42 @@ def centralized_bfgs_oracle(b: np.ndarray, v: np.ndarray, r: np.ndarray) -> np.n
     return b + np.outer(r, r) / ip - np.outer(bv, bv) / float(v @ bv)
 
 
+def stacked_bfgs_reference(kernel, var_views: list, g_views: list, gamma: float,
+                           groups: list) -> np.ndarray:
+    """``RoundKernel.bfgs_all`` in its one-shot stacked form: each group's
+    update in fresh (g, k, k) arrays, then scattered to the kernel's
+    stacks. Returns the accept mask. The blocked kernel must reproduce it
+    bit for bit."""
+    accepted = np.zeros(sum(len(grp.ids) for grp in groups), dtype=bool)
+    for grp, vv, gv in zip(groups, var_views, g_views):
+        flat = (len(grp.ids), -1)
+        v = grp.dd * (vv - kernel.last[0][grp.rows]).reshape(flat)
+        dg = (gv - kernel.last[1][grp.rows]).reshape(flat)
+        r = dg - gamma * v
+        ip = (v * r).sum(axis=1)
+        acc = ip > (SKIP_THRESHOLD * np.sqrt((v * v).sum(axis=1))
+                    * np.sqrt((r * r).sum(axis=1)))
+        if not acc.any():
+            continue
+        stack = kernel.curvature[grp.msize]
+        b = stack[grp.slot]
+        bv = np.einsum("gij,gj->gi", b, v)
+        vbv = (v * bv).sum(axis=1)
+        acc &= vbv > 0
+        new = r[:, :, None] * r[:, None, :]
+        new /= np.where(acc, ip, 1.0)[:, None, None]
+        new += b
+        outer = bv[:, :, None] * bv[:, None, :]
+        outer /= np.where(acc, vbv, 1.0)[:, None, None]
+        new -= outer
+        k = grp.msize * kernel.p
+        new.reshape(len(grp.ids), k * k)[:, ::k + 1] += gamma
+        new[~acc] = stack[grp.slot[~acc]]
+        stack[grp.slot] = new
+        accepted[grp.pos] = acc
+    return accepted
+
+
 def curvature_states(eng) -> list:
     """Every node's current curvature in a ``DbfgsSyncEngine``, copied into
     per-node reference ``CurvatureState`` objects."""
@@ -130,3 +171,26 @@ def measure_asynchronicity(schedule, horizon: float | None = None) -> float:
             pi_ij = _last_before(schedule.times[j], pi_i)
             worst = max(worst, float(np.max(grid - pi_ij)))
     return worst
+
+
+def metropolis_weights(graph: Graph) -> np.ndarray:
+    """Dense Metropolis weights: 1 / (1 + the larger degree) on each edge."""
+    w = np.zeros((graph.n, graph.n))
+    for i, j in graph.edges:
+        w[i, j] = w[j, i] = 1.0 / (1 + max(graph.degree(i), graph.degree(j)))
+    np.fill_diagonal(w, 1.0 - w.sum(axis=1))
+    return w
+
+
+@st.composite
+def metropolis_dual(draw, max_n=7):
+    """A connected irregular graph (a random tree plus random chords) with
+    Metropolis weights and a dual quadratic on it."""
+    n = draw(st.integers(2, max_n))
+    edges = {(draw(st.integers(0, k - 1)), k) for k in range(1, n)}
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=n)))
+    g = Graph.from_edges(n, sorted(edges))
+    inst = make_quadratic(n, 4, draw(st.sampled_from([0.0, 1.0, 2.0])),
+                          draw(st.integers(0, 2**16)))
+    return g, DistributedObjective(inst, g, metropolis_weights(g), "dual")

@@ -28,7 +28,7 @@ from dbfgs.objectives import (
     make_quadratic,
 )
 from dbfgs.sync_runtime import SyncConfig, run_dbfgs_sync, run_dd
-from oracles import measure_asynchronicity, time_functions
+from oracles import measure_asynchronicity, metropolis_dual, time_functions
 
 
 def ring_dual(n, d, eta, seed):
@@ -446,24 +446,6 @@ def test_schedule_must_start_at_zero():
 # ---------------------------------------------------------------------------
 
 
-@st.composite
-def metropolis_dual(draw, max_n=7):
-    """A connected irregular graph (a random tree plus random chords) with
-    Metropolis weights and a dual quadratic on it."""
-    n = draw(st.integers(2, max_n))
-    edges = {(draw(st.integers(0, k - 1)), k) for k in range(1, n)}
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=n)))
-    g = Graph.from_edges(n, sorted(edges))
-    w = np.zeros((n, n))
-    for i, j in g.edges:
-        w[i, j] = w[j, i] = 1.0 / (1 + max(g.degree(i), g.degree(j)))
-    np.fill_diagonal(w, 1.0 - w.sum(axis=1))
-    inst = make_quadratic(n, 4, draw(st.sampled_from([0.0, 1.0, 2.0])),
-                          draw(st.integers(0, 2**16)))
-    return g, DistributedObjective(inst, g, w, "dual")
-
-
 @PROPERTY
 @given(metropolis_dual(), st.sampled_from([0.1, 0.3]), st.integers(0, 2**16))
 def test_physical_equals_virtual_bitwise_on_random_graphs(problem, sigma, seed):
@@ -709,12 +691,15 @@ def test_lost_curvature_in_a_window_raises_only_after_earlier_rows():
     events = int(np.sum(sched.times[node] <= t))  # descents holding the node
     descent = RoundKernel.descent
 
-    def poisoned(kernel, g_views, big_gamma, groups=None):
+    def poisoned(kernel, g_views, big_gamma, groups=None, loaded=False):
         if any(node in grp.ids for grp in groups):
             kernel.seen = getattr(kernel, "seen", 0) + 1
             if kernel.seen == events:
+                # the poisoned call copies the stack again, so it factors
+                # the poisoned matrix and not the one bfgs_all left
                 kernel.matrix(node)[:] = np.nan
-        return descent(kernel, g_views, big_gamma, groups)
+                loaded = False
+        return descent(kernel, g_views, big_gamma, groups, loaded=loaded)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(RoundKernel, "descent", poisoned)

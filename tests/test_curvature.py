@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dbfgs._kernel import RoundKernel
+from dbfgs._kernel import BLOCK_BYTES, CurvatureLost, RoundKernel
 from dbfgs.curvature import (
     CurvatureState,
     aggregate_descent,
@@ -12,7 +14,13 @@ from dbfgs.curvature import (
 )
 from dbfgs.netgraph import Graph, build_d_regular_cycle, build_weight_matrix
 from dbfgs.objectives import DistributedObjective, make_quadratic
-from oracles import centralized_bfgs_oracle, curvature_states
+from oracles import (
+    centralized_bfgs_oracle,
+    curvature_states,
+    metropolis_dual,
+    metropolis_weights,
+    stacked_bfgs_reference,
+)
 
 
 def random_spd(dim, rng, floor=0.1):
@@ -287,14 +295,112 @@ def test_kernel_descent_names_an_indefinite_node():
             with pytest.raises(RuntimeError,
                                match="lost positive definiteness at node 4"):
                 kernel.descent(gather(g, groups), 1e-3, groups)
+    # on its own after a round, descent factors the stack's current matrix,
+    # not the one the round left in the scratch; node 190 of a 200-node
+    # cycle is in a later block of either batch (81 nodes a block at k = 20)
+    rng = np.random.default_rng(12)
+    cycle = build_d_regular_cycle(200, 4)
+    x0, x1, g0, g1 = (rng.normal(size=(200, 4)) for _ in range(4))
+    for bad in (np.diag(np.r_[np.ones(19), -1.0]), np.full((20, 20), np.nan)):
+        kernel = RoundKernel(cycle, 4)
+        for groups in (kernel.groups, kernel.batch(np.roll(np.arange(200), 100))):
+            kernel.dbfgs_round(gather(x0, groups), gather(g0, groups), 1e-2,
+                               1e-3, first=True, groups=groups)
+            acc = kernel.dbfgs_round(gather(x1, groups), gather(g1, groups),
+                                     1e-2, 1e-3, groups=groups)
+            assert acc.any()
+            kept = kernel.matrix(190).copy()
+            kernel.matrix(190)[:] = bad
+            with pytest.raises(RuntimeError,
+                               match="lost positive definiteness at node 190"):
+                kernel.descent(gather(g1, groups), 1e-3, groups)
+            kernel.matrix(190)[:] = kept
 
 
-def metropolis_dual(graph, seed):
-    w = np.zeros((graph.n, graph.n))
-    for i, j in graph.edges:
-        w[i, j] = w[j, i] = 1.0 / (1 + max(graph.degree(i), graph.degree(j)))
-    np.fill_diagonal(w, 1.0 - w.sum(axis=1))
-    return DistributedObjective(make_quadratic(graph.n, 4, 2.0, seed), graph, w, "dual")
+def big_irregular_graph():
+    # a 200-node cycle with chords: m = 3 for most nodes, 4 or 5 at chord ends
+    chords = ([(i, i + 100) for i in range(0, 100, 7)]
+              + [(i, i + 50) for i in range(1, 50, 11)])
+    return Graph.from_edges(200, [(i, (i + 1) % 200) for i in range(200)] + chords)
+
+
+@pytest.mark.parametrize("graph, p", [(build_d_regular_cycle(200, 4), 4),
+                                      (big_irregular_graph(), 8)])
+@pytest.mark.parametrize("subset", [False, True])
+def test_blocked_update_equals_one_shot_reference(graph, p, subset):
+    # the blocked update in the scratch, its write-back and the descent on
+    # that scratch give the bits of the one-shot stacked update, with
+    # accepted nodes, v'r skips and v'Bv skips in one block
+    rng = np.random.default_rng(13)
+    gamma, big_gamma = 1e-2, 1e-3
+    kernel, ref = RoundKernel(graph, p), RoundKernel(graph, p)
+    groups = (kernel.batch([i for i in range(graph.n - 1, -1, -1) if i % 10])
+              if subset else kernel.groups)
+    grp = groups[0]
+    k = grp.msize * p
+    size = BLOCK_BYTES // (8 * k * k)  # nodes a block
+    assert len(grp.ids) > 2 * size and len(grp.ids) % size  # a partial third block
+    for i in range(graph.n):
+        kernel.matrix(i)[:] = ref.matrix(i)[:] = random_spd(graph.m[i] * p, rng, 0.5)
+    x0, x1, g0, g1 = (rng.normal(size=(graph.n, p)) for _ in range(4))
+    for kern in (kernel, ref):
+        kern.dbfgs_round(gather(x0, groups), gather(g0, groups), gamma,
+                         big_gamma, first=True, groups=groups)
+    vv, gv = gather(x1, groups), gather(g1, groups)
+    # in the first block: v = 0 at positions 5 and 41, and v'r > 0 with an
+    # indefinite or a NaN matrix at positions 3 and 20
+    vv0, gv0 = x0[grp.nb], g0[grp.nb]
+    vv[0][[5, 41]] = vv0[[5, 41]]
+    for j, bad in ((3, -np.eye(k)), (20, np.full((k, k), np.nan))):
+        gv[0][j] = gv0[j] + 2 * (vv[0][j] - vv0[j])
+        kernel.matrix(grp.ids[j])[:] = ref.matrix(grp.ids[j])[:] = bad
+    # dbfgs_round's two steps, which a lost curvature would cut short
+    acc = kernel.bfgs_all(vv, gv, gamma, groups)
+    with pytest.raises(CurvatureLost) as lost:
+        kernel.descent(gv, big_gamma, groups, loaded=True)
+    want = stacked_bfgs_reference(ref, vv, gv, gamma, groups)
+    with pytest.raises(CurvatureLost) as want_lost:
+        ref.descent(gv, big_gamma, groups)
+    first = acc[grp.pos[:size]]
+    assert not first[[3, 5, 20, 41]].any() and first.any()
+    assert acc.tolist() == want.tolist()
+    assert lost.value.nodes == want_lost.value.nodes == grp.ids[[3, 20]].tolist()
+    for msize, stack in kernel.curvature.items():
+        assert stack.tobytes() == ref.curvature[msize].tobytes()
+    assert kernel.contrib.tobytes() == ref.contrib.tobytes()
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(metropolis_dual(max_n=9), st.data())
+def test_subset_batch_descent_matches_assembled_matrix(problem, data):
+    # a batch's aggregated contributions equal -(H_S + Gamma D_S) g, where
+    # H_S + Gamma I is the dense oracle assembled from the batch's states
+    # and D_S sums each batch node's D over its neighborhood
+    graph, _ = problem
+    n, p, big_gamma = graph.n, 2, 1e-3
+    batch = data.draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    kernel = RoundKernel(graph, p)
+    states = []
+    for i in batch:
+        state = CurvatureState.initial(graph, i, p, 1e-2, big_gamma)
+        state.matrix = kernel.matrix(i)[:] = random_spd(state.dim, rng, floor=0.5)
+        states.append(state)
+    g = rng.normal(size=(n, p))
+    groups = kernel.batch(batch)
+    kernel.descent(gather(g, groups), big_gamma, groups)
+    d = kernel.apply_descents(np.zeros((n, p)), 1.0)
+    big = assemble_global_descent_matrix(states, graph, p)
+    d_s = np.zeros((n, p))
+    for state in states:
+        d_s[list(state.nodes)] += state.d_diag.reshape(-1, p)
+    big[np.diag_indices_from(big)] += big_gamma * (d_s.ravel() - 1.0)
+    assert np.linalg.norm(d.ravel() + big @ g.ravel()) <= 1e-10
+
+
+def quadratic_dual(graph, seed):
+    return DistributedObjective(make_quadratic(graph.n, 4, 2.0, seed), graph,
+                                metropolis_weights(graph), "dual")
 
 
 @pytest.mark.parametrize("graph, nodes", [
@@ -305,7 +411,7 @@ def test_kernel_batch_of_non_adjacent_nodes_equals_one_at_a_time(graph, nodes):
     # pairwise non-adjacent nodes commute: run as one batch, each node gets
     # the bits it gets alone (stages, curvature, contributions, kept views)
     rng = np.random.default_rng(11)
-    obj, p = metropolis_dual(graph, 5), 4
+    obj, p = quadratic_dual(graph, 5), 4
     kernels = [RoundKernel(graph, p) for _ in range(2)]
     x0, x1, g0, g1 = (rng.normal(size=(graph.n, p)) for _ in range(4))
     for kernel in kernels:  # two network rounds: curvature away from I
@@ -353,7 +459,7 @@ def test_curvature_stays_exactly_symmetric():
     fig2_obj = DistributedObjective(make_quadratic(50, 4, 2.0, 0), fig2,
                                     build_weight_matrix(fig2, 4), "dual")
     irregular = irregular_graph()
-    for graph, obj in ((fig2, fig2_obj), (irregular, metropolis_dual(irregular, 1))):
+    for graph, obj in ((fig2, fig2_obj), (irregular, quadratic_dual(irregular, 1))):
         engine = DbfgsSyncEngine(graph, obj, 1e-2, 1e-3, 0.01)
         accepted = 0
         for _ in range(200):
