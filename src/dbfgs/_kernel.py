@@ -204,25 +204,20 @@ class RoundKernel:
         if lost:
             raise CurvatureLost(lost)
 
-    def apply_descents(self, var: np.ndarray, eps: float) -> np.ndarray:
+    def apply_descents(self, var: np.ndarray, eps: float) -> None:
         """Add eps times every neighbor contribution to var, in slot order.
 
         Contributions are applied one neighborhood slot at a time (ascending
         sender id per recipient) so the event simulator's incremental
         mailbox application performs the identical float sequence. Each
         group's rows of var are read once and written once.
-        Returns the aggregated descent d (without eps) for diagnostics.
         """
-        d = np.zeros_like(var)
         for grp in self.groups:
-            chunks = self.contrib[grp.ch]  # (g, msize, p)
-            steps = eps * chunks
+            steps = eps * self.contrib[grp.ch]  # (g, msize, p)
             x = var[grp.ids]
             for k in range(grp.msize):
                 x += steps[:, k]
             var[grp.ids] = x
-            d[grp.ids] = chunks.sum(axis=1)
-        return d
 
     def bfgs_all(self, var_views: list, g_views: list, gamma: float,
                  groups=None) -> np.ndarray:

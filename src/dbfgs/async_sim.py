@@ -21,10 +21,12 @@ fresh blocks and step in event order and keeps the state each row reads.
 Record computes every row's error and gradient norm at once: a row's
 events move only their nodes' blocks, so it refreshes only the per-node
 error terms they moved and the runtime gradient blocks within reach of them
-(two hops in dual mode, one in primal mode), and takes the norm of the
-whole gradient. Emit then goes through the batches in order: event log,
-trace row, stop rules, lost curvature, sends. A stop ends the run at its
-batch; what apply wrote after that batch is never observed.
+(two hops: a gradient block mixes stage-1 blocks, which mix var), and takes
+the norm of the whole gradient. Before the first row every node counts as
+moved, so that row evaluates every block on the same path. Emit then goes
+through the batches in order: event log, trace row, stop rules, lost
+curvature, sends. A stop ends the run at its batch; what apply wrote after
+that batch is never observed.
 
 The virtual engine re-runs the same event sequence but applies every
 finished descent to a global variable immediately instead of through
@@ -219,7 +221,7 @@ class _AsyncEngine:
     def __init__(self, graph: Graph, objective: DistributedObjective,
                  cfg: AsyncConfig, schedule: ClockSchedule, method: str,
                  virtual: bool = False):
-        cfg.validate(objective)
+        cfg.validate(objective, method)
         if schedule.n != graph.n:
             raise ValueError("schedule and graph disagree on node count")
         if any(ticks[0] != 0.0 for ticks in schedule.times):
@@ -245,15 +247,16 @@ class _AsyncEngine:
                            model_time=[], local_iter_min=[], event_log=[])
         self.exchanges = 0
         # the record at the last row: consensus_error's term per node, and
-        # the runtime objective's gradient blocks and (read in dual mode
-        # only) stage-1 blocks; the next row refreshes those its events can
-        # have moved
+        # the runtime objective's stage-1 and gradient blocks; the next row
+        # refreshes those its events can have moved
         self.denom = float(objective.xstar @ objective.xstar)
         if self.denom == 0.0:
             raise ValueError("consensus error is undefined for a zero optimum")
         self.err_terms = np.zeros(n)
         self.runtime_aux, self.runtime_grad = np.zeros((n, p)), np.zeros((n, p))
-        self.pending = []  # the nodes whose var moved after the last row
+        # the nodes whose var moved after the last row; before the first
+        # row, every node
+        self.pending = list(range(n))
 
     def _views(self, groups, q: int) -> list:
         """Per-group (g, m, p) views of quantity q (0 var, 1 aux, 2 g)."""
@@ -309,7 +312,7 @@ class _AsyncEngine:
                 states[:, r * n:(r + 1) * n] = self.store[:planes, kernel.total_blocks:]
                 moved += [r * n + i for i in self.pending + batch]
                 lmin.append(int(self.local_iter.min()))
-            self.pending = []
+                self.pending = []
             if self.virtual:  # every finished descent lands at once
                 for i in batch:
                     nb = cols[off[i]:off[i + 1]]
@@ -318,9 +321,7 @@ class _AsyncEngine:
             elif not (self.dbfgs or init):  # DD's gradient step
                 self.var[batch] -= cfg.step_size * self.g[batch]
                 self.pending = batch
-        if init:
-            self._record_all()
-        else:
+        if not init:
             errors, gnorms = self._record(states, moved)
         # phase 3, emit: each batch's events, row, stop check and sends
         for r, ((t, batch), rows) in enumerate(zip(window, slices)):
@@ -351,15 +352,6 @@ class _AsyncEngine:
                         self.mail[j].push(t if j == i else arrival, None, chunk)
         return False
 
-    def _record_all(self) -> None:
-        """The record of the current state, over every node."""
-        est = self.var if self.obj.mode == "primal" else self.aux
-        diff = est - self.obj.xstar
-        self.err_terms[:] = np.sum(diff * diff, axis=1)
-        self.runtime_aux[:] = self.obj.stage1_full(self.var)
-        self.runtime_grad[:] = self.obj.stage2_full(self.var, self.runtime_aux)
-        self.pending = []
-
     def _record(self, states: np.ndarray, moved: list) -> tuple:
         """Each row's error and gradient norm, as consensus_error and the norm
         of runtime_grad give them at the row's state.
@@ -367,11 +359,11 @@ class _AsyncEngine:
         ``states`` holds the planes each row reads, row r at rows r n to
         (r + 1) n: var, and in dual mode aux, the estimate consensus_error
         measures there. ``moved`` holds, row by row, the keys r n + i of the
-        nodes whose blocks changed since the row before r. A gradient block
-        mixes var over its node's neighborhood in primal mode; in dual mode a
-        stage-1 block does and a gradient block mixes stage-1 blocks. So only
-        the keys within reach of a moved one change: they are evaluated for
-        the whole window at once and written in row by row.
+        nodes whose blocks changed since the row before r. A stage-1 block
+        mixes var over its node's neighborhood and a gradient block mixes
+        var and stage-1 blocks (primal mode's stage 1 is var itself). So only
+        the keys within two hops of a moved one change: they are evaluated
+        for the whole window at once and written in row by row.
         """
         n = len(self.local_iter)
         rows = len(states[0]) // n
@@ -380,21 +372,17 @@ class _AsyncEngine:
         diff = states[-1][keys] - self.obj.xstar  # aux in dual mode, else var
         terms = np.sum(diff * diff, axis=1)
         around = self._neighborhoods(keys)
-        planes = [states[0]]
-        if self.obj.mode == "dual":
-            aux_keys = _distinct([nb for *_, nb in around], rows * n)
-            around = self._neighborhoods(aux_keys)
-            aux = self._stage(around, len(aux_keys), self.obj.stage1_block, states[0])
-            planes.append(np.empty_like(states[0]))
-            by_row = _by_row(aux_keys, aux_keys % n, aux, cuts)
-            for r, (at, blocks) in enumerate(by_row):
-                self.runtime_aux[at] = blocks
-                planes[1][r * n:(r + 1) * n] = self.runtime_aux
-        else:  # stage 2 reads var alone
-            planes.append(states[0])
+        aux_keys = _distinct([nb for *_, nb in around], rows * n)
+        around = self._neighborhoods(aux_keys)
+        aux = self._stage(around, len(aux_keys), self.obj.stage1_block, states[0])
+        aux_plane = np.empty_like(states[0])
+        for r, (at, blocks) in enumerate(_by_row(aux_keys, aux_keys % n, aux, cuts)):
+            self.runtime_aux[at] = blocks
+            aux_plane[r * n:(r + 1) * n] = self.runtime_aux
         grad_keys = _distinct([nb for *_, nb in around], rows * n)
         around = self._neighborhoods(grad_keys)
-        grad = self._stage(around, len(grad_keys), self.obj.stage2_block, *planes)
+        grad = self._stage(around, len(grad_keys), self.obj.stage2_block,
+                           states[0], aux_plane)
         errors, gnorms = [], []
         for (at, et), (gat, gb) in zip(_by_row(keys, keys % n, terms, cuts),
                                        _by_row(grad_keys, grad_keys % n, grad, cuts)):

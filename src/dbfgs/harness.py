@@ -116,11 +116,15 @@ class ExperimentConfig:
     error_threshold: float | None
     stop_error: float | None
     stop_grad_norm: float | None
-    regime: str  # sync | async
     mu_clk: float | None
     sigma_clk: float | None
     delta_msg: float | None
     horizon: float | None
+
+    @property
+    def regime(self) -> str:
+        """async exactly when the [async] section set the clock, else sync."""
+        return "sync" if self.mu_clk is None else "async"
 
     @classmethod
     def from_text(cls, text: str) -> "ExperimentConfig":
@@ -197,7 +201,6 @@ class ExperimentConfig:
             methods.append((name, _take(meth_sec, "methods", name, kind=float, gt=0)))
 
         async_sec = sections.pop("async", None)
-        regime = "sync" if async_sec is None else "async"
         mu_clk = sigma_clk = delta = horizon = None
         if async_sec is not None:
             mu_clk = _take(async_sec, "async", "mu_clk", kind=float, gt=0)
@@ -224,9 +227,8 @@ class ExperimentConfig:
             sigma_pos=sp, sigma_neg=sn, mode=mode, alpha=alpha, gamma=gamma,
             big_gamma=big_gamma, iterations=iters, seeds=tuple(seeds),
             methods=tuple(methods), error_threshold=thresh,
-            stop_error=stop_err, stop_grad_norm=stop_g, regime=regime,
-            mu_clk=mu_clk, sigma_clk=sigma_clk, delta_msg=delta,
-            horizon=horizon,
+            stop_error=stop_err, stop_grad_norm=stop_g, mu_clk=mu_clk,
+            sigma_clk=sigma_clk, delta_msg=delta, horizon=horizon,
         )
 
     def to_text(self) -> str:
@@ -457,8 +459,7 @@ def _quad_config(n, d, eta, mode, methods, iterations, seeds, alpha=None,
         mu=None, sigma_pos=None, sigma_neg=None, mode=mode, alpha=alpha,
         gamma=gamma, big_gamma=big_gamma, iterations=iterations,
         seeds=tuple(seeds), methods=tuple(methods), error_threshold=threshold,
-        stop_error=stop_error, stop_grad_norm=None,
-        regime="async" if async_params else "sync", mu_clk=mu_clk,
+        stop_error=stop_error, stop_grad_norm=None, mu_clk=mu_clk,
         sigma_clk=sigma_clk, delta_msg=delta_msg, horizon=horizon,
     )
 

@@ -127,17 +127,14 @@ class LogisticInstance:
         return self.features.shape[2]
 
     def local_grad(self, i, x_i: np.ndarray) -> np.ndarray:
-        """Gradient of f_i at x_i; with an index array, one row per node."""
+        """Gradient of f_i at x_i; with an index array or ``...`` (every
+        node), one row per node."""
         u, v = self.features[i], self.labels[i]
         s = _sigmoid(-np.einsum("...qp,...p->...q", u, x_i) * v)
         return self.lam * x_i / self.n - np.einsum("...q,...qp->...p", v * s, u)
 
     def grad_all(self, x: np.ndarray) -> np.ndarray:
-        z = -np.einsum("iqp,ip->iq", self.features, x) * self.labels
-        s = _sigmoid(z)
-        return self.lam * x / self.n - np.einsum(
-            "iq,iqp->ip", self.labels * s, self.features
-        )
+        return self.local_grad(..., x)
 
     def value_all(self, x: np.ndarray) -> float:
         z = -np.einsum("iqp,ip->iq", self.features, x) * self.labels
@@ -378,7 +375,10 @@ def _logistic_newton(inst: LogisticInstance, tol: float = 1e-12,
         t, v0 = 1.0, val(x)
         while val(x - t * step) > v0 - 1e-4 * t * (g @ step) and t > 1e-12:
             t *= 0.5
-        x = x - t * step
+        moved = x - t * step
+        # near the optimum the values cannot resolve the decrease; where the
+        # search's step leaves x unchanged, take the full Newton step instead
+        x = x - step if np.array_equal(moved, x) else moved
     if np.linalg.norm(grad(x)) > tol:
         raise RuntimeError("logistic Newton failed to reach tolerance")
     return x

@@ -65,7 +65,11 @@ class SyncConfig:
     stop_grad_norm: float | None = None
     var0: np.ndarray | None = None
 
-    def validate(self, objective: DistributedObjective) -> None:
+    def validate(self, objective: DistributedObjective,
+                 method: str | None = None) -> None:
+        """Check against the objective and, if given, the runner's method."""
+        if method not in (None, self.method):
+            raise ValueError(f"a {self.method!r} config passed to the {method} runner")
         if self.method not in METHOD_MODES:
             raise ValueError(f"unknown method {self.method!r}")
         if self.mode not in ("primal", "dual"):
@@ -180,11 +184,10 @@ class DbfgsSyncEngine:
         self.kernel = RoundKernel(graph, objective.p)
         self.var = (np.zeros((graph.n, objective.p)) if var0 is None
                     else np.array(var0, dtype=float))
-        self.last_descent = np.zeros_like(self.var)
         self._round(first=True)
 
     def step(self) -> None:
-        self.last_descent = self.kernel.apply_descents(self.var, self.eps)
+        self.kernel.apply_descents(self.var, self.eps)
         self._round()
 
     def _round(self, first: bool = False) -> None:
@@ -199,7 +202,7 @@ def run_dbfgs_sync(graph: Graph, objective: DistributedObjective,
                    cfg: SyncConfig) -> Trace:
     """Synchronous D-BFGS; in dual mode the iterated variable is nu and the
     machinery descends -psi, so the update ascends the dual function."""
-    cfg.validate(objective)
+    cfg.validate(objective, "dbfgs")
     engine = DbfgsSyncEngine(graph, objective, cfg.gamma, cfg.big_gamma,
                              cfg.step_size, cfg.var0)
     cost = exchanges_per_iteration("dbfgs", cfg.mode)
@@ -222,7 +225,7 @@ def run_dbfgs_sync(graph: Graph, objective: DistributedObjective,
 def run_dgd(graph: Graph, objective: DistributedObjective,
             cfg: SyncConfig) -> Trace:
     """Decentralized gradient descent on the scaled penalty objective."""
-    cfg.validate(objective)
+    cfg.validate(objective, "dgd")
     x = (np.zeros((graph.n, objective.p)) if cfg.var0 is None
          else np.array(cfg.var0, dtype=float))
     g = objective.runtime_grad(x)
@@ -241,7 +244,7 @@ def run_dd(graph: Graph, objective: DistributedObjective,
     """Dual decomposition: gradient ascent on psi through the Lagrangian
     minimizers. Trace rows carry the state the round computed with (the
     event simulator's rows align with these)."""
-    cfg.validate(objective)
+    cfg.validate(objective, "dd")
     nu = (np.zeros((graph.n, objective.p)) if cfg.var0 is None
           else np.array(cfg.var0, dtype=float))
     trace = Trace(method="dd", mode=cfg.mode, seed=cfg.seed)
@@ -263,7 +266,7 @@ def run_admm(graph: Graph, objective: DistributedObjective, cfg: SyncConfig,
     accumulated multiplier of its incident edges; both updates touch only
     neighbor variables. Quadratic instances only.
     """
-    cfg.validate(objective)
+    cfg.validate(objective, "admm")
     inst = objective.instance
     n, p = graph.n, objective.p
     rho = cfg.step_size

@@ -389,7 +389,8 @@ def test_subset_batch_descent_matches_assembled_matrix(problem, data):
     g = rng.normal(size=(n, p))
     groups = kernel.batch(batch)
     kernel.descent(gather(g, groups), big_gamma, groups)
-    d = kernel.apply_descents(np.zeros((n, p)), 1.0)
+    d = np.zeros((n, p))
+    kernel.apply_descents(d, 1.0)
     big = assemble_global_descent_matrix(states, graph, p)
     d_s = np.zeros((n, p))
     for state in states:

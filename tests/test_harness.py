@@ -93,13 +93,13 @@ def valid_configs(draw):
         fields.update(p=draw(st.integers(1, 10**6)), q=draw(st.integers(1, 10**6)),
                       lam=draw(_POSITIVE), mu=draw(_REAL), sigma_pos=draw(_REAL),
                       sigma_neg=draw(_REAL))
-    fields["regime"] = draw(st.sampled_from(["sync", "async"]))
-    if fields["regime"] == "async":
+    is_async = draw(st.booleans())
+    if is_async:
         fields.update(mu_clk=draw(_POSITIVE), sigma_clk=draw(_NONNEGATIVE),
                       delta_msg=draw(_NONNEGATIVE),
                       horizon=draw(st.none() | _POSITIVE))
     names = [m for m, modes in METHOD_MODES.items() if fields["mode"] in modes
-             and (fields["regime"] == "sync" or m in ("dbfgs", "dd"))]
+             and (not is_async or m in ("dbfgs", "dd"))]
     names = draw(st.lists(st.sampled_from(names), min_size=1, unique=True))
     fields["methods"] = tuple((m, draw(_POSITIVE)) for m in names)
     fields.update(gamma=draw(_POSITIVE), big_gamma=draw(_POSITIVE),
@@ -117,6 +117,7 @@ def test_config_text_round_trip_and_stable_hash(cfg):
     text = cfg.to_text()
     again = ExperimentConfig.from_text(text)
     assert again == cfg
+    assert (again.regime == "async") == ("[async]" in text)
     assert again.to_text() == text
     assert again.config_hash() == cfg.config_hash()
 

@@ -233,6 +233,20 @@ def test_consensus_optimum_logistic_residual():
     assert np.linalg.norm(grad) <= 1e-12
 
 
+@pytest.mark.parametrize("n, q, lam, mu, seed", [
+    (12, 6, 1e-4, 3.0, 1), (12, 6, 1e-2, 1.0, 0), (12, 6, 1e-2, 1.0, 1),
+    (12, 100, 1e-4, 1.0, 1), (30, 10, 1e-2, 1.0, 2), (100, 6, 1e-2, 1.0, 1),
+    (100, 6, 1.0, 1.0, 1),
+])
+def test_consensus_optimum_logistic_where_line_search_stalls(n, q, lam, mu, seed):
+    # near these optima the Armijo test on values about 1 to 10 in size
+    # cannot resolve the decrease, and the backtracked step stops moving x
+    inst = make_logistic(n, 4, q, lam, mu, 1.0, 1.0, seed)
+    x = solve_consensus_optimum(inst)
+    grad = sum(inst.local_grad(i, x) for i in range(n))
+    assert np.linalg.norm(grad) <= 1e-12
+
+
 def test_consensus_optimum_logistic_requires_regularizer():
     inst = make_logistic(3, 2, 10, 0.0, 2.0, 1.0, 1.0, 4)
     with pytest.raises(ValueError, match="lam"):

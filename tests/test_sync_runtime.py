@@ -2,6 +2,13 @@ import numpy as np
 import pytest
 
 import dbfgs
+from dbfgs.async_sim import (
+    AsyncConfig,
+    gen_clock_schedule,
+    run_dbfgs_async,
+    run_dd_async,
+    virtual_replay,
+)
 from dbfgs.curvature import assemble_global_descent_matrix
 from dbfgs.netgraph import Graph, build_d_regular_cycle, build_weight_matrix
 from dbfgs.objectives import DistributedObjective, QuadraticInstance, make_quadratic
@@ -43,6 +50,30 @@ def test_config_validation_errors():
     with pytest.raises(ValueError, match="unknown method"):
         SyncConfig(method="newton", mode="primal", step_size=0.1,
                    max_iters=5).validate(obj)
+
+
+@pytest.mark.parametrize("runner, method, other, mode", [
+    (run_dbfgs_sync, "dbfgs", "dd", "dual"),
+    (run_dgd, "dgd", "dbfgs", "primal"),
+    (run_dd, "dd", "dbfgs", "dual"),
+    (run_admm, "admm", "dbfgs", "dual"),
+    (run_dbfgs_async, "dbfgs", "dd", "dual"),
+    (virtual_replay, "dbfgs", "dd", "dual"),
+    (run_dd_async, "dd", "dbfgs", "dual"),
+], ids=lambda v: v.__name__ if callable(v) else None)
+def test_runners_reject_a_config_for_another_method(runner, method, other, mode):
+    # the config is valid for its own method in this mode; the runner must
+    # neither run it under its own name nor fail later inside its kernel
+    g, obj = ring_objective(10, 2, 2, 1.0, 0, mode,
+                            alpha=1e-2 if mode == "primal" else None)
+    gammas = dict(gamma=1e-2, big_gamma=1e-3) if other == "dbfgs" else {}
+    fields = dict(method=other, mode=mode, step_size=0.01, max_iters=5, **gammas)
+    if runner in (run_dbfgs_async, virtual_replay, run_dd_async):
+        args = (AsyncConfig(**fields), gen_clock_schedule(10, 1.0, 0.1, 5.0, 0))
+    else:
+        args = (SyncConfig(**fields),)
+    with pytest.raises(ValueError, match=f"'{other}' config .* {method} runner"):
+        runner(g, obj, *args)
 
 
 def test_exchange_costs():
@@ -272,13 +303,17 @@ def test_descent_block_conservation():
     for _ in range(20):
         states_before = [st.matrix.copy() for st in curvature_states(eng)]
         g_before = eng.g.copy()
+        # the descent step() applies: each node's neighbor contributions
+        descent = np.zeros_like(eng.var)
+        for grp in eng.kernel.groups:
+            descent[grp.ids] = eng.kernel.contrib[grp.ch].sum(axis=1)
         eng.step()
         big = assemble_global_descent_matrix(
             [type(st)(nodes=st.nodes, matrix=mat, gamma=st.gamma,
                       big_gamma=st.big_gamma, d_diag=st.d_diag)
              for st, mat in zip(curvature_states(eng), states_before)], g, 4)
         expected = -(big @ g_before.ravel())
-        assert np.linalg.norm(eng.last_descent.ravel() - expected) <= 1e-10
+        assert np.linalg.norm(descent.ravel() - expected) <= 1e-10
 
 
 def test_trajectory_determinism_bit_identical():
