@@ -21,7 +21,7 @@ fresh blocks and step in event order and keeps the state each row reads.
 Record computes every row's error and gradient norm at once: a row's
 events move only their nodes' blocks, so it refreshes only the per-node
 error terms they moved and the runtime gradient blocks within reach of them
-(two hops: a gradient block mixes stage-1 blocks, which mix var), and takes
+(one hop in primal mode, two in dual mode: stage 1 mixes var), and takes
 the norm of the whole gradient. Before the first row every node counts as
 moved, so that row evaluates every block on the same path. Emit then goes
 through the batches in order: event log, trace row, stop rules, lost
@@ -359,11 +359,11 @@ class _AsyncEngine:
         ``states`` holds the planes each row reads, row r at rows r n to
         (r + 1) n: var, and in dual mode aux, the estimate consensus_error
         measures there. ``moved`` holds, row by row, the keys r n + i of the
-        nodes whose blocks changed since the row before r. A stage-1 block
-        mixes var over its node's neighborhood and a gradient block mixes
-        var and stage-1 blocks (primal mode's stage 1 is var itself). So only
-        the keys within two hops of a moved one change: they are evaluated
-        for the whole window at once and written in row by row.
+        nodes whose blocks changed since the row before r. A gradient block
+        mixes var over its node's neighborhood in primal mode; in dual mode a
+        stage-1 block does and a gradient block mixes stage-1 blocks. So only
+        the keys within one hop (primal) or two (dual) of a moved one change
+        and are evaluated for the whole window at once, then written in row by row.
         """
         n = len(self.local_iter)
         rows = len(states[0]) // n
@@ -372,13 +372,15 @@ class _AsyncEngine:
         diff = states[-1][keys] - self.obj.xstar  # aux in dual mode, else var
         terms = np.sum(diff * diff, axis=1)
         around = self._neighborhoods(keys)
-        aux_keys = _distinct([nb for *_, nb in around], rows * n)
-        around = self._neighborhoods(aux_keys)
-        aux = self._stage(around, len(aux_keys), self.obj.stage1_block, states[0])
-        aux_plane = np.empty_like(states[0])
-        for r, (at, blocks) in enumerate(_by_row(aux_keys, aux_keys % n, aux, cuts)):
-            self.runtime_aux[at] = blocks
-            aux_plane[r * n:(r + 1) * n] = self.runtime_aux
+        aux_plane = states[0]  # primal mode's stage 1 is var itself
+        if self.obj.mode == "dual":
+            aux_keys = _distinct([nb for *_, nb in around], rows * n)
+            around = self._neighborhoods(aux_keys)
+            aux = self._stage(around, len(aux_keys), self.obj.stage1_block, states[0])
+            aux_plane = np.empty_like(states[0])
+            for r, (at, blocks) in enumerate(_by_row(aux_keys, aux_keys % n, aux, cuts)):
+                self.runtime_aux[at] = blocks
+                aux_plane[r * n:(r + 1) * n] = self.runtime_aux
         grad_keys = _distinct([nb for *_, nb in around], rows * n)
         around = self._neighborhoods(grad_keys)
         grad = self._stage(around, len(grad_keys), self.obj.stage2_block,

@@ -65,10 +65,9 @@ class SyncConfig:
     stop_grad_norm: float | None = None
     var0: np.ndarray | None = None
 
-    def validate(self, objective: DistributedObjective,
-                 method: str | None = None) -> None:
-        """Check against the objective and, if given, the runner's method."""
-        if method not in (None, self.method):
+    def validate(self, objective: DistributedObjective, method: str) -> None:
+        """Check against the objective and the runner's method."""
+        if method != self.method:
             raise ValueError(f"a {self.method!r} config passed to the {method} runner")
         if self.method not in METHOD_MODES:
             raise ValueError(f"unknown method {self.method!r}")

@@ -40,16 +40,16 @@ def test_config_validation_errors():
     g, obj = ring_objective(6, 2, 2, 1.0, 0, "primal", alpha=1e-2)
     with pytest.raises(ValueError, match="gamma"):
         SyncConfig(method="dbfgs", mode="primal", step_size=0.1,
-                   max_iters=5).validate(obj)
+                   max_iters=5).validate(obj, "dbfgs")
     with pytest.raises(ValueError, match="dual mode only"):
         SyncConfig(method="dd", mode="primal", step_size=0.1,
-                   max_iters=5).validate(obj)
+                   max_iters=5).validate(obj, "dd")
     with pytest.raises(ValueError, match="does not match"):
         SyncConfig(method="dgd", mode="dual", step_size=0.1,
-                   max_iters=5).validate(obj)
+                   max_iters=5).validate(obj, "dgd")
     with pytest.raises(ValueError, match="unknown method"):
         SyncConfig(method="newton", mode="primal", step_size=0.1,
-                   max_iters=5).validate(obj)
+                   max_iters=5).validate(obj, "newton")
 
 
 @pytest.mark.parametrize("runner, method, other, mode", [
