@@ -1,12 +1,12 @@
 """Deterministic discrete-event simulation of asynchronous D-BFGS and DD.
 
 Each node has its own availability clock. At an availability event a node
-reads its mailbox (descent contributions and dated neighbor packages
-deposited strictly before the event time), applies pending descents,
-recomputes its gradient from its dated view, takes its method's local step,
-and deposits fresh values for its neighbors. D-BFGS updates its curvature
-and computes descent contributions for its neighborhood; dual
-decomposition steps along its own gradient block.
+reads what reached it strictly before the event time (its neighbors' dated
+packages and the descent contributions sent to it), applies the pending
+descents, recomputes its gradient from its dated view, takes its method's
+local step, and publishes fresh values for its neighbors. D-BFGS updates
+its curvature and computes descent contributions for its neighborhood;
+dual decomposition steps along its own gradient block.
 
 Events sharing an exact wall time form a batch processed as a synchronized
 sub-round: tied nodes see each other's fresh values. An event touches only
@@ -16,6 +16,19 @@ the synchronous engine uses, with one trace row per batch in event order.
 Every batch takes this path, so a zero-drift schedule (a window per batch)
 reproduces the synchronous runtime bit for bit.
 
+Messages live in two dated logs that every event writes once, as Time
+Warp keeps its message logs (Jefferson, "Virtual Time", 1985). Every event
+publishes one (var, aux, g) package, arriving at its time plus the message
+delay; in physical D-BFGS it also files one descent chunk per neighborhood
+slot, arriving at once at its own node and after the delay at the others.
+A window reads both logs once: each reader's dated copies become each
+neighbor's latest package that arrived before its event (one lookup on the
+arrival times), and the chunks that arrived since its last read land on
+its var one by one in (arrival, send) order. A window's readers are
+pairwise non-adjacent, so no message of the window reaches a reader of it,
+and the window writes its own messages to the logs once, after its trace
+rows.
+
 After the kernel step a window runs three phases. Apply lands each batch's
 fresh blocks and step in event order and keeps the state each row reads.
 Record computes every row's error and gradient norm at once: a row's
@@ -24,22 +37,21 @@ error terms they moved and the runtime gradient blocks within reach of them
 (one hop in primal mode, two in dual mode: stage 1 mixes var), and takes
 the norm of the whole gradient. Before the first row every node counts as
 moved, so that row evaluates every block on the same path. Emit then goes
-through the batches in order: event log, trace row, stop rules, lost
-curvature, sends. A stop ends the run at its batch; what apply wrote after
-that batch is never observed.
+through the batches in order: trace row, stop rules, lost curvature. A
+stop ends the run at its batch; what apply wrote after that batch is never
+observed, and nothing the window publishes is ever read.
 
 The virtual engine re-runs the same event sequence but applies every
 finished descent to a global variable immediately instead of through
-mailboxes; with zero message delay its trajectory coincides with the
+messages; with zero message delay its trajectory coincides with the
 physical engine at every node's availability events.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
-from itertools import accumulate, groupby
-from operator import itemgetter
+from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,6 +63,7 @@ from .sync_runtime import SyncConfig, Trace, _check_stop
 __all__ = [
     "ClockSchedule",
     "AsyncConfig",
+    "EventLog",
     "EventQueue",
     "gen_clock_schedule",
     "run_dbfgs_async",
@@ -113,29 +126,39 @@ def gen_clock_schedule(n: int, mu_clk: float, sigma_clk: float, horizon: float,
 
 
 class EventQueue:
-    """Availability events in (time, node id) total order, batched by time."""
+    """Availability events in (time, node id) total order, batched by time.
+
+    Event k is the ``order[k]``-th tick of the schedule listed node by node;
+    ``time`` and ``node`` hold each event's time and node."""
 
     def __init__(self, schedule: ClockSchedule):
-        self.events = sorted((float(t), i) for i in range(schedule.n)
-                             for t in schedule.times[i])
+        ticks = np.concatenate(schedule.times)
+        nodes = np.repeat(np.arange(schedule.n), [len(t) for t in schedule.times])
+        self.order = np.lexsort((nodes, ticks))
+        self.time, self.node = ticks[self.order], nodes[self.order]
 
     def batches(self):
         """Yield (time, [node ids ascending]) with exact-tie events grouped."""
-        for t, events in groupby(self.events, key=itemgetter(0)):
-            yield t, [i for _, i in events]
+        cuts = [0, *(np.flatnonzero(np.diff(self.time)) + 1).tolist(), len(self.time)]
+        times, nodes = self.time.tolist(), self.node.tolist()
+        for lo, hi in zip(cuts, cuts[1:]):
+            yield times[lo], nodes[lo:hi]
 
     def windows(self, layout):
         """Yield maximal runs of consecutive batches in which no batch holds
         a node of another or a neighbor of one: such batches commute."""
-        blocked = np.zeros(len(layout.indptr) - 1, dtype=bool)
+        cols, bounds = layout.cols.tolist(), layout.indptr.tolist()
+        around = [cols[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+        blocked = bytearray(len(around))
         window = []
         for t, batch in self.batches():
-            if window and blocked[batch].any():
+            if window and any(blocked[i] for i in batch):
                 yield window
-                window, blocked[:] = [], False
+                window, blocked = [], bytearray(len(around))
             window.append((t, batch))
             for i in batch:
-                blocked[layout.cols[layout.indptr[i]:layout.indptr[i + 1]]] = True
+                for j in around[i]:
+                    blocked[j] = 1
         yield window
 
 
@@ -146,43 +169,15 @@ class AsyncConfig(SyncConfig):
     delta_msg: float = 0.0
 
 
-# ---------------------------------------------------------------------------
-# mailboxes
-# ---------------------------------------------------------------------------
+class EventLog(NamedTuple):
+    """An asynchronous run's events up to where it ended, in event order:
+    each event's time, node, the node's local iteration count and its own
+    block after the pending descents landed (its pre-step var)."""
 
-
-class _Mailbox:
-    """Per-node inbox: one queue of messages in (arrival time, send order).
-
-    A message is a dated neighbor package, filed under the layout row its
-    sender occupies in this node's neighborhood, or a descent chunk (row None).
-    """
-
-    __slots__ = ("heap", "sent")
-
-    def __init__(self):
-        self.heap = []
-        self.sent = 0
-
-    def push(self, arrival: float, row, payload) -> None:
-        heapq.heappush(self.heap, (arrival, self.sent, row, payload))
-        self.sent += 1
-
-    def read(self, now: float, known: np.ndarray) -> list:
-        """Deliver everything that arrived strictly before ``now``.
-
-        Writes each package to its row of ``known``, so the latest wins,
-        and returns the arrived descent chunks in (arrival, send order);
-        messages still in flight stay queued.
-        """
-        chunks = []
-        while self.heap and self.heap[0][0] < now:
-            _, _, row, payload = heapq.heappop(self.heap)
-            if row is None:
-                chunks.append(payload)
-            else:
-                known[:, row] = payload
-        return chunks
+    time: np.ndarray  # (events,)
+    node: np.ndarray  # (events,)
+    local_iter: np.ndarray  # (events,)
+    block: np.ndarray  # (events, p)
 
 
 def _distinct(parts, size: int) -> np.ndarray:
@@ -210,12 +205,18 @@ def _by_row(keys: np.ndarray, nodes: np.ndarray, values: np.ndarray,
 class _AsyncEngine:
     """One event loop for asynchronous D-BFGS (physical and virtual) and DD.
 
-    A window reads its batches' mail, evaluates their gradients from views
-    that mix each batch's fresh blocks with dated packages and takes the
-    local step on the round kernel. Then it applies each batch's changes in
-    event order, keeping the state each trace row reads; records every row
-    from the blocks the rows' events moved; and emits each batch in turn:
-    its events, its row, the stop rules and its nodes' packages.
+    A window reads what reached its events from the package and chunk
+    logs, evaluates their gradients from views that mix each batch's fresh
+    blocks with dated packages and takes the local step on the round
+    kernel. Then it applies each batch's changes in event order, keeping the
+    state each trace row reads; records every row from the blocks the rows'
+    events moved; emits each batch's row and stop rules in turn; and writes
+    its events, packages and chunks to the logs.
+
+    The logs have room for every event of the schedule: its package, at
+    the row of its tick in ``packages``, and in physical D-BFGS its chunks,
+    from row ``chunk_at[k]`` of ``chunk_log`` for event k. With the event
+    log they are O(events m p) and go with the engine.
     """
 
     def __init__(self, graph: Graph, objective: DistributedObjective,
@@ -228,7 +229,6 @@ class _AsyncEngine:
             raise ValueError("all availability clocks must start at t = 0")
         self.obj = objective
         self.cfg = cfg
-        self.schedule = schedule
         self.virtual = virtual
         n, p = graph.n, objective.p
         self.kernel = kernel = RoundKernel(graph, p)
@@ -240,12 +240,52 @@ class _AsyncEngine:
         self.var, self.aux, self.g = self.store[:, kernel.total_blocks:]
         if cfg.var0 is not None:
             self.var[:] = cfg.var0
-        self.mail = [_Mailbox() for _ in range(n)]
         self.local_iter = np.zeros(n, dtype=int)
         self.dbfgs = method == "dbfgs"
+        self.chunks = self.dbfgs and not virtual
         self.trace = Trace(method=method, mode=cfg.mode, seed=cfg.seed,
-                           model_time=[], local_iter_min=[], event_log=[])
-        self.exchanges = 0
+                           model_time=[], local_iter_min=[])
+        # the events in event order; node i's ticks, listed node by node,
+        # start at first[i]
+        self.queue = queue = EventQueue(schedule)
+        events = len(queue.time)
+        first = np.cumsum([0] + [len(t) for t in schedule.times])
+        # per tick, node * events + event: node i's events before event e
+        # are its ticks whose key falls below i * events + e
+        self.keys = np.empty(events, dtype=np.intp)
+        self.keys[queue.order] = queue.node * events + np.arange(events)
+        self.rank = queue.order - first[queue.node]  # among its node's events
+        self.arrival = queue.time + cfg.delta_msg  # of each event's messages
+        # per layout slot: its node's key base and first tick, and whether
+        # it holds a neighbor rather than the node itself
+        lay = graph.layout
+        self.slot_key, self.slot_first = lay.cols * events, first[lay.cols]
+        self.neighbor = lay.cols != lay.rows
+        # the packages by tick after a zero row per node: row first[i] + i + c
+        # holds node i's c-th package, the zero row stands for none
+        self.packages = np.zeros((3, events + n, p))
+        self.package_row = queue.order + queue.node + 1
+        # the chunks by event from chunk_at[k], one per slot of its node's
+        # layout row; and each node's inbox from inbox_at[i]: the rows of the
+        # chunks sent to it, in (arrival, send) order. A chunk arrives at
+        # once at its own node and after the message delay at the others.
+        sizes = kernel.m[queue.node]
+        self.chunk_at = np.cumsum(np.append(0, sizes))
+        self.chunk_log = np.empty((self.chunk_at[-1] if self.chunks else 0, p))
+        if self.chunks:
+            sender = np.repeat(np.arange(events), sizes)
+            slot = (np.arange(len(sender))
+                    + (kernel.offsets[queue.node] - self.chunk_at[:-1])[sender])
+            to = lay.cols[slot]
+            arrival = np.where(self.neighbor[slot], self.arrival[sender],
+                               queue.time[sender])
+            self.inbox = np.lexsort((sender, arrival, to))
+            self.inbox_at = np.searchsorted(to[self.inbox], np.arange(n))
+            self.taken = np.zeros(n, dtype=np.intp)  # chunks each node applied
+        # the event log; ``logged`` events so far
+        self.log_iter = np.empty(events, dtype=int)
+        self.log_block = np.empty((events, p))
+        self.logged = 0
         # the record at the last row: consensus_error's term per node, and
         # the runtime objective's stage-1 and gradient blocks; the next row
         # refreshes those its events can have moved
@@ -262,17 +302,69 @@ class _AsyncEngine:
         """Per-group (g, m, p) views of quantity q (0 var, 1 aux, 2 g)."""
         return [self.store[q][grp.view] for grp in groups]
 
+    def _slots(self, ids: np.ndarray) -> tuple:
+        """The layout rows of the nodes ``ids``, node after node; the
+        position in ``ids`` of each row's node; and where each node's rows
+        start."""
+        sizes = self.kernel.m[ids]
+        starts = np.cumsum(sizes) - sizes
+        at = np.repeat(np.arange(len(ids)), sizes)
+        return (self.kernel.offsets[ids] - starts)[at] + np.arange(len(at)), at, starts
+
+    def _read(self, events: slice, slots: np.ndarray, at: np.ndarray) -> np.ndarray:
+        """Set the dated copies of the nodes of ``events`` (their layout
+        rows ``slots``) to each neighbor's latest package that arrived
+        strictly before the node's event. Packages arrive in event order, so
+        those are the neighbor's events among the first ``arrived`` of the
+        run: one lookup of each slot's key. Returns, per slot, one past the
+        tick of that package (own slots: the node's first tick)."""
+        arrived = np.searchsorted(self.arrival, self.queue.time[events])
+        tick = np.searchsorted(self.keys, self.slot_key[slots]
+                               + arrived[at] * self.neighbor[slots])
+        self.known[:, slots] = self.packages[:, tick + self.kernel.cols[slots]]
+        return tick
+
+    def _inbox(self, events: slice, slots: np.ndarray, starts: np.ndarray,
+               tick: np.ndarray) -> tuple:
+        """The chunks that reached the nodes of ``events`` since their last
+        read, as ``_read`` left their slots' ticks: their nodes and rows of
+        the chunk log, each node's in (arrival, send) order. A node has by
+        now the chunks of its neighbors' arrived packages and of its own
+        earlier events."""
+        ids = self.queue.node[events]
+        total = (np.add.reduceat(tick - self.slot_first[slots], starts)
+                 + self.rank[events])
+        taken = self.taken[ids]
+        self.taken[ids] = total
+        new = total - taken
+        readers = np.repeat(ids, new)
+        start = self.inbox_at[ids] + taken - np.cumsum(new) + new
+        return readers, self.inbox[np.repeat(start, new) + np.arange(len(readers))]
+
+    def _send(self, events: slice, slots: np.ndarray, packages: np.ndarray) -> None:
+        """File the (3, k, p) packages of ``events`` and, in physical
+        D-BFGS, their chunks: the kernel's ``contrib`` at their nodes'
+        layout rows ``slots``."""
+        self.packages[:, self.package_row[events]] = packages
+        if self.chunks:
+            self.chunk_log[self.chunk_at[events.start]:self.chunk_at[events.stop]] = \
+                self.kernel.contrib[slots]
+
     def _process_window(self, window: list, init: bool) -> bool:
         """Run one window; True when a stop rule ends the run."""
         cfg, kernel = self.cfg, self.kernel
         ids = np.concatenate([batch for _, batch in window])
         groups = kernel.batch(ids)
         before = self.var[ids], self.aux[ids]
-        # phase 1, each batch at its time: read mail, apply pending descents
-        for t, batch in window:
-            for i in batch:
-                for block in self.mail[i].read(t, self.known):
-                    self.var[i] += cfg.step_size * block
+        # phase 1: every event reads its messages
+        first = self.logged  # the window's first event
+        events = slice(first, first + len(ids))
+        slots, at, starts = self._slots(ids)
+        tick = self._read(events, slots, at)
+        if self.chunks:
+            readers, chunks = self._inbox(events, slots, starts, tick)
+            # ufunc.at adds a node's chunks one by one, in order
+            np.add.at(self.var, readers, cfg.step_size * self.chunk_log[chunks])
         # phase 2: gradients from fresh and dated views
         var_views = self._views(groups, 0)
         for grp, vv in zip(groups, var_views):
@@ -296,7 +388,7 @@ class _AsyncEngine:
         # order gives it
         fresh = self.var[ids], self.aux[ids]
         self.var[ids], self.aux[ids] = before
-        off, cols, mirror = kernel.offsets, kernel.cols, kernel.mirror
+        off, cols = kernel.offsets, kernel.cols
         ends = list(accumulate(len(batch) for _, batch in window))
         slices = [slice(start, stop) for start, stop in zip([0] + ends, ends)]
         # per row: the planes the record reads (var, and aux in dual mode) at
@@ -323,33 +415,22 @@ class _AsyncEngine:
                 self.pending = batch
         if not init:
             errors, gnorms = self._record(states, moved)
-        # phase 3, emit: each batch's events, row, stop check and sends
-        for r, ((t, batch), rows) in enumerate(zip(window, slices)):
-            snapshot = fresh[0][rows]
-            for i, block in zip(batch, snapshot):
-                self.trace.event_log.append((t, i, int(self.local_iter[i]), block))
-            self.exchanges += len(batch)
+        # phase 3, emit: the events, then each batch's row and stop check
+        last = first + ends[-1]
+        self.log_iter[first:last] = self.local_iter[ids[:ends[-1]]]
+        self.log_block[first:last] = fresh[0][:ends[-1]]
+        for r, (t, batch) in enumerate(window):
+            self.logged = first + ends[r]  # events count as exchanges
             if not init:
-                self.trace.append(lmin[r], errors[r], gnorms[r], self.exchanges,
+                self.trace.append(lmin[r], errors[r], gnorms[r], self.logged,
                                   model_time=t, local_iter_min=lmin[r])
                 if _check_stop(self.trace, cfg):
                     return True
             if set(lost).intersection(batch):
                 raise CurvatureLost([i for i in lost if i in batch])
-            published = snapshot if self.dbfgs else self.var[batch]
-            # one send per layout slot: the package to the neighbor's mirror
-            # row and, for physical D-BFGS, the slot's descent chunk (D-BFGS
-            # publishes the pre-descent blocks)
-            arrival = t + cfg.delta_msg
-            for i, var_i in zip(batch, published):
-                pkg = np.array((var_i, self.aux[i], self.g[i]))
-                lo, hi = off[i], off[i + 1]
-                for j, row in zip(cols[lo:hi].tolist(), mirror[lo:hi].tolist()):
-                    if j != i:
-                        self.mail[j].push(arrival, row, pkg)
-                if self.dbfgs and not self.virtual:
-                    for j, chunk in zip(cols[lo:hi].tolist(), kernel.contrib[lo:hi].copy()):
-                        self.mail[j].push(t if j == i else arrival, None, chunk)
+        # sends: D-BFGS publishes its pre-descent var, DD its stepped one
+        published = fresh[0] if self.dbfgs else self.var[ids]
+        self._send(events, slots, np.array((published, self.aux[ids], self.g[ids])))
         return False
 
     def _record(self, states: np.ndarray, moved: list) -> tuple:
@@ -420,19 +501,23 @@ class _AsyncEngine:
         return out
 
     def run(self) -> Trace:
-        windows = EventQueue(self.schedule).windows(self.kernel.graph.layout)
+        windows = self.queue.windows(self.kernel.graph.layout)
         for k, window in enumerate(windows):
             if self._process_window(window, init=k == 0):
                 break
+        # copies, so the trace keeps no more than the events it logged
+        self.trace.event_log = EventLog(*(col[:self.logged].copy() for col in (
+            self.queue.time, self.queue.node, self.log_iter, self.log_block)))
         return self.trace
 
 
 def run_dbfgs_async(graph: Graph, objective: DistributedObjective,
                     cfg: AsyncConfig, schedule: ClockSchedule) -> Trace:
-    """Asynchronous D-BFGS (physical mailbox engine).
+    """Asynchronous D-BFGS (physical engine: descents travel as messages).
 
-    The returned trace carries ``event_log`` entries
-    (time, node, local_iter, own block after applying pending descents).
+    The returned trace carries an ``EventLog`` of the events up to where
+    the run ended: arrays of each event's time, node, local iteration count
+    and own block after the pending descents landed.
     """
     return _AsyncEngine(graph, objective, cfg, schedule, "dbfgs").run()
 
@@ -448,5 +533,5 @@ def virtual_replay(graph: Graph, objective: DistributedObjective,
 
 def run_dd_async(graph: Graph, objective: DistributedObjective,
                  cfg: AsyncConfig, schedule: ClockSchedule) -> Trace:
-    """Asynchronous dual decomposition with dated mailbox gradients."""
+    """Asynchronous dual decomposition from dated neighbor packages."""
     return _AsyncEngine(graph, objective, cfg, schedule, "dd").run()

@@ -104,7 +104,7 @@ class Trace:
     model_time: list | None = None
     local_iter_min: list | None = None
     status: str = "max_iters"
-    event_log: list | None = None
+    event_log: tuple | None = None  # async runs: an async_sim.EventLog
 
     @property
     def is_async(self) -> bool:

@@ -3,10 +3,12 @@
 Per-node operations of ``DistributedObjective`` in their unscaled form,
 the unscaled penalty objective, the classical BFGS update, the round
 kernel's curvature update in its one-shot stacked form, the time functions
-and staleness bound of a clock schedule, and random Metropolis problems.
-The runtimes never call these; they evaluate the staged, scaled forms.
+and staleness bound of a clock schedule, a per-message inbox, and random
+Metropolis problems. The runtimes never call these; they evaluate the
+staged, scaled forms and keep their messages in dated logs.
 """
 
+import heapq
 from dataclasses import replace
 
 import numpy as np
@@ -194,3 +196,36 @@ def metropolis_dual(draw, max_n=7):
     inst = make_quadratic(n, 4, draw(st.sampled_from([0.0, 1.0, 2.0])),
                           draw(st.integers(0, 2**16)))
     return g, DistributedObjective(inst, g, metropolis_weights(g), "dual")
+
+
+class Mailbox:
+    """Per-node reference inbox: one heap of messages in (arrival time, send
+    order), popped one at a time.
+
+    A message is a dated neighbor package, filed under the layout row its
+    sender occupies in this node's neighborhood, or a descent chunk (row None).
+    """
+
+    def __init__(self):
+        self.heap = []
+        self.sent = 0
+
+    def push(self, arrival: float, row, payload) -> None:
+        heapq.heappush(self.heap, (arrival, self.sent, row, payload))
+        self.sent += 1
+
+    def read(self, now: float, known: np.ndarray) -> list:
+        """Deliver everything that arrived strictly before ``now``.
+
+        Writes each package to its row of ``known``, so the latest wins,
+        and returns the arrived descent chunks in (arrival, send order);
+        messages still in flight stay queued.
+        """
+        chunks = []
+        while self.heap and self.heap[0][0] < now:
+            _, _, row, payload = heapq.heappop(self.heap)
+            if row is None:
+                chunks.append(payload)
+            else:
+                known[:, row] = payload
+        return chunks

@@ -178,9 +178,9 @@ def test_physical_virtual_equivalence():
         sched = gen_clock_schedule(10, 1.0, 0.3, 12.0, seed)
         phys = run_dbfgs_async(graph, obj, cfg, sched)
         virt = virtual_replay(graph, obj, cfg, sched)
-        total_events += len(phys.event_log)
-        for (t1, i1, l1, x1), (t2, i2, l2, x2) in zip(phys.event_log,
-                                                      virt.event_log):
+        total_events += len(phys.event_log.time)
+        for (t1, i1, l1, x1), (t2, i2, l2, x2) in zip(zip(*phys.event_log),
+                                                      zip(*virt.event_log)):
             assert (t1, i1, l1) == (t2, i2, l2)
             scale = max(1.0, float(np.max(np.abs(x1))))
             worst = max(worst, float(np.max(np.abs(x1 - x2))) / scale)

@@ -11,7 +11,6 @@ from dbfgs.async_sim import (
     CLOCK_INCREMENT_FLOOR,
     AsyncConfig,
     _AsyncEngine,
-    _Mailbox,
     ClockSchedule,
     EventQueue,
     gen_clock_schedule,
@@ -28,7 +27,8 @@ from dbfgs.objectives import (
     make_quadratic,
 )
 from dbfgs.sync_runtime import SyncConfig, run_dbfgs_sync, run_dd
-from oracles import measure_asynchronicity, metropolis_dual, time_functions
+from oracles import (Mailbox, measure_asynchronicity, metropolis_dual,
+                     time_functions)
 
 
 def ring_dual(n, d, eta, seed):
@@ -211,9 +211,9 @@ def test_lockstep_matches_sync_on_irregular_graph():
 
 
 def event_log_gap(a, b):
-    assert len(a.event_log) == len(b.event_log)
+    assert len(a.event_log.time) == len(b.event_log.time)
     worst = 0.0
-    for (t1, i1, l1, x1), (t2, i2, l2, x2) in zip(a.event_log, b.event_log):
+    for (t1, i1, l1, x1), (t2, i2, l2, x2) in zip(zip(*a.event_log), zip(*b.event_log)):
         assert (t1, i1, l1) == (t2, i2, l2)
         scale = max(1.0, float(np.max(np.abs(x1))))
         worst = max(worst, float(np.max(np.abs(x1 - x2))) / scale)
@@ -259,54 +259,129 @@ def test_message_delay_changes_trajectory():
     assert not np.allclose(base.error, delayed.error)
 
 
+def log_timeline(g, obj, sched, delta):
+    """The engine's message logs driven through the schedule's windows with
+    no solve in between, as the timeline of ("read", reader, now, chunks,
+    copies) and ("push", reader, arrival, row, message) entries in the order
+    the engine makes them.
+
+    A message is named by the event that sent it. Every event sends its
+    package to each neighbor's layout row for it, arriving after the delay,
+    and a chunk to each node of its neighborhood, arriving at once at its
+    own node. A read lists the chunks the logs delivered, in order, and the
+    reader's dated copies after it (-1 before any package: a package holds
+    its event plus one)."""
+    eng = _AsyncEngine(g, obj, dbfgs_cfg(delta_msg=delta), sched, "dbfgs")
+    kernel, queue = eng.kernel, eng.queue
+    off, cols, mirror = kernel.offsets, kernel.cols, kernel.mirror
+    timeline = []
+    for window in queue.windows(g.layout):
+        ids = np.concatenate([batch for _, batch in window])
+        first, last = eng.logged, eng.logged + len(ids)
+        events = slice(first, last)
+        slots, at, starts = eng._slots(ids)
+        readers, rows = eng._inbox(events, slots, starts, eng._read(events, slots, at))
+        chunks = eng.chunk_log[rows, 0].astype(int)
+        for e in range(first, last):
+            i = int(queue.node[e])
+            timeline.append(("read", i, float(queue.time[e]),
+                             chunks[readers == i].tolist(),
+                             (eng.known[0, off[i]:off[i + 1], 0] - 1).astype(int).tolist()))
+        kernel.contrib[slots] = (first + at)[:, None]
+        eng._send(events, slots, np.broadcast_to(
+            np.arange(first + 1, last + 1, dtype=float)[:, None], (3, len(ids), obj.p)))
+        eng.logged = last
+        for e in range(first, last):
+            i, t = int(queue.node[e]), float(queue.time[e])
+            for s in range(off[i], off[i + 1]):
+                j = int(cols[s])
+                if j != i:
+                    timeline.append(("push", j, t + delta, int(mirror[s]), e))
+                timeline.append(("push", j, t if j == i else t + delta, None, e))
+    return timeline
+
+
 def test_mailbox_delivers_every_arrived_chunk_in_arrival_order():
-    # with delta_msg > 0 a neighbor's chunk queued first arrives after the
-    # node's own chunk queued later; the arrived chunk must not wait
-    box = _Mailbox()
-    for arrival, block in [(1.5, "late neighbor"), (1.0, "own"), (0.5, "early"),
-                           (1.0, "own tie")]:
-        box.push(arrival, None, block)
-    assert box.read(1.2, None) == ["early", "own", "own tie"]
-    assert box.read(1.5, None) == []
-    assert box.read(1.6, None) == ["late neighbor"]
-    assert box.heap == []
+    # with delta_msg > 0 a neighbor's chunk sent first arrives after the
+    # node's own chunk sent later; the arrived chunk must not wait, and a
+    # tie in arrival goes in send order
+    g = Graph.from_edges(2, [(0, 1)])
+    inst = QuadraticInstance(a=np.ones((2, 2)), b=np.ones((2, 2)), eta=0.0, seed=0)
+    obj = DistributedObjective(inst, g, np.array([[0.75, 0.25], [0.25, 0.75]]), "dual")
+    # events 0-6: (0, node 0), (0, node 1), (0.125, 1), (0.25, 0), (0.625, 0),
+    # (0.75, 1), (1.25, 0)
+    sched = ClockSchedule(times=(np.array([0.0, 0.25, 0.625, 1.25]),
+                                 np.array([0.0, 0.125, 0.75])),
+                          horizon=1.25, mu=0.5, sigma=0.0, seed=0)
+    reads = [entry[1:] for entry in log_timeline(g, obj, sched, 0.5)
+             if entry[0] == "read"]
+    assert [(i, now, chunks) for i, now, chunks, _ in reads] == [
+        (0, 0.0, []), (1, 0.0, []), (1, 0.125, [1]), (0, 0.25, [0]),
+        # own chunk 3 (arrival 0.25) before neighbor chunk 1 (0.5)
+        (0, 0.625, [3, 1]),
+        (1, 0.75, [2, 0]),
+        # a tie at 0.625: neighbor chunk 2 was sent before own chunk 4
+        (0, 1.25, [2, 4])]
+    # node 0's copy of node 1: the latest package that arrived
+    assert [copies[1] for i, _, _, copies in reads if i == 0] == [-1, -1, 1, 2]
+    # exactly once
+    got = [c for i, _, chunks, _ in reads if i == 0 for c in chunks]
+    assert sorted(got) == [0, 1, 2, 3, 4]
 
 
 # bounded property runs: no deadline (the first calls build kernels), and
 # no example database left behind
 PROPERTY = settings(max_examples=40, deadline=None, database=None)
 
-_TIMES = st.integers(0, 8).map(lambda k: k / 2)  # coarse grid: many ties
-_OPS = st.lists(st.one_of(
-    st.tuples(st.just("push"), _TIMES, st.sampled_from([None, 0, 1, 2])),
-    st.tuples(st.just("read"), _TIMES)), max_size=40)
+
+def grid_schedule(n, seed):
+    """Clocks on a 0.5 grid: ties in event times and in arrivals."""
+    sched = gen_clock_schedule(n, 1.0, 0.3, 6.0, seed)
+    return ClockSchedule(times=tuple(np.unique(np.round(t * 2) / 2) for t in sched.times),
+                         horizon=6.0, mu=1.0, sigma=0.3, seed=seed)
 
 
 @PROPERTY
-@given(_OPS)
-def test_inbox_delivers_each_message_once_after_arrival(ops):
-    # messages: packages to rows 0-2 and chunks (row None); a payload is its
-    # push order, so each delivery names the message it came from
-    box = _Mailbox()
-    known = np.full((3, 3, 1), -1.0)
+@given(metropolis_dual(max_n=8), st.sampled_from([0.0, 0.5, 1.0]),
+       st.integers(0, 2**16))
+def test_inbox_delivers_each_message_once_after_arrival(problem, delta, seed):
+    # a read delivers every message to its node that arrived before it and
+    # was not delivered yet: chunks in (arrival, send order), and each
+    # layout row takes its latest package
+    g, obj = problem
+    off = g.layout.indptr
     sent, delivered = [], set()
-    for op in ops + [("read", np.inf)]:
-        if op[0] == "push":
-            _, arrival, row = op
-            box.push(arrival, row, np.full((3, 1), float(len(sent))))
-            sent.append((arrival, row))
+    for op, reader, now, *rest in log_timeline(g, obj, grid_schedule(g.n, seed), delta):
+        if op == "push":
+            sent.append((reader, now, *rest))
             continue
-        now = op[1]
-        due = sorted((arrival, k) for k, (arrival, _) in enumerate(sent)
-                     if k not in delivered and arrival < now)
-        chunks = [int(c[0, 0]) for c in box.read(now, known)]
-        assert chunks == [k for _, k in due if sent[k][1] is None]
-        for row in range(3):
-            latest = [k for _, k in due if sent[k][1] == row]
+        chunks, copies = rest
+        due = sorted((arrival, k) for k, (j, arrival, _, _) in enumerate(sent)
+                     if j == reader and k not in delivered and arrival < now)
+        assert chunks == [sent[k][3] for _, k in due if sent[k][2] is None]
+        for row in range(off[reader], off[reader + 1]):
+            latest = [k for _, k in due if sent[k][2] == row]
             if latest:
-                assert (known[:, row] == latest[-1]).all()
+                assert copies[row - off[reader]] == sent[latest[-1]][3]
         delivered.update(k for _, k in due)
-    assert len(delivered) == len(sent) and box.heap == []
+
+
+@PROPERTY
+@given(metropolis_dual(max_n=8), st.sampled_from([0.0, 0.5, 1.0]),
+       st.integers(0, 2**16))
+def test_logs_deliver_what_the_reference_inbox_delivers(problem, delta, seed):
+    # the same pushes into one heap per node, popped one message at a time
+    g, obj = problem
+    off = g.layout.indptr
+    boxes = [Mailbox() for _ in range(g.n)]
+    known = np.full((3, off[-1], 1), -1)
+    for op, reader, now, *rest in log_timeline(g, obj, grid_schedule(g.n, seed), delta):
+        if op == "push":
+            boxes[reader].push(now, *rest)
+            continue
+        chunks, copies = rest
+        assert chunks == boxes[reader].read(now, known)
+        assert copies == known[0, off[reader]:off[reader + 1], 0].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +401,7 @@ def test_zero_gradient_start_no_motion_at_any_event():
     cfg = dbfgs_cfg(eps=0.1, mode="primal", var0=np.tile(c, (6, 1)))
     tr = run_dbfgs_async(g, obj, cfg, sched)
     assert max(tr.error) <= 1e-26
-    for _, _, _, block in tr.event_log:
+    for block in tr.event_log.block:
         assert np.allclose(block, c, atol=1e-13)
 
 
@@ -453,8 +528,9 @@ def test_physical_equals_virtual_bitwise_on_random_graphs(problem, sigma, seed):
     sched = gen_clock_schedule(g.n, 1.0, sigma, 8.0, seed)
     phys = run_dbfgs_async(g, obj, dbfgs_cfg(eps=0.05), sched)
     virt = virtual_replay(g, obj, dbfgs_cfg(eps=0.05), sched)
-    assert len(phys.event_log) == len(virt.event_log)
-    for (t1, i1, l1, x1), (t2, i2, l2, x2) in zip(phys.event_log, virt.event_log):
+    assert len(phys.event_log.time) == len(virt.event_log.time)
+    for (t1, i1, l1, x1), (t2, i2, l2, x2) in zip(zip(*phys.event_log),
+                                                  zip(*virt.event_log)):
         assert (t1, i1, l1) == (t2, i2, l2)
         assert x1.tobytes() == x2.tobytes()
 
@@ -519,7 +595,7 @@ def one_batch_per_window(runner, *args):
 
 def run_bytes(tr):
     return (tr.to_csv(), tr.status,
-            [(t, i, li, x.tobytes()) for t, i, li, x in tr.event_log])
+            [(t, i, li, x.tobytes()) for t, i, li, x in zip(*tr.event_log)])
 
 
 # engine -> (runner, method, mode, step size)
@@ -584,7 +660,7 @@ def assert_rows_equal_a_recompute(runner, args):
     obj = args[1]
     assert len(states) >= len(tr.error)
     # the first batch only initializes; every later batch is one row
-    batches = [list(events) for _, events in groupby(tr.event_log, itemgetter(0))]
+    batches = [list(events) for _, events in groupby(zip(*tr.event_log), itemgetter(0))]
     for k, (var, aux) in enumerate(states[:len(tr.error)]):
         est = var if obj.mode == "primal" else aux
         assert tr.error[k] == consensus_error(est, obj.xstar)

@@ -109,7 +109,7 @@ def schedule(n: int, sigma: float, grid: float | None) -> ClockSchedule:
 def event_log_bytes(log) -> bytes:
     """The event log's columns as fixed-width arrays: time, node,
     local_iter, and the (events, p) block of each event's own block."""
-    time, node, local_iter, block = zip(*log)
+    time, node, local_iter, block = log
     return b"".join(np.ascontiguousarray(col, dtype=dt).tobytes() for col, dt in
                     ((time, np.float64), (node, np.int64),
                      (local_iter, np.int64), (block, np.float64)))
