@@ -17,7 +17,9 @@ Metropolis weights, with clock drift sigma 0 and 0.3 and message delay 0
 and 0.5, each without a stop rule, with a stop on the error reached
 mid-run, and with an iteration cap. A run on a 0.5 time grid with delay
 0.5 makes a node's own descent chunk and an earlier event's chunk arrive
-at the same time. Every synchronous method runs on both graphs too.
+at the same time. Every synchronous method runs on both graphs too, and
+synchronous primal D-BFGS and DGD also run a logistic instance in fig7's
+regime, whose error pins the Newton optimum's bits.
 """
 
 from __future__ import annotations
@@ -50,14 +52,18 @@ ASYNC_ENGINES = {
     "primal-virtual": (virtual_replay, "dbfgs", "primal", 0.1, "quadratic"),
     "logistic": (run_dbfgs_async, "dbfgs", "primal", 0.3, "logistic"),
 }
-# method -> (runner, mode, step size)
+# name -> (runner, method, mode, step size, problem)
 SYNC_METHODS = {
-    "dbfgs-dual": (run_dbfgs_sync, "dual", 0.05),
-    "dbfgs-primal": (run_dbfgs_sync, "primal", 0.1),
-    "dgd": (run_dgd, "primal", 0.1),
-    "dd": (run_dd, "dual", 0.002),
-    "admm": (run_admm, "dual", 1.0),
+    "dbfgs-dual": (run_dbfgs_sync, "dbfgs", "dual", 0.05, "quadratic"),
+    "dbfgs-primal": (run_dbfgs_sync, "dbfgs", "primal", 0.1, "quadratic"),
+    "dgd": (run_dgd, "dgd", "primal", 0.1, "quadratic"),
+    "dd": (run_dd, "dd", "dual", 0.002, "quadratic"),
+    "admm": (run_admm, "admm", "dual", 1.0, "quadratic"),
+    "dbfgs-fig7": (run_dbfgs_sync, "dbfgs", "primal", 0.3, "fig7"),
+    "dgd-fig7": (run_dgd, "dgd", "primal", 1.0, "fig7"),
 }
+# problem -> (penalty alpha, gamma, big gamma) of the synchronous runs
+SYNC_SETTINGS = {"quadratic": (0.1, 1e-2, 1e-3), "fig7": (1e-3, 0.1, 0.1)}
 
 
 def machine() -> dict:
@@ -88,13 +94,18 @@ def graphs() -> dict:
     return {"ring": (ring, build_weight_matrix(ring, 4)), "metropolis": (irregular, w)}
 
 
-def objective(graph, weights, mode: str, problem: str) -> DistributedObjective:
+def objective(graph, weights, mode: str, problem: str,
+              alpha: float = 0.1) -> DistributedObjective:
+    """A quadratic, a logistic instance, or a logistic instance in fig7's
+    regime (lam 1e-4, where the Newton optimum takes the most steps)."""
     if problem == "logistic":
         inst = make_logistic(graph.n, 4, 10, 1e-2, 3.0, 1.0, 1.0, 11)
+    elif problem == "fig7":
+        inst = make_logistic(graph.n, 4, 10, 1e-4, 3.0, 1.0, 1.0, 11)
     else:
         inst = make_quadratic(graph.n, 4, 1.0, 7)
     return DistributedObjective(inst, graph, weights, mode,
-                                alpha=0.1 if mode == "primal" else None)
+                                alpha=alpha if mode == "primal" else None)
 
 
 def schedule(n: int, sigma: float, grid: float | None) -> ClockSchedule:
@@ -156,14 +167,14 @@ def async_runs():
 
 def sync_runs():
     for gname, (g, w) in graphs().items():
-        for name, (runner, mode, step) in SYNC_METHODS.items():
-            obj = objective(g, w, mode, "quadratic")
-            method = name.split("-")[0]
+        for name, (runner, method, mode, step, problem) in SYNC_METHODS.items():
+            alpha, gamma, big_gamma = SYNC_SETTINGS[problem]
+            obj = objective(g, w, mode, problem, alpha)
 
             def run(max_iters=25, **stop):
                 cfg = SyncConfig(method=method, mode=mode, step_size=step,
-                                 max_iters=max_iters, gamma=1e-2, big_gamma=1e-3,
-                                 **stop)
+                                 max_iters=max_iters, gamma=gamma,
+                                 big_gamma=big_gamma, **stop)
                 return runner(g, obj, cfg)
 
             for stop, trace in with_stops(run).items():
