@@ -37,7 +37,6 @@ from .netgraph import (
     Graph,
     build_d_regular_cycle,
     build_weight_matrix,
-    validate_weight_matrix,
 )
 from .objectives import (
     DistributedObjective,

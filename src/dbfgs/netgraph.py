@@ -20,10 +20,8 @@ import scipy.sparse as sp
 __all__ = [
     "Graph",
     "Layout",
-    "WeightMatrixReport",
     "build_d_regular_cycle",
     "build_weight_matrix",
-    "validate_weight_matrix",
 ]
 
 
@@ -51,7 +49,7 @@ class Graph:
     neighborhoods : tuple of tuple of int
         For each node i, the sorted closed neighborhood (i included).
     m : tuple of int
-        Neighborhood sizes, m[i] == degree(i) + 1.
+        Neighborhood sizes: each node's degree plus one.
     """
 
     n: int
@@ -89,9 +87,6 @@ class Graph:
         if n > 1 and not g.is_connected():
             raise ValueError("graph is not connected")
         return g
-
-    def degree(self, i: int) -> int:
-        return self.m[i] - 1
 
     def is_regular(self):
         """Common degree if the graph is regular, else None."""
@@ -162,42 +157,3 @@ def build_weight_matrix(graph: Graph, d: int) -> sp.csr_array:
     lay = graph.layout
     data = np.where(lay.cols == lay.rows, 0.5 + off, off)
     return sp.csr_array((data, lay.cols, lay.indptr), shape=(graph.n, graph.n))
-
-
-@dataclass(frozen=True)
-class WeightMatrixReport:
-    """Pass/fail report from validate_weight_matrix."""
-
-    symmetric: bool
-    row_stochastic: bool
-    connectivity: bool
-    max_asymmetry: float
-    max_row_sum_error: float
-    second_smallest_eigenvalue: float
-
-    @property
-    def ok(self) -> bool:
-        return self.symmetric and self.row_stochastic and self.connectivity
-
-
-def validate_weight_matrix(w) -> WeightMatrixReport:
-    """Check the consensus weight conditions.
-
-    Symmetry W = W^T, row sums 1 (tolerance 1e-12), and the null-space
-    condition null(I - W) = span(1), checked via the second-smallest
-    eigenvalue of I - W being strictly positive (> 1e-10). Dense
-    eigensolve: test-scale networks only.
-    """
-    w = w.toarray() if sp.issparse(w) else np.asarray(w, dtype=float)
-    asym = float(np.max(np.abs(w - w.T))) if w.size else 0.0
-    row_err = float(np.max(np.abs(w.sum(axis=1) - 1.0)))
-    evals = np.sort(np.linalg.eigvalsh(np.eye(w.shape[0]) - 0.5 * (w + w.T)))
-    lam2 = float(evals[1]) if len(evals) > 1 else np.inf
-    return WeightMatrixReport(
-        symmetric=asym <= 1e-12,
-        row_stochastic=row_err < 1e-12,
-        connectivity=lam2 > 1e-10,
-        max_asymmetry=asym,
-        max_row_sum_error=row_err,
-        second_smallest_eigenvalue=lam2,
-    )

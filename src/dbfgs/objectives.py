@@ -63,9 +63,6 @@ class QuadraticInstance:
     def grad_all(self, x: np.ndarray) -> np.ndarray:
         return self.a * x + self.b
 
-    def value_all(self, x: np.ndarray) -> float:
-        return float(0.5 * np.sum(self.a * x * x) + np.sum(self.b * x))
-
 
 def _exponent_grid(eta: float) -> list:
     """Integer exponent steps 0..eta/2 plus the fractional endpoint."""
@@ -136,19 +133,13 @@ class LogisticInstance:
     def grad_all(self, x: np.ndarray) -> np.ndarray:
         return self.local_grad(..., x)
 
-    def value_all(self, x: np.ndarray) -> float:
-        z = -np.einsum("iqp,ip->iq", self.features, x) * self.labels
-        loss = np.logaddexp(0.0, z).sum()
-        return float(0.5 * self.lam * np.sum(x * x) / self.n + loss)
-
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """1 / (1 + exp(-z)) in one pass: with e = exp(-|z|), 1 / (1 + e) where
+    z >= 0 and e / (1 + e) elsewhere, so no exp overflows. min(z, -z) is
+    -|z| that keeps a NaN's sign."""
+    e = np.exp(np.minimum(z, -z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def make_logistic(
@@ -304,23 +295,6 @@ class DistributedObjective:
     def runtime_grad(self, var: np.ndarray) -> np.ndarray:
         return self.stage2_full(var, self.stage1_full(var))
 
-    def runtime_value(self, var: np.ndarray) -> float:
-        """Value of the objective the runtimes descend (F above)."""
-        if self.mode == "primal":
-            pen = 0.5 * np.sum(var * (var - self.weights @ var))
-            return float(self.alpha * self.instance.value_all(var) + pen)
-        return -self.dual_function_value(var)
-
-    # -- reference values for tests and diagnostics -------------------------
-
-    def dual_function_value(self, nu: np.ndarray) -> float:
-        """psi(nu) = L(x(nu), nu) for quadratic instances."""
-        if self.mode != "dual":
-            raise ValueError("dual function requires dual mode")
-        slack_nu = nu - self.weights @ nu
-        x = -(self.instance.b + slack_nu) / self.instance.a
-        return float(self.instance.value_all(x) + np.sum(slack_nu * x))
-
 
 # ---------------------------------------------------------------------------
 # oracles and metric
@@ -332,7 +306,10 @@ def solve_consensus_optimum(instance) -> np.ndarray:
 
     Quadratic: closed form -(sum A_i)^{-1} sum b_i (coordinates with zero
     aggregate curvature and zero aggregate slope take the min-norm value 0).
-    Logistic: damped Newton to gradient norm <= 1e-12 (requires lam > 0).
+    Logistic: damped Newton to gradient norm <= 1e-12 (requires lam > 0)
+    with backtracking; each visited point's margins, sigmoid and value
+    are computed once, and an accepted trial point carries its margins
+    and value into the next iteration.
     """
     if isinstance(instance, QuadraticInstance):
         sa = instance.a.sum(axis=0)
@@ -355,31 +332,30 @@ def _logistic_newton(inst: LogisticInstance, tol: float = 1e-12,
     u = inst.features.reshape(-1, inst.p)
     v = inst.labels.reshape(-1)
     lam = inst.lam
-    x = np.zeros(inst.p)
 
-    def val(x_):
-        return float(0.5 * lam * x_ @ x_ + np.logaddexp(0.0, -(u @ x_) * v).sum())
+    def point(x_):
+        """x_ with its margins and its objective value."""
+        z_ = -(u @ x_) * v
+        return x_, z_, float(0.5 * lam * x_ @ x_ + np.logaddexp(0.0, z_).sum())
 
-    def grad(x_):
-        s = _sigmoid(-(u @ x_) * v)
-        return lam * x_ - (v * s) @ u
-
+    x, z, fx = point(np.zeros(inst.p))
     for _ in range(max_iter):
-        g = grad(x)
+        s = _sigmoid(z)
+        g = lam * x - (v * s) @ u
         if np.linalg.norm(g) <= tol:
             return x
-        s = _sigmoid(-(u @ x) * v)
         w = s * (1.0 - s)
         h = lam * np.eye(inst.p) + (u * w[:, None]).T @ u
         step = np.linalg.solve(h, g)
-        t, v0 = 1.0, val(x)
-        while val(x - t * step) > v0 - 1e-4 * t * (g @ step) and t > 1e-12:
+        t = 1.0
+        trial = point(x - t * step)
+        while trial[2] > fx - 1e-4 * t * (g @ step) and t > 1e-12:
             t *= 0.5
-        moved = x - t * step
+            trial = point(x - t * step)
         # near the optimum the values cannot resolve the decrease; where the
         # search's step leaves x unchanged, take the full Newton step instead
-        x = x - step if np.array_equal(moved, x) else moved
-    if np.linalg.norm(grad(x)) > tol:
+        x, z, fx = point(x - step) if np.array_equal(trial[0], x) else trial
+    if np.linalg.norm(lam * x - (v * _sigmoid(z)) @ u) > tol:
         raise RuntimeError("logistic Newton failed to reach tolerance")
     return x
 

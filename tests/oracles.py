@@ -1,23 +1,141 @@
 """Textbook oracles the tests check the library against.
 
-Per-node operations of ``DistributedObjective`` in their unscaled form,
-the unscaled penalty objective, the classical BFGS update, the round
-kernel's curvature update in its one-shot stacked form, the time functions
-and staleness bound of a clock schedule, a per-message inbox, and random
-Metropolis problems. The runtimes never call these; they evaluate the
-staged, scaled forms and keep their messages in dated logs.
+Objective values (instances, runtime objective, dual function), per-node
+operations of ``DistributedObjective`` in their unscaled form, the
+unscaled penalty objective, the two-pass sigmoid and the logistic Newton
+optimum that evaluates each point several times, the consensus weight
+conditions, the classical BFGS update, the round kernel's curvature
+update in its one-shot stacked form, the time functions and staleness
+bound of a clock schedule, a per-message inbox, and random Metropolis
+problems. The runtimes never call these; they evaluate the staged, scaled
+forms and keep their messages in dated logs.
 """
 
 import heapq
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.sparse as sp
 from hypothesis import strategies as st
 
 from dbfgs._kernel import SKIP_THRESHOLD
 from dbfgs.curvature import CurvatureState
 from dbfgs.netgraph import Graph
-from dbfgs.objectives import DistributedObjective, make_quadratic
+from dbfgs.objectives import (DistributedObjective, LogisticInstance,
+                              QuadraticInstance, make_quadratic)
+
+
+def value_all(inst, x: np.ndarray) -> float:
+    """sum_i f_i(x_i) of a quadratic or logistic instance; x is (n, p)."""
+    if isinstance(inst, QuadraticInstance):
+        return float(0.5 * np.sum(inst.a * x * x) + np.sum(inst.b * x))
+    z = -np.einsum("iqp,ip->iq", inst.features, x) * inst.labels
+    loss = np.logaddexp(0.0, z).sum()
+    return float(0.5 * inst.lam * np.sum(x * x) / inst.n + loss)
+
+
+def runtime_value(obj, var: np.ndarray) -> float:
+    """Value of the objective the runtimes descend: the scaled penalty
+    alpha sum f_i + 1/2 x'(I-Z)x, or the negative dual function."""
+    if obj.mode == "primal":
+        pen = 0.5 * np.sum(var * (var - obj.weights @ var))
+        return float(obj.alpha * value_all(obj.instance, var) + pen)
+    return -dual_function_value(obj, var)
+
+
+def dual_function_value(obj, nu: np.ndarray) -> float:
+    """psi(nu) = L(x(nu), nu) for quadratic instances."""
+    if obj.mode != "dual":
+        raise ValueError("dual function requires dual mode")
+    slack_nu = nu - obj.weights @ nu
+    x = -(obj.instance.b + slack_nu) / obj.instance.a
+    return float(value_all(obj.instance, x) + np.sum(slack_nu * x))
+
+
+def sigmoid(z: np.ndarray) -> np.ndarray:
+    """The logistic function in two masked branches, one per sign of z."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def logistic_newton(inst: LogisticInstance, tol: float = 1e-12,
+                    max_iter: int = 200) -> np.ndarray:
+    """Damped Newton with backtracking that evaluates the margins, the
+    sigmoid and the value afresh wherever it needs them; the library's
+    optimum must equal it bit for bit."""
+    u = inst.features.reshape(-1, inst.p)
+    v = inst.labels.reshape(-1)
+    lam = inst.lam
+    x = np.zeros(inst.p)
+
+    def val(x_):
+        return float(0.5 * lam * x_ @ x_ + np.logaddexp(0.0, -(u @ x_) * v).sum())
+
+    def grad(x_):
+        s = sigmoid(-(u @ x_) * v)
+        return lam * x_ - (v * s) @ u
+
+    for _ in range(max_iter):
+        g = grad(x)
+        if np.linalg.norm(g) <= tol:
+            return x
+        s = sigmoid(-(u @ x) * v)
+        w = s * (1.0 - s)
+        h = lam * np.eye(inst.p) + (u * w[:, None]).T @ u
+        step = np.linalg.solve(h, g)
+        t, v0 = 1.0, val(x)
+        while val(x - t * step) > v0 - 1e-4 * t * (g @ step) and t > 1e-12:
+            t *= 0.5
+        moved = x - t * step
+        # near the optimum the values cannot resolve the decrease; where the
+        # search's step leaves x unchanged, take the full Newton step instead
+        x = x - step if np.array_equal(moved, x) else moved
+    if np.linalg.norm(grad(x)) > tol:
+        raise RuntimeError("logistic Newton failed to reach tolerance")
+    return x
+
+
+@dataclass(frozen=True)
+class WeightMatrixReport:
+    """Pass/fail report from validate_weight_matrix."""
+
+    symmetric: bool
+    row_stochastic: bool
+    connectivity: bool
+    max_asymmetry: float
+    max_row_sum_error: float
+    second_smallest_eigenvalue: float
+
+    @property
+    def ok(self) -> bool:
+        return self.symmetric and self.row_stochastic and self.connectivity
+
+
+def validate_weight_matrix(w) -> WeightMatrixReport:
+    """Check the consensus weight conditions.
+
+    Symmetry W = W^T, row sums 1 (tolerance 1e-12), and the null-space
+    condition null(I - W) = span(1), checked via the second-smallest
+    eigenvalue of I - W being strictly positive (> 1e-10). Dense
+    eigensolve: test-scale networks only.
+    """
+    w = w.toarray() if sp.issparse(w) else np.asarray(w, dtype=float)
+    asym = float(np.max(np.abs(w - w.T))) if w.size else 0.0
+    row_err = float(np.max(np.abs(w.sum(axis=1) - 1.0)))
+    evals = np.sort(np.linalg.eigvalsh(np.eye(w.shape[0]) - 0.5 * (w + w.T)))
+    lam2 = float(evals[1]) if len(evals) > 1 else np.inf
+    return WeightMatrixReport(
+        symmetric=asym <= 1e-12,
+        row_stochastic=row_err < 1e-12,
+        connectivity=lam2 > 1e-10,
+        max_asymmetry=asym,
+        max_row_sum_error=row_err,
+        second_smallest_eigenvalue=lam2,
+    )
 
 
 def _wrow(obj, i: int) -> np.ndarray:
@@ -77,7 +195,7 @@ def penalty_objective_value(obj, x: np.ndarray) -> float:
     if obj.mode != "primal":
         raise ValueError("penalty objective requires primal mode")
     pen = 0.5 * np.sum(x * (x - obj.weights @ x)) / obj.alpha
-    return float(obj.instance.value_all(x) + pen)
+    return float(value_all(obj.instance, x) + pen)
 
 
 def centralized_bfgs_oracle(b: np.ndarray, v: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -179,7 +297,7 @@ def metropolis_weights(graph: Graph) -> np.ndarray:
     """Dense Metropolis weights: 1 / (1 + the larger degree) on each edge."""
     w = np.zeros((graph.n, graph.n))
     for i, j in graph.edges:
-        w[i, j] = w[j, i] = 1.0 / (1 + max(graph.degree(i), graph.degree(j)))
+        w[i, j] = w[j, i] = 1.0 / max(graph.m[i], graph.m[j])
     np.fill_diagonal(w, 1.0 - w.sum(axis=1))
     return w
 

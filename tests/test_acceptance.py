@@ -44,9 +44,11 @@ from dbfgs.objectives import DistributedObjective, make_quadratic
 from dbfgs.sync_runtime import DbfgsSyncEngine, SyncConfig, run_dbfgs_sync
 from oracles import (
     curvature_states,
+    dual_function_value,
     dual_grad_i,
     penalty_objective_value,
     primal_grad_i,
+    runtime_value,
 )
 
 SEEDS = tuple(range(20))
@@ -239,8 +241,8 @@ def test_gradient_locality_and_finite_differences():
     xs = dual.stage1_full(nu)
     dgrads = np.stack([dual_grad_i(dual, i, xs[list(graph.neighborhoods[i])])
                        for i in range(9)])
-    fd_d = (dual.dual_function_value(nu + h * direction)
-            - dual.dual_function_value(nu - h * direction)) / (2 * h)
+    fd_d = (dual_function_value(dual, nu + h * direction)
+            - dual_function_value(dual, nu - h * direction)) / (2 * h)
     rel_d = abs(fd_d - float(np.sum(dgrads * direction))) / abs(fd_d)
     check("gradient_locality_fd", locality and rel_p <= 1e-5 and rel_d <= 1e-5,
           f"locality exact, fd residuals primal {rel_p:.2e} dual {rel_d:.2e}")
@@ -259,12 +261,12 @@ def test_theory_stepsize_monotone_rate():
     delta = big_gamma + n / gamma
     eps = 0.9 * 2.0 * big_gamma / (lips * delta * delta)
     xopt = np.linalg.solve(hess, -alpha * inst.b.ravel()).reshape(n, p)
-    fstar = obj.runtime_value(xopt)
+    fstar = runtime_value(obj, xopt)
     eng = DbfgsSyncEngine(graph, obj, gamma, big_gamma, eps)
-    vals = [obj.runtime_value(eng.var)]
+    vals = [runtime_value(obj, eng.var)]
     for _ in range(50):
         eng.step()
-        vals.append(obj.runtime_value(eng.var))
+        vals.append(runtime_value(obj, eng.var))
     vals = np.asarray(vals)
     monotone = bool(np.all(np.diff(vals) <= 0.0))
     logs = np.log(vals[25:] - fstar)

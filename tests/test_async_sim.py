@@ -186,7 +186,7 @@ def test_lockstep_matches_sync_on_irregular_graph():
                              (3, 4)])
     w = np.zeros((6, 6))
     for i, j in g.edges:
-        w[i, j] = w[j, i] = 1.0 / (1 + max(g.degree(i), g.degree(j)))
+        w[i, j] = w[j, i] = 1.0 / max(g.m[i], g.m[j])
     np.fill_diagonal(w, 1.0 - w.sum(axis=1))
     obj = DistributedObjective(make_quadratic(6, 4, 1.0, 2), g, w, "dual")
     sched = gen_clock_schedule(6, 1.0, 0.0, 40.0, 0)

@@ -1,9 +1,11 @@
+import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from dbfgs import objectives
 from dbfgs.netgraph import Graph, build_d_regular_cycle, build_weight_matrix
 from dbfgs.objectives import (
     DistributedObjective,
@@ -15,10 +17,13 @@ from dbfgs.objectives import (
     solve_consensus_optimum,
 )
 from oracles import (
+    dual_function_value,
     dual_grad_i,
     dual_lagrangian_minimizer_i,
+    logistic_newton,
     penalty_objective_value,
     primal_grad_i,
+    sigmoid,
 )
 
 
@@ -198,8 +203,8 @@ def test_dual_ascent_improves_dual_function():
     x = obj.stage1_full(nu)
     ascent = np.stack([dual_grad_i(obj, i, x[list(g.neighborhoods[i])])
                        for i in range(5)])
-    before = obj.dual_function_value(nu)
-    after = obj.dual_function_value(nu + 1e-4 * ascent)
+    before = dual_function_value(obj, nu)
+    after = dual_function_value(obj, nu + 1e-4 * ascent)
     assert after > before
 
 
@@ -245,6 +250,45 @@ def test_consensus_optimum_logistic_where_line_search_stalls(n, q, lam, mu, seed
     x = solve_consensus_optimum(inst)
     grad = sum(inst.local_grad(i, x) for i in range(n))
     assert np.linalg.norm(grad) <= 1e-12
+
+
+def test_logistic_optimum_equals_the_reference_bit_for_bit():
+    # n, q, lam, mu and seed over the sweep grid the line-search fallback
+    # was checked on; p = 4
+    grid = itertools.product((12, 30, 100), (6, 10, 100), (1e-4, 1e-2, 1.0),
+                             (1.0, 3.0), range(3))
+    moved = []
+    for n, q, lam, mu, seed in grid:
+        inst = make_logistic(n, 4, q, lam, mu, 1.0, 1.0, seed)
+        if not np.array_equal(solve_consensus_optimum(inst), logistic_newton(inst)):
+            moved.append((n, q, lam, mu, seed))
+    assert not moved, f"optimum moved on (n, q, lam, mu, seed) = {moved}"
+
+
+def test_sigmoid_equals_the_two_branch_reference_bit_for_bit():
+    special = np.array([0.0, -0.0, 1e-300, -1e-300, 36.0, -36.0, 709.8, -709.8,
+                        745.0, -745.0, np.inf, -np.inf, np.nan, -np.nan])
+    normal = 30.0 * np.random.default_rng(0).standard_normal((100, 100))
+    for z in (special, normal):
+        assert objectives._sigmoid(z).tobytes() == sigmoid(z).tobytes()
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_logistic_newton_evaluates_the_sigmoid_once_per_point(monkeypatch, seed):
+    calls = {"sigmoid": 0, "solve": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(objectives, "_sigmoid",
+                        counted("sigmoid", objectives._sigmoid))
+    monkeypatch.setattr(np.linalg, "solve", counted("solve", np.linalg.solve))
+    solve_consensus_optimum(make_logistic(100, 4, 100, 1e-4, 3.0, 1.0, 1.0, seed))
+    # every Newton step is one solve; the points are the start and each step's
+    assert calls["sigmoid"] == calls["solve"] + 1
 
 
 def test_consensus_optimum_logistic_requires_regularizer():
@@ -321,8 +365,8 @@ def test_finite_difference_consistency_dual():
     grad = np.stack([dual_grad_i(obj, i, x[list(g.neighborhoods[i])])
                      for i in range(7)])
     h = 1e-6
-    fd = (obj.dual_function_value(nu + h * direction)
-          - obj.dual_function_value(nu - h * direction)) / (2 * h)
+    fd = (dual_function_value(obj, nu + h * direction)
+          - dual_function_value(obj, nu - h * direction)) / (2 * h)
     assert fd == pytest.approx(float(np.sum(grad * direction)), rel=1e-5)
 
 
