@@ -274,7 +274,7 @@ def test_sigmoid_equals_the_two_branch_reference_bit_for_bit():
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_logistic_newton_evaluates_the_sigmoid_once_per_point(monkeypatch, seed):
+def test_logistic_newton_evaluates_the_sigmoid_once_per_iterate(monkeypatch, seed):
     calls = {"sigmoid": 0, "solve": 0}
 
     def counted(name, fn):
@@ -287,7 +287,8 @@ def test_logistic_newton_evaluates_the_sigmoid_once_per_point(monkeypatch, seed)
                         counted("sigmoid", objectives._sigmoid))
     monkeypatch.setattr(np.linalg, "solve", counted("solve", np.linalg.solve))
     solve_consensus_optimum(make_logistic(100, 4, 100, 1e-4, 3.0, 1.0, 1.0, seed))
-    # every Newton step is one solve; the points are the start and each step's
+    # every Newton step is one solve; the iterates are the start and one per
+    # step (23 on these instances; the two-pass loop made 45 sigmoid calls)
     assert calls["sigmoid"] == calls["solve"] + 1
 
 
