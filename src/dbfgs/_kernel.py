@@ -25,8 +25,8 @@ works through the batch in cache-sized blocks of nodes: it copies a
 block's matrices from the stack into the scratch, updates them there and
 writes them back to the stack once. The descent then factors those
 matrices in the scratch, never in the stack, with one LAPACK ``dposv`` per
-node; on a first round, or when called on its own, it copies them from the
-stack first.
+node; called on its own, it copies them from the stack first. A first
+round, where every curvature is I, takes no factorization.
 """
 
 from __future__ import annotations
@@ -53,6 +53,19 @@ class CurvatureLost(RuntimeError):
         super().__init__("curvature matrix lost positive definiteness "
                          f"at node {nodes[0]}")
         self.nodes = nodes
+
+
+def by_size(m: np.ndarray, ids: np.ndarray, cuts):
+    """Per neighborhood size m[i] of the nodes ``ids``, ascending, yield the
+    size, the positions in ``ids`` of its nodes part by part (part k is
+    ``ids[cuts[k]:cuts[k + 1]]``) and in order within a part, their parts,
+    and where each part starts among them, then their count."""
+    sizes = m[ids]
+    part = np.repeat(np.arange(len(cuts) - 1), np.diff(cuts))
+    order = np.lexsort((sizes, part))
+    for msize in np.unique(sizes).tolist():
+        sel = order[sizes[order] == msize]
+        yield msize, sel, part[sel], np.searchsorted(part[sel], np.arange(len(cuts)))
 
 
 class Group(NamedTuple):
@@ -90,7 +103,7 @@ class RoundKernel:
         # the node's descent contributions, in layout rows
         self.last = np.zeros((2, self.total_blocks, p))
         self.contrib = np.zeros((self.total_blocks, p))
-        self.groups = self.batch(range(graph.n))
+        self.groups = self.batches(range(graph.n), [0, graph.n])[0]
 
     @cached_property
     def curvature(self) -> dict:
@@ -121,24 +134,26 @@ class RoundKernel:
         """Node i's curvature matrix (a view into its stack)."""
         return self.curvature[int(self.m[i])][self.slot[i]]
 
-    def batch(self, ids) -> list:
-        """Groups of the distinct node ids ``ids``, by neighborhood size. A
-        slot whose node is in ``ids`` reads the current block, any other
-        slot the dated copy."""
-        ids = np.asarray(ids, dtype=np.intp)
-        sizes = self.m[ids]
-        in_batch = np.zeros(self.graph.n, dtype=bool)
-        in_batch[ids] = True
-        out = []
-        for msize in sorted(set(sizes.tolist())):
-            pos = np.flatnonzero(sizes == msize)
-            sel = ids[pos]
-            rows = self.offsets[sel, None] + np.arange(msize)
+    def batches(self, ids, cuts) -> list:
+        """Per batch ``ids[cuts[k]:cuts[k + 1]]`` of distinct node ids, its
+        groups by neighborhood size, ascending, each in batch order. A slot
+        whose node is in its batch reads the current block, any other slot
+        the dated copy."""
+        ids, cuts, n = np.asarray(ids, dtype=np.intp), np.asarray(cuts), self.graph.n
+        out = [[] for _ in cuts[1:]]
+        for msize, sel, part, bounds in by_size(self.m, ids, cuts):
+            nodes = ids[sel]
+            rows = self.offsets[nodes, None] + np.arange(msize)
             nb = self.cols[rows]
-            view = np.where(in_batch[nb], self.total_blocks + nb, rows)
-            out.append(Group(msize, sel, pos, self.slot[sel], nb,
-                             self.dd[rows].reshape(len(sel), -1),
-                             self.mirror[rows], rows, view))
+            inside = np.isin(part[:, None] * n + nb, np.repeat(
+                np.arange(len(out)), np.diff(cuts)) * n + ids)
+            fields = (nodes, sel - cuts[part], self.slot[nodes], nb,
+                      self.dd[rows].reshape(len(sel), -1), self.mirror[rows], rows,
+                      np.where(inside, self.total_blocks + nb, rows))
+            bounds = bounds.tolist()
+            for groups, lo, hi in zip(out, bounds, bounds[1:]):
+                if hi > lo:
+                    groups.append(Group(msize, *[f[lo:hi] for f in fields]))
         return out
 
     def gather_views(self, arr: np.ndarray) -> list:
@@ -151,16 +166,20 @@ class RoundKernel:
                     big_gamma: float, first: bool = False, groups=None) -> np.ndarray:
         """Curvature update (not on a node's first round), descent
         contributions, then keep the views for the batch's next round.
-        The descent factors the matrices the update left in the scratch.
+        The descent factors the matrices the update left in the scratch. On
+        a first round every curvature is I, which ``dposv`` solves exactly
+        for finite g, so the contributions are -(g + Gamma D g) unfactored.
 
         Returns the accept mask, one entry per batch node in batch order.
         """
         groups = groups or self.groups
         if first:
             accepted = np.zeros(sum(len(grp.ids) for grp in groups), dtype=bool)
+            for grp, gv in zip(groups, g_views):
+                self.contrib[grp.rows] = -(gv + big_gamma * grp.dd.reshape(gv.shape) * gv)
         else:
             accepted = self.bfgs_all(var_views, g_views, gamma, groups)
-        self.descent(g_views, big_gamma, groups, loaded=not first)
+            self.descent(g_views, big_gamma, groups, loaded=True)
         for grp, vv, gv in zip(groups, var_views, g_views):
             self.last[0][grp.rows] = vv
             self.last[1][grp.rows] = gv

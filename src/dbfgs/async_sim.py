@@ -16,27 +16,31 @@ the synchronous engine uses, with one trace row per batch in event order.
 Every batch takes this path, so a zero-drift schedule (a window per batch)
 reproduces the synchronous runtime bit for bit.
 
+The schedule and the graph fix every index a run uses, so the engine plans
+them apart from the float work, as inspector-executor schemes do for
+irregular loops (Saltz, Mirchandaney and Crowley, IEEE Trans. Computers,
+1991): per window its batches, kernel groups, the log rows its reads take,
+and per row its local_iter_min and the keys its record refreshes.
+
 Messages live in two dated logs that every event writes once, as Time
 Warp keeps its message logs (Jefferson, "Virtual Time", 1985). Every event
 publishes one (var, aux, g) package, arriving at its time plus the message
 delay; in physical D-BFGS it also files one descent chunk per neighborhood
 slot, arriving at once at its own node and after the delay at the others.
 A window reads both logs once: each reader's dated copies become each
-neighbor's latest package that arrived before its event (one lookup on the
-arrival times), and the chunks that arrived since its last read land on
-its var one by one in (arrival, send) order. A window's readers are
-pairwise non-adjacent, so no message of the window reaches a reader of it,
-and the window writes its own messages to the logs once, after its trace
-rows.
+neighbor's latest package that arrived before its event, and the chunks
+that arrived since its last read land on its var one by one in (arrival,
+send) order. A window's readers are pairwise non-adjacent, so no message
+of the window reaches a reader of it, and the window writes its own
+messages to the logs once, after its trace rows.
 
 After the kernel step a window runs three phases. Apply lands each batch's
 fresh blocks and step in event order and keeps the state each row reads.
-Record computes every row's error and gradient norm at once: a row's
-events move only their nodes' blocks, so it refreshes only the per-node
-error terms they moved and the runtime gradient blocks within reach of them
-(one hop in primal mode, two in dual mode: stage 1 mixes var), and takes
-the norm of the whole gradient. Before the first row every node counts as
-moved, so that row evaluates every block on the same path. Emit then goes
+Record computes every row's error and gradient norm at once: it refreshes
+only the error terms of the nodes whose estimate moved and the runtime
+gradient blocks within reach of a node whose var moved (one hop in primal
+mode, two in dual mode: stage 1 mixes var), and takes the norm of the whole
+gradient; at the first row every node counts as moved. Emit then goes
 through the batches in order: trace row, stop rules, lost curvature. A
 stop ends the run at its batch; what apply wrote after that batch is never
 observed, and nothing the window publishes is ever read.
@@ -50,12 +54,11 @@ physical engine at every node's availability events.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
 
-from ._kernel import CurvatureLost, RoundKernel
+from ._kernel import CurvatureLost, RoundKernel, by_size
 from .netgraph import Graph
 from .objectives import DistributedObjective
 from .sync_runtime import SyncConfig, Trace, _check_stop
@@ -72,6 +75,8 @@ __all__ = [
 ]
 
 CLOCK_INCREMENT_FLOOR = 0.01
+# events the engine plans at once (at least): bounds the plan's memory
+PLAN_EVENTS = 512
 
 
 # ---------------------------------------------------------------------------
@@ -136,10 +141,12 @@ class EventQueue:
         nodes = np.repeat(np.arange(schedule.n), [len(t) for t in schedule.times])
         self.order = np.lexsort((nodes, ticks))
         self.time, self.node = ticks[self.order], nodes[self.order]
+        # each batch's first event, then one past the last event
+        self.cuts = np.flatnonzero(np.r_[1, np.diff(self.time), 1])
 
     def batches(self):
         """Yield (time, [node ids ascending]) with exact-tie events grouped."""
-        cuts = [0, *(np.flatnonzero(np.diff(self.time)) + 1).tolist(), len(self.time)]
+        cuts = self.cuts.tolist()
         times, nodes = self.time.tolist(), self.node.tolist()
         for lo, hi in zip(cuts, cuts[1:]):
             yield times[lo], nodes[lo:hi]
@@ -149,16 +156,14 @@ class EventQueue:
         a node of another or a neighbor of one: such batches commute."""
         cols, bounds = layout.cols.tolist(), layout.indptr.tolist()
         around = [cols[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-        blocked = bytearray(len(around))
-        window = []
+        blocked, window = set(), []
         for t, batch in self.batches():
-            if window and any(blocked[i] for i in batch):
+            if window and not blocked.isdisjoint(batch):
                 yield window
-                window, blocked = [], bytearray(len(around))
+                blocked, window = set(), []
             window.append((t, batch))
             for i in batch:
-                for j in around[i]:
-                    blocked[j] = 1
+                blocked.update(around[i])
         yield window
 
 
@@ -180,21 +185,19 @@ class EventLog(NamedTuple):
     block: np.ndarray  # (events, p)
 
 
-def _distinct(parts, size: int) -> np.ndarray:
-    """The distinct values in the index arrays ``parts``, all below
-    ``size``, ascending."""
-    seen = np.zeros(size, dtype=bool)
-    for part in parts:
-        seen[part] = True
-    return seen.nonzero()[0]
+class _Window(NamedTuple):
+    """A window's share of the plan. Its batches are its trace rows (in the
+    run's first window, none), and key r n + i names node i at row r."""
 
-
-def _by_row(keys: np.ndarray, nodes: np.ndarray, values: np.ndarray,
-            cuts: np.ndarray) -> list:
-    """(nodes, values) of each row, from keys in row order and each row's
-    first key ``cuts``."""
-    bounds = np.searchsorted(keys, cuts).tolist()
-    return [(nodes[lo:hi], values[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    events: slice
+    ends: list  # each batch's end among the window's events, after a 0
+    slot_ends: list  # the same among its events' layout slots
+    rows: list  # each batch's time and local_iter_min
+    groups: list  # the kernel's groups
+    slots: np.ndarray  # the events' layout rows, event after event
+    read: np.ndarray  # the ``packages`` row each slot's dated copy reads
+    inbox: tuple  # the chunks read: their nodes and ``chunk_log`` rows
+    record: tuple  # key sets: error terms, stage 1 (dual mode), gradient
 
 
 # ---------------------------------------------------------------------------
@@ -205,14 +208,9 @@ def _by_row(keys: np.ndarray, nodes: np.ndarray, values: np.ndarray,
 class _AsyncEngine:
     """One event loop for asynchronous D-BFGS (physical and virtual) and DD.
 
-    A window reads what reached its events from the package and chunk
-    logs, evaluates their gradients from views that mix each batch's fresh
-    blocks with dated packages and takes the local step on the round
-    kernel. Then it applies each batch's changes in event order, keeping the
-    state each trace row reads; records every row from the blocks the rows'
-    events moved; emits each batch's row and stop rules in turn; and writes
-    its events, packages and chunks to the logs.
-
+    ``_plan`` plans windows of at least ``PLAN_EVENTS`` events at a time, so
+    the plan's memory stays bounded and a run that stops early plans at most
+    one slice past its stop; ``_process_window`` does a window's float work.
     The logs have room for every event of the schedule: its package, at
     the row of its tick in ``packages``, and in physical D-BFGS its chunks,
     from row ``chunk_at[k]`` of ``chunk_log`` for event k. With the event
@@ -227,9 +225,7 @@ class _AsyncEngine:
             raise ValueError("schedule and graph disagree on node count")
         if any(ticks[0] != 0.0 for ticks in schedule.times):
             raise ValueError("all availability clocks must start at t = 0")
-        self.obj = objective
-        self.cfg = cfg
-        self.virtual = virtual
+        self.obj, self.cfg, self.virtual = objective, cfg, virtual
         n, p = graph.n, objective.p
         self.kernel = kernel = RoundKernel(graph, p)
         # the kernel's view stack of (var, aux, g): node i's dated copy of
@@ -240,7 +236,6 @@ class _AsyncEngine:
         self.var, self.aux, self.g = self.store[:, kernel.total_blocks:]
         if cfg.var0 is not None:
             self.var[:] = cfg.var0
-        self.local_iter = np.zeros(n, dtype=int)
         self.dbfgs = method == "dbfgs"
         self.chunks = self.dbfgs and not virtual
         self.trace = Trace(method=method, mode=cfg.mode, seed=cfg.seed,
@@ -249,18 +244,21 @@ class _AsyncEngine:
         # start at first[i]
         self.queue = queue = EventQueue(schedule)
         events = len(queue.time)
-        first = np.cumsum([0] + [len(t) for t in schedule.times])
+        self.first = first = np.cumsum([0] + [len(t) for t in schedule.times])
         # per tick, node * events + event: node i's events before event e
         # are its ticks whose key falls below i * events + e
         self.keys = np.empty(events, dtype=np.intp)
         self.keys[queue.order] = queue.node * events + np.arange(events)
-        self.rank = queue.order - first[queue.node]  # among its node's events
+        # among its node's events: the node's local iteration count there
+        self.rank = queue.order - first[queue.node]
         self.arrival = queue.time + cfg.delta_msg  # of each event's messages
-        # per layout slot: its node's key base and first tick, and whether
-        # it holds a neighbor rather than the node itself
-        lay = graph.layout
-        self.slot_key, self.slot_first = lay.cols * events, first[lay.cols]
-        self.neighbor = lay.cols != lay.rows
+        # each event's batch; per k >= 1, the batch of the last k-th tick
+        self.batch = np.repeat(np.arange(len(queue.cuts) - 1), np.diff(queue.cuts))
+        ticks = np.empty(events, dtype=np.intp)
+        ticks[queue.order] = self.batch
+        self.kth = ticks[first[:-1, None] + np.arange(1, np.diff(first).min())].max(0)
+        # the windows, planned up to batch ``planned``
+        self.windows, self.planned = queue.windows(graph.layout), 0
         # the packages by tick after a zero row per node: row first[i] + i + c
         # holds node i's c-th package, the zero row stands for none
         self.packages = np.zeros((3, events + n, p))
@@ -269,21 +267,17 @@ class _AsyncEngine:
         # layout row; and each node's inbox from inbox_at[i]: the rows of the
         # chunks sent to it, in (arrival, send) order. A chunk arrives at
         # once at its own node and after the message delay at the others.
-        sizes = kernel.m[queue.node]
-        self.chunk_at = np.cumsum(np.append(0, sizes))
+        self.chunk_at = np.cumsum(np.append(0, kernel.m[queue.node]))
         self.chunk_log = np.empty((self.chunk_at[-1] if self.chunks else 0, p))
         if self.chunks:
-            sender = np.repeat(np.arange(events), sizes)
-            slot = (np.arange(len(sender))
-                    + (kernel.offsets[queue.node] - self.chunk_at[:-1])[sender])
-            to = lay.cols[slot]
-            arrival = np.where(self.neighbor[slot], self.arrival[sender],
+            slot, sender = self._slots(queue.node)
+            to = kernel.cols[slot]
+            arrival = np.where(to != graph.layout.rows[slot], self.arrival[sender],
                                queue.time[sender])
             self.inbox = np.lexsort((sender, arrival, to))
             self.inbox_at = np.searchsorted(to[self.inbox], np.arange(n))
-            self.taken = np.zeros(n, dtype=np.intp)  # chunks each node applied
-        # the event log; ``logged`` events so far
-        self.log_iter = np.empty(events, dtype=int)
+            self.taken = np.zeros(n, dtype=np.intp)  # chunks each node read
+        # the event log's blocks; ``logged`` events so far
         self.log_block = np.empty((events, p))
         self.logged = 0
         # the record at the last row: consensus_error's term per node, and
@@ -294,220 +288,246 @@ class _AsyncEngine:
             raise ValueError("consensus error is undefined for a zero optimum")
         self.err_terms = np.zeros(n)
         self.runtime_aux, self.runtime_grad = np.zeros((n, p)), np.zeros((n, p))
-        # the nodes whose var moved after the last row; before the first
-        # row, every node
-        self.pending = list(range(n))
+
+    def _slots(self, nodes: np.ndarray) -> tuple:
+        """The layout rows of ``nodes``, node after node, and the position
+        in ``nodes`` of each row's node."""
+        sizes = self.kernel.m[nodes]
+        at = np.repeat(np.arange(len(nodes)), sizes)
+        start = self.kernel.offsets[nodes] - np.cumsum(sizes) + sizes
+        return start[at] + np.arange(len(at)), at
+
+    def _reach(self, seeds: np.ndarray, size: int, hops: int) -> list:
+        """Per h = 0 to ``hops``, the distinct keys below ``size`` within h
+        hops of the keys ``seeds`` in their rows, ascending."""
+        out = []
+        for hop in range(hops + 1):
+            if hop:
+                nodes = out[-1] % len(self.err_terms)
+                slots, at = self._slots(nodes)
+                seeds = (out[-1] - nodes)[at] + self.kernel.cols[slots]
+            seen = np.zeros(size, dtype=bool)
+            seen[seeds] = True
+            out.append(seen.nonzero()[0])
+        return out
+
+    def _key_sets(self, keys: np.ndarray, wb: np.ndarray, hoods: bool) -> list:
+        """Per window (first batches ``wb``), the ascending ``keys`` in its rows
+        as (nodes, each row's first and one past the last position, groups,
+        keys from its first row). With ``hoods``, a group per neighborhood size:
+        positions, nodes and each node's neighborhood keys, in layout order."""
+        kernel, n = self.kernel, len(self.err_terms)
+        nodes = keys % n
+        bounds = np.searchsorted(keys, np.arange(wb[-1] + 1) * n)  # by row
+        wk = bounds[wb]  # each window's first key
+        keys = keys - np.repeat(wb[:-1] * n, np.diff(wk))
+        rows, starts, batches = bounds.tolist(), wk.tolist(), wb.tolist()
+        out = [(nodes[lo:hi], [r - lo for r in rows[b0:b1 + 1]], [], keys[lo:hi])
+               for lo, hi, b0, b1 in zip(starts, starts[1:], batches, batches[1:])]
+        for msize, sel, part, cuts in by_size(kernel.m, nodes, wk) if hoods else ():
+            ids, pos, cuts = nodes[sel], sel - wk[part], cuts.tolist()
+            around = ((keys[sel] - ids)[:, None]
+                      + kernel.cols[kernel.offsets[ids, None] + np.arange(msize)])
+            for (*_, groups, _), lo, hi in zip(out, cuts, cuts[1:]):
+                if hi > lo:
+                    groups.append((pos[lo:hi], ids[lo:hi], around[lo:hi]))
+        return out
+
+    def _plan(self) -> list:
+        """The next windows' plans, at least ``PLAN_EVENTS`` events unless
+        the schedule ends first; [] once it has ended."""
+        queue, kernel, n = self.queue, self.kernel, len(self.err_terms)
+        counts, events = [], 0  # batches per window
+        for window in self.windows:
+            counts.append(len(window))
+            events += sum(len(batch) for _, batch in window)
+            if events >= PLAN_EVENTS:
+                break
+        if not counts:
+            return []
+        bl = self.planned
+        self.planned = bh = bl + sum(counts)
+        wb = np.cumsum([0] + counts)  # each window's first batch, from bl
+        eb = queue.cuts[bl:bh + 1]  # each batch's first event
+        el, eh = eb[0], eb[-1]
+        node = queue.node[el:eh]
+        groups = kernel.batches(node, eb[wb] - el)
+        # a slot reads its neighbor's latest package that arrived strictly
+        # before the event: its last tick among the first ``arrived`` events
+        # (one key lookup), or with none, and at its own node, the zero row
+        slots, at = self._slots(node)
+        cols = kernel.cols[slots]
+        arrived = np.searchsorted(self.arrival, queue.time[el:eh])
+        tick = np.searchsorted(self.keys, cols * len(self.keys) + arrived[at]
+                               * (cols != kernel.graph.layout.rows[slots]))
+        sb = self.chunk_at[eb] - self.chunk_at[el]  # each batch's first slot
+        # the inbox: a node has the chunks of its neighbors' arrived packages
+        # and of its own earlier events, and reads those it has not yet
+        new = readers = chunks = np.zeros(eh - el, dtype=np.intp)  # none read
+        if self.chunks:
+            total = (np.add.reduceat(tick - self.first[cols],
+                                     self.chunk_at[el:eh] - self.chunk_at[el])
+                     + self.rank[el:eh])
+            order = np.argsort(node, kind="stable")
+            had = np.empty_like(total)
+            had[order] = np.where(np.append(True, np.diff(node[order]) != 0),
+                                  self.taken[node[order]], np.append(0, total[order][:-1]))
+            np.maximum.at(self.taken, node, total)
+            new = total - had
+            readers = np.repeat(node, new)
+            start = self.inbox_at[node] + had - np.cumsum(new) + new
+            chunks = self.inbox[np.repeat(start, new) + np.arange(len(readers))]
+        cb = np.append(0, np.cumsum(new))[eb[wb] - el]  # each window's first chunk
+        # the record keys of the rows (the batches after the first): the nodes
+        # whose var moved (at the first row all; then a batch's own in physical
+        # D-BFGS, the batch before's in DD and their neighbors in the virtual
+        # engine) and those whose estimate moved (dual mode: a batch's own)
+        size, row0 = (bh - bl) * n, max(bl, 1)  # the first batch with a row
+        lo = queue.cuts[row0 - 1]  # and the batch before it
+        own = (self.batch[lo:eh] - bl) * n + queue.node[lo:eh]
+        own, after = own[own >= (row0 - bl) * n], own + n
+        after = after[after < size]
+        every = np.arange(n) + (1 - bl) * n if bl <= 1 < bh else after[:0]
+        moved = (own if self.chunks else after if not self.dbfgs
+                 else self._reach(after, size, 1)[1])
+        dual = self.obj.mode == "dual"
+        reach = self._reach(np.concatenate((moved, every)), size, 1 + dual)
+        err = self._reach(np.concatenate((own, every)), size, 0)[0] if dual else reach[0]
+        record = [self._key_sets(keys, wb, hoods) for keys, hoods
+                  in zip((err, *reach[1:]), (False, True, True))]
+        rows = list(zip(queue.time[eb[:-1]].tolist(), np.searchsorted(
+            self.kth, np.arange(bl, bh), side="right").tolist()))
+        read, eb, sb, cb = tick + cols, eb.tolist(), sb.tolist(), cb.tolist()
+        plan = []
+        for w, (b0, b1) in enumerate(zip(wb.tolist(), wb[1:].tolist())):
+            e0, s0, s1, c0, c1 = eb[b0], sb[b0], sb[b1], cb[w], cb[w + 1]
+            plan.append(_Window(
+                slice(e0, eb[b1]), [e - e0 for e in eb[b0:b1 + 1]],
+                [s - s0 for s in sb[b0:b1 + 1]], rows[b0:b1],
+                groups[w], slots[s0:s1], read[s0:s1],
+                (readers[c0:c1], chunks[c0:c1]), tuple(keys[w] for keys in record)))
+        return plan
 
     def _views(self, groups, q: int) -> list:
         """Per-group (g, m, p) views of quantity q (0 var, 1 aux, 2 g)."""
         return [self.store[q][grp.view] for grp in groups]
 
-    def _slots(self, ids: np.ndarray) -> tuple:
-        """The layout rows of the nodes ``ids``, node after node; the
-        position in ``ids`` of each row's node; and where each node's rows
-        start."""
-        sizes = self.kernel.m[ids]
-        starts = np.cumsum(sizes) - sizes
-        at = np.repeat(np.arange(len(ids)), sizes)
-        return (self.kernel.offsets[ids] - starts)[at] + np.arange(len(at)), at, starts
-
-    def _read(self, events: slice, slots: np.ndarray, at: np.ndarray) -> np.ndarray:
-        """Set the dated copies of the nodes of ``events`` (their layout
-        rows ``slots``) to each neighbor's latest package that arrived
-        strictly before the node's event. Packages arrive in event order, so
-        those are the neighbor's events among the first ``arrived`` of the
-        run: one lookup of each slot's key. Returns, per slot, one past the
-        tick of that package (own slots: the node's first tick)."""
-        arrived = np.searchsorted(self.arrival, self.queue.time[events])
-        tick = np.searchsorted(self.keys, self.slot_key[slots]
-                               + arrived[at] * self.neighbor[slots])
-        self.known[:, slots] = self.packages[:, tick + self.kernel.cols[slots]]
-        return tick
-
-    def _inbox(self, events: slice, slots: np.ndarray, starts: np.ndarray,
-               tick: np.ndarray) -> tuple:
-        """The chunks that reached the nodes of ``events`` since their last
-        read, as ``_read`` left their slots' ticks: their nodes and rows of
-        the chunk log, each node's in (arrival, send) order. A node has by
-        now the chunks of its neighbors' arrived packages and of its own
-        earlier events."""
-        ids = self.queue.node[events]
-        total = (np.add.reduceat(tick - self.slot_first[slots], starts)
-                 + self.rank[events])
-        taken = self.taken[ids]
-        self.taken[ids] = total
-        new = total - taken
-        readers = np.repeat(ids, new)
-        start = self.inbox_at[ids] + taken - np.cumsum(new) + new
-        return readers, self.inbox[np.repeat(start, new) + np.arange(len(readers))]
-
-    def _send(self, events: slice, slots: np.ndarray, packages: np.ndarray) -> None:
-        """File the (3, k, p) packages of ``events`` and, in physical
-        D-BFGS, their chunks: the kernel's ``contrib`` at their nodes'
-        layout rows ``slots``."""
-        self.packages[:, self.package_row[events]] = packages
-        if self.chunks:
-            self.chunk_log[self.chunk_at[events.start]:self.chunk_at[events.stop]] = \
-                self.kernel.contrib[slots]
-
-    def _process_window(self, window: list, init: bool) -> bool:
+    def _process_window(self, w: _Window, init: bool) -> bool:
         """Run one window; True when a stop rule ends the run."""
         cfg, kernel = self.cfg, self.kernel
-        ids = np.concatenate([batch for _, batch in window])
-        groups = kernel.batch(ids)
+        ids = self.queue.node[w.events]
         before = self.var[ids], self.aux[ids]
-        # phase 1: every event reads its messages
-        first = self.logged  # the window's first event
-        events = slice(first, first + len(ids))
-        slots, at, starts = self._slots(ids)
-        tick = self._read(events, slots, at)
+        # phase 1: every event reads its messages; ufunc.at adds a node's
+        # chunks one by one, in order
+        self.known[:, w.slots] = self.packages[:, w.read]
         if self.chunks:
-            readers, chunks = self._inbox(events, slots, starts, tick)
-            # ufunc.at adds a node's chunks one by one, in order
+            readers, chunks = w.inbox
             np.add.at(self.var, readers, cfg.step_size * self.chunk_log[chunks])
         # phase 2: gradients from fresh and dated views
-        var_views = self._views(groups, 0)
-        for grp, vv in zip(groups, var_views):
+        var_views = self._views(w.groups, 0)
+        for grp, vv in zip(w.groups, var_views):
             self.aux[grp.ids] = self.obj.stage1_block(grp.ids, vv)
-        aux_views = self._views(groups, 1)
-        for grp, vv, av in zip(groups, var_views, aux_views):
+        aux_views = self._views(w.groups, 1)
+        for grp, vv, av in zip(w.groups, var_views, aux_views):
             self.g[grp.ids] = self.obj.stage2_block(grp.ids, vv, av)
         # D-BFGS's step; a lost curvature ends the run at the first batch
-        # holding one, so nothing after that batch is applied
+        # holding one, and nothing the window does after that is observed
         lost = []
         if self.dbfgs:
             try:
-                kernel.dbfgs_round(var_views, self._views(groups, 2), cfg.gamma,
-                                   cfg.big_gamma, init, groups)
+                kernel.dbfgs_round(var_views, self._views(w.groups, 2), cfg.gamma,
+                                   cfg.big_gamma, init, w.groups)
             except CurvatureLost as exc:
                 lost = exc.nodes
-                window = window[:1 + next(k for k, (_, batch) in enumerate(window)
-                                          if set(lost).intersection(batch))]
         # phase 3, apply: the fresh blocks go back and each batch's step
-        # lands, batch by batch, so each row reads the state that event
-        # order gives it
+        # lands, batch by batch, so each row's state (var, and aux in dual
+        # mode, at rows r n to (r + 1) n) is the one event order gives it
         fresh = self.var[ids], self.aux[ids]
         self.var[ids], self.aux[ids] = before
-        off, cols = kernel.offsets, kernel.cols
-        ends = list(accumulate(len(batch) for _, batch in window))
-        slices = [slice(start, stop) for start, stop in zip([0] + ends, ends)]
-        # per row: the planes the record reads (var, and aux in dual mode) at
-        # rows r n to (r + 1) n, the keys r n + i of the nodes moved since the
-        # row before, and its local_iter_min
-        n, planes = len(self.local_iter), 2 if self.obj.mode == "dual" else 1
-        states = np.empty((planes, len(window) * n, self.var.shape[1]))
-        moved, lmin = [], []
-        for r, ((t, batch), rows) in enumerate(zip(window, slices)):
-            self.var[batch], self.aux[batch] = fresh[0][rows], fresh[1][rows]
-            if not init:
-                self.local_iter[batch] += 1
-                states[:, r * n:(r + 1) * n] = self.store[:planes, kernel.total_blocks:]
-                moved += [r * n + i for i in self.pending + batch]
-                lmin.append(int(self.local_iter.min()))
-                self.pending = []
-            if self.virtual:  # every finished descent lands at once
-                for i in batch:
-                    nb = cols[off[i]:off[i + 1]]
-                    self.var[nb] += cfg.step_size * kernel.contrib[off[i]:off[i + 1]]
-                    self.pending += nb.tolist()
+        n, planes = len(self.err_terms), 2 if self.obj.mode == "dual" else 1
+        states = np.empty((planes, len(w.rows) * n, self.var.shape[1]))
+        bounds = zip(w.ends, w.ends[1:], w.slot_ends, w.slot_ends[1:])
+        for r, (lo, hi, s0, s1) in enumerate(bounds):
+            batch = ids[lo:hi]
+            self.var[batch], self.aux[batch] = fresh[0][lo:hi], fresh[1][lo:hi]
+            states[:, r * n:(r + 1) * n] = self.store[:planes, kernel.total_blocks:]
+            if self.virtual:  # every finished descent lands at once, in order
+                slots = w.slots[s0:s1]
+                np.add.at(self.var, kernel.cols[slots],
+                          cfg.step_size * kernel.contrib[slots])
             elif not (self.dbfgs or init):  # DD's gradient step
                 self.var[batch] -= cfg.step_size * self.g[batch]
-                self.pending = batch
         if not init:
-            errors, gnorms = self._record(states, moved)
+            errors, gnorms = self._record(states, w.record)
         # phase 3, emit: the events, then each batch's row and stop check
-        last = first + ends[-1]
-        self.log_iter[first:last] = self.local_iter[ids[:ends[-1]]]
-        self.log_block[first:last] = fresh[0][:ends[-1]]
-        for r, (t, batch) in enumerate(window):
-            self.logged = first + ends[r]  # events count as exchanges
+        self.log_block[w.events] = fresh[0]
+        for r, ((t, lmin), lo, hi) in enumerate(zip(w.rows, w.ends, w.ends[1:])):
+            self.logged = w.events.start + hi  # events count as exchanges
             if not init:
-                self.trace.append(lmin[r], errors[r], gnorms[r], self.logged,
-                                  model_time=t, local_iter_min=lmin[r])
+                self.trace.append(lmin, errors[r], gnorms[r], self.logged,
+                                  model_time=t, local_iter_min=lmin)
                 if _check_stop(self.trace, cfg):
                     return True
-            if set(lost).intersection(batch):
-                raise CurvatureLost([i for i in lost if i in batch])
+            if hit := [i for i in lost if i in ids[lo:hi]]:
+                raise CurvatureLost(hit)
         # sends: D-BFGS publishes its pre-descent var, DD its stepped one
         published = fresh[0] if self.dbfgs else self.var[ids]
-        self._send(events, slots, np.array((published, self.aux[ids], self.g[ids])))
+        self._send(w, np.array((published, self.aux[ids], self.g[ids])))
         return False
 
-    def _record(self, states: np.ndarray, moved: list) -> tuple:
-        """Each row's error and gradient norm, as consensus_error and the norm
-        of runtime_grad give them at the row's state.
+    def _send(self, w: _Window, packages: np.ndarray) -> None:
+        """File the window's (3, k, p) packages and, in physical D-BFGS,
+        their chunks: the kernel's ``contrib`` at its layout rows."""
+        self.packages[:, self.package_row[w.events]] = packages
+        if self.chunks:
+            self.chunk_log[self.chunk_at[w.events.start]:self.chunk_at[w.events.stop]] = \
+                self.kernel.contrib[w.slots]
 
-        ``states`` holds the planes each row reads, row r at rows r n to
-        (r + 1) n: var, and in dual mode aux, the estimate consensus_error
-        measures there. ``moved`` holds, row by row, the keys r n + i of the
-        nodes whose blocks changed since the row before r. A gradient block
-        mixes var over its node's neighborhood in primal mode; in dual mode a
-        stage-1 block does and a gradient block mixes stage-1 blocks. So only
-        the keys within one hop (primal) or two (dual) of a moved one change
-        and are evaluated for the whole window at once, then written in row by row.
-        """
-        n = len(self.local_iter)
-        rows = len(states[0]) // n
-        cuts = np.arange(0, (rows + 1) * n, n)  # the first key of each row
-        keys = np.array(moved)
-        diff = states[-1][keys] - self.obj.xstar  # aux in dual mode, else var
+    def _record(self, states: np.ndarray, record: tuple) -> tuple:
+        """Each row's error and gradient norm, as consensus_error and the norm
+        of runtime_grad give them at the row's state, from the planes each
+        row reads (row r at rows r n to (r + 1) n: var, and in dual mode aux,
+        the estimate) and the plan's key sets: evaluated for the whole window
+        at once, then written in row by row."""
+        n = len(self.err_terms)
+        (enodes, ebounds, _, ekeys), (gnodes, gbounds, *_) = record[0], record[-1]
+        diff = states[-1][ekeys] - self.obj.xstar  # aux in dual mode, else var
         terms = np.sum(diff * diff, axis=1)
-        around = self._neighborhoods(keys)
         aux_plane = states[0]  # primal mode's stage 1 is var itself
         if self.obj.mode == "dual":
-            aux_keys = _distinct([nb for *_, nb in around], rows * n)
-            around = self._neighborhoods(aux_keys)
-            aux = self._stage(around, len(aux_keys), self.obj.stage1_block, states[0])
+            nodes, bounds, *_ = record[1]
+            aux = self._stage(record[1], self.obj.stage1_block, states[0])
             aux_plane = np.empty_like(states[0])
-            for r, (at, blocks) in enumerate(_by_row(aux_keys, aux_keys % n, aux, cuts)):
-                self.runtime_aux[at] = blocks
+            for r, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+                self.runtime_aux[nodes[lo:hi]] = aux[lo:hi]
                 aux_plane[r * n:(r + 1) * n] = self.runtime_aux
-        grad_keys = _distinct([nb for *_, nb in around], rows * n)
-        around = self._neighborhoods(grad_keys)
-        grad = self._stage(around, len(grad_keys), self.obj.stage2_block,
-                           states[0], aux_plane)
+        grad = self._stage(record[-1], self.obj.stage2_block, states[0], aux_plane)
         errors, gnorms = [], []
-        for (at, et), (gat, gb) in zip(_by_row(keys, keys % n, terms, cuts),
-                                       _by_row(grad_keys, grad_keys % n, grad, cuts)):
-            self.err_terms[at] = et
+        for lo, hi, glo, ghi in zip(ebounds, ebounds[1:], gbounds, gbounds[1:]):
+            self.err_terms[enodes[lo:hi]] = terms[lo:hi]
             # np.mean's sum and division
             errors.append(self.err_terms.sum() / n / self.denom)
-            self.runtime_grad[gat] = gb
+            self.runtime_grad[gnodes[glo:ghi]] = grad[glo:ghi]
             gnorms.append(np.linalg.norm(self.runtime_grad))
         return errors, gnorms
 
-    def _neighborhoods(self, keys: np.ndarray) -> list:
-        """Per neighborhood size m, the (positions, nodes, (g, m) neighborhood
-        keys) of the keys of that size: the key of each neighbor at the key's
-        row, in layout order."""
-        kernel, n = self.kernel, len(self.local_iter)
-        nodes = keys % n
-        base = (keys - nodes)[:, None]
-        sizes = kernel.m[nodes]
-        out = []
-        for grp in kernel.groups:
-            sel = np.flatnonzero(sizes == grp.msize)
-            if len(sel):
-                ids = nodes[sel]
-                out.append((sel, ids, base[sel] + grp.nb[kernel.slot[ids]]))
-        return out
-
-    def _stage(self, around: list, count: int, stage, *planes) -> np.ndarray:
-        """``stage`` of the keys ``around`` describes, from their
-        neighborhood views of the given (rows n, p) planes."""
-        out = np.empty((count, self.var.shape[1]))
-        for sel, ids, nb in around:
-            out[sel] = stage(ids, *(plane[nb] for plane in planes))
+    def _stage(self, keys: tuple, stage, *planes) -> np.ndarray:
+        """``stage`` at a key set, from its neighborhood views of the given
+        (rows n, p) planes."""
+        out = np.empty((len(keys[0]), self.var.shape[1]))
+        for pos, ids, around in keys[2]:
+            out[pos] = stage(ids, *(plane[around] for plane in planes))
         return out
 
     def run(self) -> Trace:
-        windows = self.queue.windows(self.kernel.graph.layout)
-        for k, window in enumerate(windows):
-            if self._process_window(window, init=k == 0):
+        # a window's plan goes once it has run, so no two slices coexist
+        plan = []  # the first window initializes: nothing logged before it
+        while plan or (plan := self._plan()[::-1]):
+            if self._process_window(plan.pop(), init=self.logged == 0):
                 break
         # copies, so the trace keeps no more than the events it logged
         self.trace.event_log = EventLog(*(col[:self.logged].copy() for col in (
-            self.queue.time, self.queue.node, self.log_iter, self.log_block)))
+            self.queue.time, self.queue.node, self.rank, self.log_block)))
         return self.trace
 
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dbfgs
+from dbfgs import async_sim
 from dbfgs.async_sim import (
     CLOCK_INCREMENT_FLOOR,
     AsyncConfig,
@@ -28,7 +29,7 @@ from dbfgs.objectives import (
 )
 from dbfgs.sync_runtime import SyncConfig, run_dbfgs_sync, run_dd
 from oracles import (Mailbox, measure_asynchronicity, metropolis_dual,
-                     time_functions)
+                     metropolis_weights, time_functions)
 
 
 def ring_dual(n, d, eta, seed):
@@ -184,11 +185,8 @@ def test_lockstep_matches_sync_on_irregular_graph():
     # neighborhood sizes m = (3, 3, 5, 3, 4, 2), Metropolis weights
     g = Graph.from_edges(6, [(0, 2), (1, 2), (2, 3), (2, 5), (0, 4), (1, 4),
                              (3, 4)])
-    w = np.zeros((6, 6))
-    for i, j in g.edges:
-        w[i, j] = w[j, i] = 1.0 / max(g.m[i], g.m[j])
-    np.fill_diagonal(w, 1.0 - w.sum(axis=1))
-    obj = DistributedObjective(make_quadratic(6, 4, 1.0, 2), g, w, "dual")
+    obj = DistributedObjective(make_quadratic(6, 4, 1.0, 2), g, metropolis_weights(g),
+                               "dual")
     sched = gen_clock_schedule(6, 1.0, 0.0, 40.0, 0)
     scfg = SyncConfig(method="dbfgs", mode="dual", step_size=0.01,
                       max_iters=40, gamma=1e-2, big_gamma=1e-3)
@@ -260,8 +258,8 @@ def test_message_delay_changes_trajectory():
 
 
 def log_timeline(g, obj, sched, delta):
-    """The engine's message logs driven through the schedule's windows with
-    no solve in between, as the timeline of ("read", reader, now, chunks,
+    """The engine's message logs driven through the plan's windows with no
+    solve in between, as the timeline of ("read", reader, now, chunks,
     copies) and ("push", reader, arrival, row, message) entries in the order
     the engine makes them.
 
@@ -275,22 +273,20 @@ def log_timeline(g, obj, sched, delta):
     kernel, queue = eng.kernel, eng.queue
     off, cols, mirror = kernel.offsets, kernel.cols, kernel.mirror
     timeline = []
-    for window in queue.windows(g.layout):
-        ids = np.concatenate([batch for _, batch in window])
-        first, last = eng.logged, eng.logged + len(ids)
-        events = slice(first, last)
-        slots, at, starts = eng._slots(ids)
-        readers, rows = eng._inbox(events, slots, starts, eng._read(events, slots, at))
+    for w in (w for plan in iter(eng._plan, []) for w in plan):
+        first, last = w.events.start, w.events.stop
+        eng.known[:, w.slots] = eng.packages[:, w.read]
+        readers, rows = w.inbox
         chunks = eng.chunk_log[rows, 0].astype(int)
         for e in range(first, last):
             i = int(queue.node[e])
             timeline.append(("read", i, float(queue.time[e]),
                              chunks[readers == i].tolist(),
                              (eng.known[0, off[i]:off[i + 1], 0] - 1).astype(int).tolist()))
-        kernel.contrib[slots] = (first + at)[:, None]
-        eng._send(events, slots, np.broadcast_to(
-            np.arange(first + 1, last + 1, dtype=float)[:, None], (3, len(ids), obj.p)))
-        eng.logged = last
+        sender = np.repeat(np.arange(first, last), kernel.m[queue.node[w.events]])
+        kernel.contrib[w.slots] = sender[:, None]
+        eng._send(w, np.broadcast_to(
+            np.arange(first + 1, last + 1, dtype=float)[:, None], (3, last - first, obj.p)))
         for e in range(first, last):
             i, t = int(queue.node[e]), float(queue.time[e])
             for s in range(off[i], off[i + 1]):
@@ -618,20 +614,102 @@ def engine_run(engine, g, obj, sched, **cfg):
     return runner, (g, obj, acfg, sched)
 
 
+def drifting_schedule(n, sigma, grid, seed):
+    """Clocks to 8.0; with a ``grid``, quantized times: ties across nodes."""
+    sched = gen_clock_schedule(n, 1.0, sigma, 8.0, seed)
+    if grid is None:
+        return sched
+    return ClockSchedule(
+        times=tuple(np.unique(np.round(t / grid) * grid) for t in sched.times),
+        horizon=8.0, mu=1.0, sigma=sigma, seed=seed)
+
+
+# the schedules of the window and plan properties: graph, engine, clock
+# drift, time grid, message delay and seed
+SCHEDULES = (metropolis_dual(max_n=12), st.sampled_from(sorted(ENGINES)),
+             st.sampled_from([0.0, 0.1, 0.3]), st.sampled_from([None, 0.25, 0.5]),
+             st.sampled_from([0.0, 0.5]), st.integers(0, 2**16))
+
+
 @PROPERTY
-@given(metropolis_dual(max_n=12), st.sampled_from(sorted(ENGINES)),
-       st.sampled_from([0.0, 0.1, 0.3]), st.sampled_from([None, 0.25, 0.5]),
-       st.sampled_from([0.0, 0.5]), st.integers(0, 2**16))
+@given(*SCHEDULES)
 def test_windows_equal_per_batch_runs_bytewise(problem, engine, sigma, grid,
                                               delta, seed):
     g, obj = problem
-    sched = gen_clock_schedule(g.n, 1.0, sigma, 8.0, seed)
-    if grid is not None:  # quantized times: ties across nodes
-        sched = ClockSchedule(
-            times=tuple(np.unique(np.round(t / grid) * grid) for t in sched.times),
-            horizon=8.0, mu=1.0, sigma=sigma, seed=seed)
+    sched = drifting_schedule(g.n, sigma, grid, seed)
     runner, args = engine_run(engine, g, obj, sched, delta_msg=delta)
     assert run_bytes(runner(*args)) == run_bytes(one_batch_per_window(runner, *args))
+
+
+def post_init_ticks(ticks, t):
+    """A node's ticks after the first, up to time t."""
+    return int(np.sum((ticks > 0) & (ticks <= t)))
+
+
+@PROPERTY
+@given(*SCHEDULES)
+def test_plan_matches_brute_force_and_slices_move_no_bit(problem, engine, sigma,
+                                                         grid, delta, seed):
+    g, obj = problem
+    sched = drifting_schedule(g.n, sigma, grid, seed)
+    runner, args = engine_run(engine, g, obj, sched, delta_msg=delta)
+    tr = runner(*args)
+    # planning one event, or seven, at a time moves no bit
+    for events in (1, 7):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(async_sim, "PLAN_EVENTS", events)
+            assert run_bytes(runner(*args)) == run_bytes(tr)
+    # an event's local iteration count is its node's ticks after the first
+    # up to it, and a row's local_iter_min the least of those at its time
+    for t, i, local_iter, _ in zip(*tr.event_log):
+        assert local_iter == post_init_ticks(sched.times[i], t)
+    for t, local_iter_min in zip(tr.model_time, tr.local_iter_min):
+        assert local_iter_min == min(post_init_ticks(ticks, t) for ticks in sched.times)
+    # each slot reads its neighbor's latest package that arrived strictly
+    # before the event (row first[j] + j + packages, after a zero row per
+    # node), its own slot the zero row
+    _, obj, acfg, _ = args
+    eng = _AsyncEngine(g, obj, acfg, sched, acfg.method,
+                       virtual=runner is virtual_replay)
+    off, cols = g.layout.indptr, g.layout.cols
+    first = np.cumsum([0] + [len(t) for t in sched.times])
+    for w in (w for plan in iter(eng._plan, []) for w in plan):
+        reads = zip(w.slots.tolist(), w.read.tolist())
+        for t, i in zip(eng.queue.time[w.events], eng.queue.node[w.events]):
+            for slot in range(off[i], off[i + 1]):
+                j = cols[slot]
+                arrived = 0 if j == i else np.sum(sched.times[j] + delta < t)
+                assert next(reads) == (slot, first[j] + j + arrived)
+        assert next(reads, None) is None
+
+
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+def test_run_scans_no_windows_and_groups_once_a_slice(engine):
+    # the engine starts the window scan when it is built; run() consumes it
+    # and builds the kernel groups once per slice of the plan, not per window
+    g, obj = ring_dual(30, 4, 1.0, 23)
+    sched = gen_clock_schedule(30, 1.0, 0.1, 40.0, 4)
+    runner, args = engine_run(engine, g, obj, sched)
+    _, obj, acfg, _ = args
+    eng = _AsyncEngine(g, obj, acfg, sched, acfg.method,
+                       virtual=runner is virtual_replay)
+    batches, slices = RoundKernel.batches, []
+
+    def counted(kernel, ids, cuts):
+        slices.append(len(cuts) - 1)
+        return batches(kernel, ids, cuts)
+
+    def rescan(queue, layout):
+        raise AssertionError("run() scanned the windows again")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(EventQueue, "windows", rescan)
+        patch.setattr(RoundKernel, "batches", counted)
+        tr = eng.run()
+    assert run_bytes(tr) == run_bytes(runner(*args))
+    events, windows = len(eng.queue.time), list(eng.queue.windows(g.layout))
+    assert len(slices) == -(-events // async_sim.PLAN_EVENTS) == 3
+    assert sum(slices) == len(windows) > 300
 
 
 def row_states(runner, args):
@@ -641,10 +719,10 @@ def row_states(runner, args):
     record = _AsyncEngine._record
     states = []
 
-    def keep(eng, window_states, moved):
+    def keep(eng, window_states, keys):
         by_row = window_states[[0, -1]].reshape((2, -1) + eng.var.shape)
         states.extend(by_row.swapaxes(0, 1).copy())
-        return record(eng, window_states, moved)
+        return record(eng, window_states, keys)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(_AsyncEngine, "_record", keep)
@@ -765,13 +843,16 @@ def test_lost_curvature_in_a_window_raises_only_after_earlier_rows():
             break
         row += len(window)
     t, (node, *_) = window[-1]
-    events = int(np.sum(sched.times[node] <= t))  # descents holding the node
+    # the node's descents up to t, less its first round's, which solves none
+    events = int(np.sum(sched.times[node] <= t)) - 1
     descent = RoundKernel.descent
+    fired = []  # the nodes of each poisoned call
 
     def poisoned(kernel, g_views, big_gamma, groups=None, loaded=False):
         if any(node in grp.ids for grp in groups):
             kernel.seen = getattr(kernel, "seen", 0) + 1
             if kernel.seen == events:
+                fired.append(sorted(i for grp in groups for i in grp.ids.tolist()))
                 # the poisoned call copies the stack again, so it factors
                 # the poisoned matrix and not the one bfgs_all left
                 kernel.matrix(node)[:] = np.nan
@@ -783,12 +864,19 @@ def test_lost_curvature_in_a_window_raises_only_after_earlier_rows():
         for stop_error in (None, err[row]):
             runner, args = engine_run("physical", g, obj, sched,
                                       stop_error=stop_error)
-            outcomes = []
+            outcomes, poisoned_in = [], []
             for run in (runner, lambda *a: one_batch_per_window(runner, *a)):
+                fired.clear()
                 try:
                     outcomes.append(run_bytes(run(*args)))
                 except RuntimeError as exc:
                     outcomes.append(str(exc))
+                poisoned_in.append(list(fired))
+            # the poison fired in the targeted window; with every batch a
+            # window, in the node's batch, which a stop before it never runs
+            assert poisoned_in == [
+                [sorted(i for _, batch in window for i in batch)],
+                [sorted(window[-1][1])] if stop_error is None else []]
             assert outcomes[0] == outcomes[1]
             if stop_error is None:
                 assert outcomes[0].endswith(f"at node {node}")

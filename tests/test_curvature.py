@@ -223,6 +223,11 @@ def irregular_graph():
                                 (1, 4), (3, 4)])
 
 
+def one_batch(kernel, ids):
+    """The kernel's groups of one batch of distinct node ids."""
+    return kernel.batches(ids, [0, len(ids)])[0]
+
+
 def gather(arr, groups):
     """(g, m, p) neighborhood views of a batch's groups."""
     return [arr[grp.nb] for grp in groups]
@@ -236,7 +241,7 @@ def test_kernel_batches_match_per_node_reference():
     kernel = RoundKernel(graph, p)
     x0, x1, g0, g1 = (rng.normal(size=(6, p)) for _ in range(4))
     for batch in ([2], [0, 5], [1, 2, 3, 4], list(range(6))):
-        groups = kernel.batch(batch)
+        groups = one_batch(kernel, batch)
         states = [CurvatureState.initial(graph, i, p, gamma, big_gamma)
                   for i in range(6)]
         for i, st in enumerate(states):
@@ -268,7 +273,7 @@ def test_kernel_descent_equals_per_node_reference_bitwise():
     kernel = RoundKernel(graph, p)
     g = rng.normal(size=(6, p))
     for batch in ([2], [0, 5], [1, 2, 3, 4], list(range(6))):
-        groups = kernel.batch(batch)
+        groups = one_batch(kernel, batch)
         states = [CurvatureState.initial(graph, i, p, 1e-2, big_gamma)
                   for i in range(6)]
         for i, st in enumerate(states):
@@ -291,7 +296,7 @@ def test_kernel_descent_names_an_indefinite_node():
     for bad in (np.diag([1.0, 1.0, -1.0, 1.0, 1.0, 1.0, 1.0, 1.0]),
                 np.full((8, 8), np.nan)):
         kernel.matrix(4)[:] = bad
-        for groups in (kernel.groups, kernel.batch([4]), kernel.batch([1, 4])):
+        for groups in (kernel.groups, one_batch(kernel, [4]), one_batch(kernel, [1, 4])):
             with pytest.raises(RuntimeError,
                                match="lost positive definiteness at node 4"):
                 kernel.descent(gather(g, groups), 1e-3, groups)
@@ -303,7 +308,7 @@ def test_kernel_descent_names_an_indefinite_node():
     x0, x1, g0, g1 = (rng.normal(size=(200, 4)) for _ in range(4))
     for bad in (np.diag(np.r_[np.ones(19), -1.0]), np.full((20, 20), np.nan)):
         kernel = RoundKernel(cycle, 4)
-        for groups in (kernel.groups, kernel.batch(np.roll(np.arange(200), 100))):
+        for groups in (kernel.groups, one_batch(kernel, np.roll(np.arange(200), 100))):
             kernel.dbfgs_round(gather(x0, groups), gather(g0, groups), 1e-2,
                                1e-3, first=True, groups=groups)
             acc = kernel.dbfgs_round(gather(x1, groups), gather(g1, groups),
@@ -324,6 +329,23 @@ def big_irregular_graph():
     return Graph.from_edges(200, [(i, (i + 1) % 200) for i in range(200)] + chords)
 
 
+@pytest.mark.parametrize("graph", [build_d_regular_cycle(40, 4), big_irregular_graph()])
+def test_first_round_descent_equals_the_identity_solve_bitwise(graph):
+    # every curvature starts at I, which dposv solves exactly for finite g:
+    # a first round writes -(g + Gamma D g) without a factorization
+    rng = np.random.default_rng(14)
+    p, big_gamma = 4, 1e-3
+    for ids in (list(range(graph.n)), [i for i in range(graph.n) if i % 3]):
+        first, solved = RoundKernel(graph, p), RoundKernel(graph, p)
+        g = rng.normal(size=(graph.n, p)) * 10.0 ** rng.integers(-8, 9, size=(graph.n, 1))
+        groups = one_batch(first, ids)
+        first.dbfgs_round(gather(g, groups), gather(g, groups), 1e-2, big_gamma,
+                          first=True, groups=groups)
+        solved.descent(gather(g, groups), big_gamma, one_batch(solved, ids))
+        assert first.contrib.tobytes() == solved.contrib.tobytes()
+        assert first.contrib[first.offsets[ids[0]]].any()
+
+
 @pytest.mark.parametrize("graph, p", [(build_d_regular_cycle(200, 4), 4),
                                       (big_irregular_graph(), 8)])
 @pytest.mark.parametrize("subset", [False, True])
@@ -334,7 +356,7 @@ def test_blocked_update_equals_one_shot_reference(graph, p, subset):
     rng = np.random.default_rng(13)
     gamma, big_gamma = 1e-2, 1e-3
     kernel, ref = RoundKernel(graph, p), RoundKernel(graph, p)
-    groups = (kernel.batch([i for i in range(graph.n - 1, -1, -1) if i % 10])
+    groups = (one_batch(kernel, [i for i in range(graph.n - 1, -1, -1) if i % 10])
               if subset else kernel.groups)
     grp = groups[0]
     k = grp.msize * p
@@ -387,7 +409,7 @@ def test_subset_batch_descent_matches_assembled_matrix(problem, data):
         state.matrix = kernel.matrix(i)[:] = random_spd(state.dim, rng, floor=0.5)
         states.append(state)
     g = rng.normal(size=(n, p))
-    groups = kernel.batch(batch)
+    groups = one_batch(kernel, batch)
     kernel.descent(gather(g, groups), big_gamma, groups)
     d = np.zeros((n, p))
     kernel.apply_descents(d, 1.0)
@@ -425,7 +447,7 @@ def test_kernel_batch_of_non_adjacent_nodes_equals_one_at_a_time(graph, nodes):
                    for _ in range(3))
 
     def step(kernel, batch):
-        groups = kernel.batch(batch)
+        groups = one_batch(kernel, batch)
         stages = {}
         for grp in groups:
             one = obj.stage1_block(grp.ids, var[grp.view])

@@ -38,6 +38,7 @@ from dbfgs.netgraph import Graph, build_d_regular_cycle, build_weight_matrix
 from dbfgs.objectives import DistributedObjective, make_logistic, make_quadratic
 from dbfgs.sync_runtime import (SyncConfig, run_admm, run_dbfgs_sync, run_dd,
                                 run_dgd)
+from oracles import metropolis_weights
 
 GOLDEN = Path(__file__).with_name("golden.json")
 COMMAND = "PYTHONPATH=src python tests/test_golden.py"
@@ -86,12 +87,8 @@ def graphs() -> dict:
     edges |= {tuple(sorted(map(int, rng.choice(n, 2, replace=False))))
               for _ in range(10)}
     irregular = Graph.from_edges(n, sorted(edges))
-    w = np.zeros((n, n))
-    m = np.asarray(irregular.m)
-    for i, j in irregular.edges:
-        w[i, j] = w[j, i] = 1.0 / max(m[i], m[j])
-    np.fill_diagonal(w, 1.0 - w.sum(axis=1))
-    return {"ring": (ring, build_weight_matrix(ring, 4)), "metropolis": (irregular, w)}
+    return {"ring": (ring, build_weight_matrix(ring, 4)),
+            "metropolis": (irregular, metropolis_weights(irregular))}
 
 
 def objective(graph, weights, mode: str, problem: str,

@@ -21,7 +21,8 @@ from dbfgs.sync_runtime import (
     run_dd,
     run_dgd,
 )
-from oracles import curvature_states, dual_function_value, runtime_value
+from oracles import (curvature_states, dual_function_value, metropolis_weights,
+                     runtime_value)
 
 
 def ring_objective(n, d, p, eta, seed, mode, alpha=None):
@@ -279,11 +280,8 @@ def test_admm_matches_dense_oracle_on_irregular_graph():
     # neighborhood sizes m = (3, 3, 5, 3, 4, 2), Metropolis weights
     g = Graph.from_edges(6, [(0, 2), (1, 2), (2, 3), (2, 5), (0, 4), (1, 4),
                              (3, 4)])
-    w = np.zeros((6, 6))
-    for i, j in g.edges:
-        w[i, j] = w[j, i] = 1.0 / max(g.m[i], g.m[j])
-    np.fill_diagonal(w, 1.0 - w.sum(axis=1))
-    obj = DistributedObjective(make_quadratic(6, 4, 2.0, 3), g, w, "dual")
+    obj = DistributedObjective(make_quadratic(6, 4, 2.0, 3), g, metropolis_weights(g),
+                               "dual")
     cfg = SyncConfig(method="admm", mode="dual", step_size=0.7, max_iters=200)
     tr = run_admm(g, obj, cfg)
     ref = admm_dense_oracle(g, obj.instance, 0.7, 200)
