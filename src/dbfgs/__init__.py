@@ -19,8 +19,6 @@ from .async_sim import (
 from .curvature import (
     CurvatureState,
     VariationPair,
-    aggregate_descent,
-    assemble_global_descent_matrix,
     bfgs_update,
     modified_variations,
     neighborhood_descent,

@@ -199,27 +199,25 @@ class RoundKernel:
         non-finite diagonal, raise ``CurvatureLost`` last."""
         lost = []
         for grp, gv in zip(groups or self.groups, g_views):
-            stack, mats, term = self._state[grp.msize]
+            stack, mats, _ = self._state[grp.msize]
             mats = mats[:len(grp.ids)]
             if not loaded:
                 np.take(stack, grp.slot, axis=0, out=mats, mode="clip")
             gv = gv.reshape(len(grp.ids), -1)
-            for lo in range(0, len(grp.ids), len(term)):
-                blk = slice(lo, lo + len(term))
-                b, y = mats[blk], gv[blk].copy()
-                # b[j] is exactly symmetric, so its transpose is b[j] in
-                # Fortran order: factored (lower triangle, as the per-node
-                # reference does) and solved in place; the flags are
-                # lower, overwrite_a and overwrite_b
-                info = [dposv(a, x, 1, 1, 1)[2]
-                        for a, x in zip(b.transpose(0, 2, 1), y)]
-                # OpenBLAS's Cholesky reports no error on a NaN pivot, so
-                # the factor's diagonal is checked too
-                bad = np.not_equal(info, 0)
-                bad |= ~np.isfinite(np.diagonal(b, axis1=1, axis2=2)).all(axis=1)
-                lost += grp.ids[blk][bad].tolist()
-                e = -(y + big_gamma * grp.dd[blk] * gv[blk])
-                self.contrib[grp.rows[blk]] = e.reshape(len(y), grp.msize, self.p)
+            y = gv.copy()
+            # mats[j] is exactly symmetric, so its transpose is mats[j] in
+            # Fortran order: factored (lower triangle, as the per-node
+            # reference does) and solved in place; the flags are lower,
+            # overwrite_a and overwrite_b
+            info = [dposv(a, x, 1, 1, 1)[2]
+                    for a, x in zip(mats.transpose(0, 2, 1), y)]
+            # OpenBLAS's Cholesky reports no error on a NaN pivot, so the
+            # factor's diagonal is checked too
+            bad = np.not_equal(info, 0)
+            bad |= ~np.isfinite(np.diagonal(mats, axis1=1, axis2=2)).all(axis=1)
+            lost += grp.ids[bad].tolist()
+            e = -(y + big_gamma * grp.dd * gv)
+            self.contrib[grp.rows] = e.reshape(len(y), grp.msize, self.p)
         if lost:
             raise CurvatureLost(lost)
 

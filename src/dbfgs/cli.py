@@ -61,8 +61,12 @@ def _cmd_histogram(args) -> int:
     if not paths:
         print("no trace files matched", file=sys.stderr)
         return 2
-    hist = histogram_exchanges([read_trace_csv(p) for p in paths],
-                               args.threshold)
+    try:
+        traces = [read_trace_csv(p) for p in paths]
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    hist = histogram_exchanges(traces, args.threshold)
     print(f"threshold {args.threshold}")
     for method in sorted(set(hist.counts) | set(hist.censored)):
         qs = hist.quantiles(method)
@@ -108,7 +112,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

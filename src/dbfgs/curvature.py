@@ -28,8 +28,6 @@ __all__ = [
     "modified_variations",
     "bfgs_update",
     "neighborhood_descent",
-    "aggregate_descent",
-    "assemble_global_descent_matrix",
     "SKIP_THRESHOLD",
 ]
 
@@ -145,37 +143,3 @@ def neighborhood_descent(state: CurvatureState, g_nbhd: np.ndarray) -> np.ndarra
         raise RuntimeError("curvature matrix lost positive definiteness") from exc
     y = sla.cho_solve((c, low), g, check_finite=False)
     return -(y + state.big_gamma * state.d_diag * g)
-
-
-def aggregate_descent(contributions, expected: int | None = None) -> np.ndarray:
-    """d_i = sum of the neighbors' descent contributions for block i."""
-    contributions = list(contributions)
-    if expected is not None and len(contributions) != expected:
-        raise ValueError(f"synchronous aggregation expected {expected} "
-                         f"contributions, got {len(contributions)}")
-    if not contributions:
-        raise ValueError("no descent contributions to aggregate")
-    out = np.array(contributions[0], dtype=float, copy=True)
-    for c in contributions[1:]:
-        out += c
-    return out
-
-
-def assemble_global_descent_matrix(states, graph: Graph, p: int) -> np.ndarray:
-    """Test oracle: H + Gamma I with H = sum_i of embedded B_i^{-1}.
-
-    Dense (np x np); inverts every node matrix explicitly, so test-scale
-    networks only.
-    """
-    n = graph.n
-    big_gammas = {s.big_gamma for s in states}
-    if len(big_gammas) != 1:
-        raise ValueError("states disagree on Gamma")
-    h = np.zeros((n * p, n * p))
-    for i, state in enumerate(states):
-        binv = np.linalg.inv(state.matrix)
-        idx = np.concatenate([np.arange(j * p, (j + 1) * p) for j in state.nodes])
-        h[np.ix_(idx, idx)] += binv
-    h[np.diag_indices_from(h)] += big_gammas.pop()
-    return h
-

@@ -18,20 +18,9 @@ import numpy as np
 
 from .async_sim import AsyncConfig, gen_clock_schedule, run_dbfgs_async, run_dd_async
 from .netgraph import Graph, build_d_regular_cycle, build_weight_matrix
-from .objectives import (
-    DistributedObjective,
-    make_logistic,
-    make_quadratic,
-)
-from .sync_runtime import (
-    METHOD_MODES,
-    SyncConfig,
-    Trace,
-    run_admm,
-    run_dbfgs_sync,
-    run_dd,
-    run_dgd,
-)
+from .objectives import DistributedObjective, make_logistic, make_quadratic
+from .sync_runtime import (METHOD_MODES, SYNC_CSV_HEADER, SyncConfig, Trace, run_admm,
+                           run_dbfgs_sync, run_dd, run_dgd)
 
 __all__ = [
     "ConfigError",
@@ -57,42 +46,54 @@ class ConfigError(ValueError):
 # strict config reader/writer
 # ---------------------------------------------------------------------------
 
+_GT0, _GE0 = (">", 0), (">=", 0)
 
-def _fmt_scalar(v) -> str:
-    """A numeric field as written by to_text (no field is a bool or string)."""
-    return repr(v) if isinstance(v, float) else str(v)
+# The config format: each section's keys in the order to_text writes them,
+# each with its type and lower bound (None or (">" or ">=", value)); a
+# [methods] key is a method, its value the step size.
+_FORMAT = {
+    "topology": {"n": (int, None), "d": (int, None)},
+    "problem": {"kind": (str, None), "p": (int, _GT0), "eta": (float, _GE0),
+                "q": (int, (">=", 1)), "lam": (float, _GT0), "mu": (float, None),
+                "sigma_pos": (float, _GE0), "sigma_neg": (float, _GE0)},
+    "mode": {"kind": (str, None), "alpha": (float, _GT0)},
+    "dbfgs": {"gamma": (float, _GT0), "big_gamma": (float, _GT0)},
+    "run": {"iterations": (int, (">=", 1)), "seeds": (list, None),
+            "error_threshold": (float, None), "stop_error": (float, None),
+            "stop_grad_norm": (float, None)},
+    "methods": {m: (float, _GT0) for m in METHOD_MODES},
+    "async": {"mu_clk": (float, _GT0), "sigma_clk": (float, _GE0),
+              "delta_msg": (float, _GE0), "horizon": (float, _GT0)},
+}
+# the ExperimentConfig field of each key not named like it
+_FIELD = {("problem", "kind"): "problem_kind", ("mode", "kind"): "mode"}
+
+# the [problem] keys each problem kind requires; the other kind's are unknown
+_PROBLEM_KEYS = {"quadratic": ("eta",),
+                 "logistic": ("q", "lam", "mu", "sigma_pos", "sigma_neg")}
 
 
-def _take(section: dict, name: str, key: str, required=True, default=None,
-          kind=None, gt=None, ge=None):
-    """Pop a key; check its type and, if given, its lower bound (> gt or
-    >= ge). An absent optional key takes its default unchecked."""
-    if key not in section:
-        if required:
-            raise ConfigError(f"{name}.{key}: missing required key")
-        return default
-    val = section.pop(key)
-    if kind is not None:
-        if kind is float and type(val) is int:
-            val = float(val)
-        # bool is an int subclass; no field takes a boolean
-        if not isinstance(val, kind) or isinstance(val, bool):
-            raise ConfigError(f"{name}.{key}: expected {kind.__name__}, "
-                              f"got {type(val).__name__}")
-    if (gt is not None and not val > gt) or (ge is not None and not val >= ge):
-        bound = f"> {gt}" if gt is not None else f">= {ge}"
-        raise ConfigError(f"{name}.{key}: must be {bound}, got {val!r}")
+def _checked(path: str, val, kind, bound):
+    """val as a ``kind``; ints pass as floats, booleans as nothing."""
+    if kind is float and type(val) is int:
+        val = float(val)
+    if not isinstance(val, kind) or isinstance(val, bool):
+        raise ConfigError(f"{path}: expected {kind.__name__}, "
+                          f"got {type(val).__name__}")
+    if bound is not None and not (val > bound[1] if bound[0] == ">"
+                                  else val >= bound[1]):
+        raise ConfigError(f"{path}: must be {bound[0]} {bound[1]}, got {val!r}")
     return val
 
 
+def _toml(val) -> str:
+    """A field's value as to_text writes it (str of a float is its repr)."""
+    if isinstance(val, str):
+        return f'"{val}"'
+    return "[" + ", ".join(map(str, val)) + "]" if isinstance(val, tuple) else str(val)
 
-def _section(sections: dict, name: str) -> dict:
-    if name not in sections:
-        raise ConfigError(f"missing [{name}] section")
-    return sections.pop(name)
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
     """Validated experiment description (one problem, several methods)."""
 
@@ -100,26 +101,26 @@ class ExperimentConfig:
     d: int
     problem_kind: str
     p: int
-    eta: float | None
-    q: int | None
-    lam: float | None
-    mu: float | None
-    sigma_pos: float | None
-    sigma_neg: float | None
+    eta: float | None = None
+    q: int | None = None
+    lam: float | None = None
+    mu: float | None = None
+    sigma_pos: float | None = None
+    sigma_neg: float | None = None
     mode: str
-    alpha: float | None
-    gamma: float
-    big_gamma: float
+    alpha: float | None = None
+    gamma: float = 1e-2
+    big_gamma: float = 1e-3
     iterations: int
     seeds: tuple
     methods: tuple  # of (name, step_size)
-    error_threshold: float | None
-    stop_error: float | None
-    stop_grad_norm: float | None
-    mu_clk: float | None
-    sigma_clk: float | None
-    delta_msg: float | None
-    horizon: float | None
+    error_threshold: float | None = None
+    stop_error: float | None = None
+    stop_grad_norm: float | None = None
+    mu_clk: float | None = None
+    sigma_clk: float | None = None
+    delta_msg: float | None = None
+    horizon: float | None = None
 
     @property
     def regime(self) -> str:
@@ -132,136 +133,85 @@ class ExperimentConfig:
             sections = tomllib.loads(text)
         except tomllib.TOMLDecodeError as exc:
             raise ConfigError(f"invalid TOML: {exc}") from None
-        for key, val in sections.items():
-            if not isinstance(val, dict):
-                raise ConfigError(f"{key}: key outside of any section")
+        for name, sec in sections.items():  # TOML puts top-level keys first
+            if not isinstance(sec, dict):
+                raise ConfigError(f"{name}: key outside of any section")
+            if name not in _FORMAT:
+                raise ConfigError(f"[{name}]: unknown section")
+            for key, val in sec.items():
+                if key not in _FORMAT[name]:
+                    what = "method" if name == "methods" else "key"
+                    raise ConfigError(f"{name}.{key}: unknown {what}")
+                sec[key] = _checked(f"{name}.{key}", val, *_FORMAT[name][key])
+        fields = {_FIELD.get((name, key), key): val for name, sec in sections.items()
+                  if name != "methods" for key, val in sec.items()}
 
-        topo = _section(sections, "topology")
-        n = _take(topo, "topology", "n", kind=int)
-        d = _take(topo, "topology", "d", kind=int)
+        def need(name, *keys):
+            if name not in sections:
+                raise ConfigError(f"missing [{name}] section")
+            for key in keys:
+                if key not in sections[name]:
+                    raise ConfigError(f"{name}.{key}: missing required key")
+
+        need("topology", "n", "d")
+        n, d = fields["n"], fields["d"]
         if not 0 < d < n or d % 2:
             raise ConfigError(f"topology.d: must be a positive even integer "
                               f"below n = {n}, got {d}")
 
-        prob = _section(sections, "problem")
-        kind = _take(prob, "problem", "kind", kind=str)
-        p = _take(prob, "problem", "p", kind=int, gt=0)
-        eta = q = lam = mu = sp = sn = None
-        if kind == "quadratic":
-            if p % 2:
-                raise ConfigError(f"problem.p: must be even for a quadratic, got {p}")
-            eta = _take(prob, "problem", "eta", kind=float, ge=0)
-        elif kind == "logistic":
-            q = _take(prob, "problem", "q", kind=int, ge=1)
-            lam = _take(prob, "problem", "lam", kind=float, gt=0)
-            mu = _take(prob, "problem", "mu", kind=float)
-            sp = _take(prob, "problem", "sigma_pos", kind=float)
-            sn = _take(prob, "problem", "sigma_neg", kind=float)
-        else:
+        need("problem", "kind", "p")
+        kind, p = fields["problem_kind"], fields["p"]
+        if kind not in _PROBLEM_KEYS:
             raise ConfigError(f"problem.kind: unknown problem {kind!r}")
+        need("problem", *_PROBLEM_KEYS[kind])
+        for key in sections["problem"]:
+            if key not in ("kind", "p", *_PROBLEM_KEYS[kind]):
+                raise ConfigError(f"problem.{key}: unknown key")
+        if kind == "quadratic" and p % 2:
+            raise ConfigError(f"problem.p: must be even for a quadratic, got {p}")
 
-        mode_sec = _section(sections, "mode")
-        mode = _take(mode_sec, "mode", "kind", kind=str)
+        need("mode", "kind")
+        mode = fields["mode"]
         if mode not in ("primal", "dual"):
             raise ConfigError(f"mode.kind: unknown mode {mode!r}")
         if mode == "dual" and kind != "quadratic":
             raise ConfigError(f"mode.kind: dual mode needs a quadratic problem, "
                               f"got {kind!r}")
-        alpha = _take(mode_sec, "mode", "alpha", required=(mode == "primal"),
-                      kind=float, gt=0)
-        if mode == "dual" and alpha is not None:
+        if mode == "primal":
+            need("mode", "alpha")
+        elif "alpha" in fields:
             raise ConfigError("mode.alpha: alpha applies to primal mode only")
 
-        dbfgs_sec = sections.pop("dbfgs", {})
-        gamma = _take(dbfgs_sec, "dbfgs", "gamma", required=False,
-                      default=1e-2, kind=float, gt=0)
-        big_gamma = _take(dbfgs_sec, "dbfgs", "big_gamma", required=False,
-                          default=1e-3, kind=float, gt=0)
-
-        run_sec = _section(sections, "run")
-        iters = _take(run_sec, "run", "iterations", kind=int, ge=1)
-        seeds = _take(run_sec, "run", "seeds", kind=list)
+        need("run", "iterations", "seeds")
+        seeds = fields["seeds"] = tuple(fields["seeds"])
         if not seeds or not all(type(s) is int for s in seeds):
             raise ConfigError("run.seeds: expected a non-empty list of integers")
-        thresh = _take(run_sec, "run", "error_threshold", required=False, kind=float)
-        stop_err = _take(run_sec, "run", "stop_error", required=False, kind=float)
-        stop_g = _take(run_sec, "run", "stop_grad_norm", required=False, kind=float)
 
-        meth_sec = sections.pop("methods", None)
-        if not meth_sec:
+        if not sections.get("methods"):
             raise ConfigError("missing or empty [methods] section")
-        methods = []
-        for name in list(meth_sec):
-            if name not in METHOD_MODES:
-                raise ConfigError(f"methods.{name}: unknown method")
+        fields["methods"] = tuple(sections["methods"].items())
+        for name in sections["methods"]:
             if mode not in METHOD_MODES[name]:
                 raise ConfigError(f"methods.{name}: runs in "
                                   f"{' or '.join(METHOD_MODES[name])} mode only, "
                                   f"not {mode}")
-            methods.append((name, _take(meth_sec, "methods", name, kind=float, gt=0)))
-
-        async_sec = sections.pop("async", None)
-        mu_clk = sigma_clk = delta = horizon = None
-        if async_sec is not None:
-            mu_clk = _take(async_sec, "async", "mu_clk", kind=float, gt=0)
-            sigma_clk = _take(async_sec, "async", "sigma_clk", kind=float, ge=0)
-            delta = _take(async_sec, "async", "delta_msg", required=False,
-                          default=0.0, kind=float, ge=0)
-            horizon = _take(async_sec, "async", "horizon", required=False,
-                            kind=float, gt=0)
-            bad = [m for m, _ in methods if m not in ("dbfgs", "dd")]
-            if bad:
-                raise ConfigError(f"methods.{bad[0]}: not available in the "
+            if "async" in sections and name not in ("dbfgs", "dd"):
+                raise ConfigError(f"methods.{name}: not available in the "
                                   "async regime (dbfgs and dd only)")
-
-        for sec_name, sec in (("topology", topo), ("problem", prob),
-                              ("mode", mode_sec), ("dbfgs", dbfgs_sec),
-                              ("run", run_sec), ("async", async_sec or {})):
-            for k in sec:
-                raise ConfigError(f"{sec_name}.{k}: unknown key")
-        for sec_name in sections:
-            raise ConfigError(f"[{sec_name}]: unknown section")
-
-        return cls(
-            n=n, d=d, problem_kind=kind, p=p, eta=eta, q=q, lam=lam, mu=mu,
-            sigma_pos=sp, sigma_neg=sn, mode=mode, alpha=alpha, gamma=gamma,
-            big_gamma=big_gamma, iterations=iters, seeds=tuple(seeds),
-            methods=tuple(methods), error_threshold=thresh,
-            stop_error=stop_err, stop_grad_norm=stop_g, mu_clk=mu_clk,
-            sigma_clk=sigma_clk, delta_msg=delta, horizon=horizon,
-        )
+        if "async" in sections:
+            need("async", "mu_clk", "sigma_clk")
+            fields.setdefault("delta_msg", 0.0)
+        return cls(**fields)
 
     def to_text(self) -> str:
-        lines = ["[topology]", f"n = {self.n}", f"d = {self.d}", ""]
-        lines += ["[problem]", f'kind = "{self.problem_kind}"', f"p = {self.p}"]
-        if self.problem_kind == "quadratic":
-            lines.append(f"eta = {_fmt_scalar(self.eta)}")
-        else:
-            lines += [f"q = {self.q}", f"lam = {_fmt_scalar(self.lam)}",
-                      f"mu = {_fmt_scalar(self.mu)}",
-                      f"sigma_pos = {_fmt_scalar(self.sigma_pos)}",
-                      f"sigma_neg = {_fmt_scalar(self.sigma_neg)}"]
-        lines += ["", "[mode]", f'kind = "{self.mode}"']
-        if self.alpha is not None:
-            lines.append(f"alpha = {_fmt_scalar(self.alpha)}")
-        lines += ["", "[dbfgs]", f"gamma = {_fmt_scalar(self.gamma)}",
-                  f"big_gamma = {_fmt_scalar(self.big_gamma)}"]
-        lines += ["", "[run]", f"iterations = {self.iterations}",
-                  "seeds = [" + ", ".join(str(s) for s in self.seeds) + "]"]
-        for key, val in (("error_threshold", self.error_threshold),
-                         ("stop_error", self.stop_error),
-                         ("stop_grad_norm", self.stop_grad_norm)):
-            if val is not None:
-                lines.append(f"{key} = {_fmt_scalar(val)}")
-        lines += ["", "[methods]"]
-        lines += [f"{name} = {_fmt_scalar(step)}" for name, step in self.methods]
-        if self.regime == "async":
-            lines += ["", "[async]", f"mu_clk = {_fmt_scalar(self.mu_clk)}",
-                      f"sigma_clk = {_fmt_scalar(self.sigma_clk)}",
-                      f"delta_msg = {_fmt_scalar(self.delta_msg)}"]
-            if self.horizon is not None:
-                lines.append(f"horizon = {_fmt_scalar(self.horizon)}")
-        return "\n".join(lines) + "\n"
+        blocks = []
+        for name, keys in _FORMAT.items():
+            pairs = self.methods if name == "methods" else [
+                (key, getattr(self, _FIELD.get((name, key), key))) for key in keys]
+            lines = [f"{key} = {_toml(val)}" for key, val in pairs if val is not None]
+            if lines:
+                blocks.append("\n".join([f"[{name}]", *lines]))
+        return "\n\n".join(blocks) + "\n"
 
     def config_hash(self) -> str:
         return hashlib.sha256(self.to_text().encode()).hexdigest()[:10]
@@ -414,8 +364,13 @@ def histogram_exchanges(traces, threshold: float) -> HistogramResult:
 
 
 def read_trace_csv(path: str) -> Trace:
+    """A trace as ``Trace.to_csv`` writes it; ValueError, naming the file,
+    if the header lacks a trace column."""
     with open(path) as fh:
         header = fh.readline().strip().split(",")
+        missing = [c for c in SYNC_CSV_HEADER.split(",") if c not in header]
+        if missing:
+            raise ValueError(f"{path}: not a trace CSV (lacks {', '.join(missing)})")
         is_async = "model_time" in header
         trace = Trace(method="?", mode="?", seed=0,
                       model_time=[] if is_async else None,
@@ -450,22 +405,15 @@ def _median_err_at(results, method: str, iteration: int) -> float:
     return float(np.median(vals))
 
 
-def _quad_config(n, d, eta, mode, methods, iterations, seeds, alpha=None,
-                 gamma=1e-2, big_gamma=1e-3, threshold=None, stop_error=None,
-                 async_params=None):
-    mu_clk, sigma_clk, delta_msg, horizon = async_params or (None,) * 4
-    return ExperimentConfig(
-        n=n, d=d, problem_kind="quadratic", p=4, eta=eta, q=None, lam=None,
-        mu=None, sigma_pos=None, sigma_neg=None, mode=mode, alpha=alpha,
-        gamma=gamma, big_gamma=big_gamma, iterations=iterations,
-        seeds=tuple(seeds), methods=tuple(methods), error_threshold=threshold,
-        stop_error=stop_error, stop_grad_norm=None, mu_clk=mu_clk,
-        sigma_clk=sigma_clk, delta_msg=delta_msg, horizon=horizon,
-    )
+def _quad_config(n, eta, mode, methods, iterations, seeds, **fields):
+    """A profile's quadratic config on the 4-regular cycle, p = 4."""
+    return ExperimentConfig(n=n, d=4, problem_kind="quadratic", p=4, eta=eta,
+                            mode=mode, methods=tuple(methods),
+                            iterations=iterations, seeds=tuple(seeds), **fields)
 
 
 def _profile_fig2(seeds, outdir):
-    cfg = _quad_config(50, 4, 2.0, "dual",
+    cfg = _quad_config(50, 2.0, "dual",
                        [("dbfgs", 0.01), ("admm", 0.002), ("dd", 0.002)],
                        200, seeds)
     res = run_experiment(cfg, outdir)
@@ -491,8 +439,8 @@ def _ratio_criteria(fig, mode, threshold, fast, slow, budgets, cases, seeds,
         for name in (fast, slow):
             iters, step = budgets[name]
             cfg = _quad_config(
-                50 if mode == "dual" else 100, 4, eta, mode, [(name, step)],
-                iters, seeds, alpha=alpha, threshold=threshold,
+                50 if mode == "dual" else 100, eta, mode, [(name, step)],
+                iters, seeds, alpha=alpha, error_threshold=threshold,
                 stop_error=threshold)
             runs += run_experiment(cfg, outdir)
         hist = histogram_exchanges([r.trace for r in runs], threshold)
@@ -518,7 +466,7 @@ def _profile_fig3(seeds, outdir):
 
 
 def _profile_fig4(seeds, outdir):
-    cfg = _quad_config(100, 4, 2.0, "primal",
+    cfg = _quad_config(100, 2.0, "primal",
                        [("dbfgs", 0.3), ("dgd", 1.0)], 200, seeds, alpha=1e-3)
     res = run_experiment(cfg, outdir)
     m_db = _median_err_at(res, "dbfgs", 100)
@@ -544,8 +492,9 @@ def _profile_fig6(seeds, outdir):
     medians = {}
     for sigma in (0.1, 0.3):
         cfg = _quad_config(
-            50, 4, 1.0, "dual", [("dbfgs", 0.01), ("dd", 0.002)], 200, seeds,
-            gamma=0.1, big_gamma=0.1, async_params=(1.0, sigma, 0.0, 235.0))
+            50, 1.0, "dual", [("dbfgs", 0.01), ("dd", 0.002)], 200, seeds,
+            gamma=0.1, big_gamma=0.1, mu_clk=1.0, sigma_clk=sigma,
+            delta_msg=0.0, horizon=235.0)
         res = run_experiment(cfg, outdir)
         medians[sigma] = {m: _median_err_at(res, m, 200) for m in ("dbfgs", "dd")}
     db1, dd1 = medians[0.1]["dbfgs"], medians[0.1]["dd"]
@@ -563,7 +512,7 @@ def _profile_fig6(seeds, outdir):
 
 def _profile_fig7(seeds, outdir):
     cfg = replace(
-        _quad_config(100, 4, None, "primal", [("dbfgs", 0.3), ("dgd", 1.0)], 200,
+        _quad_config(100, None, "primal", [("dbfgs", 0.3), ("dgd", 1.0)], 200,
                      seeds, alpha=1e-3, gamma=0.1, big_gamma=0.1),
         problem_kind="logistic", q=100, lam=1e-4, mu=3.0, sigma_pos=1.0,
         sigma_neg=1.0)

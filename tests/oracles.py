@@ -5,10 +5,11 @@ operations of ``DistributedObjective`` in their unscaled form, the
 unscaled penalty objective, the two-pass sigmoid and the logistic Newton
 optimum that evaluates each point several times, the consensus weight
 conditions, the classical BFGS update, the round kernel's curvature
-update in its one-shot stacked form, the time functions and staleness
-bound of a clock schedule, a per-message inbox, and random Metropolis
-problems. The runtimes never call these; they evaluate the staged, scaled
-forms and keep their messages in dated logs.
+update in its one-shot stacked form, the sum of a node's descent
+contributions and the dense global descent matrix, the time functions and
+staleness bound of a clock schedule, a per-message inbox, and random
+Metropolis problems. The runtimes never call these; they evaluate the
+staged, scaled forms and keep their messages in dated logs.
 """
 
 import heapq
@@ -252,6 +253,39 @@ def curvature_states(eng) -> list:
                                            eng.big_gamma),
                     matrix=kernel.matrix(i).copy())
             for i in range(kernel.graph.n)]
+
+
+def aggregate_descent(contributions, expected: int | None = None) -> np.ndarray:
+    """d_i = sum of the neighbors' descent contributions for block i."""
+    contributions = list(contributions)
+    if expected is not None and len(contributions) != expected:
+        raise ValueError(f"synchronous aggregation expected {expected} "
+                         f"contributions, got {len(contributions)}")
+    if not contributions:
+        raise ValueError("no descent contributions to aggregate")
+    out = np.array(contributions[0], dtype=float, copy=True)
+    for c in contributions[1:]:
+        out += c
+    return out
+
+
+def assemble_global_descent_matrix(states, graph: Graph, p: int) -> np.ndarray:
+    """H + Gamma I with H = sum_i of embedded B_i^{-1}.
+
+    Dense (np x np); inverts every node matrix explicitly, so test-scale
+    networks only.
+    """
+    n = graph.n
+    big_gammas = {s.big_gamma for s in states}
+    if len(big_gammas) != 1:
+        raise ValueError("states disagree on Gamma")
+    h = np.zeros((n * p, n * p))
+    for i, state in enumerate(states):
+        binv = np.linalg.inv(state.matrix)
+        idx = np.concatenate([np.arange(j * p, (j + 1) * p) for j in state.nodes])
+        h[np.ix_(idx, idx)] += binv
+    h[np.diag_indices_from(h)] += big_gammas.pop()
+    return h
 
 
 def _last_before(ticks: np.ndarray, t) -> np.ndarray:

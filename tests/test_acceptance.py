@@ -34,7 +34,6 @@ from dbfgs.async_sim import (
 )
 from dbfgs.curvature import (
     CurvatureState,
-    assemble_global_descent_matrix,
     bfgs_update,
     modified_variations,
 )
@@ -43,6 +42,7 @@ from dbfgs.netgraph import build_d_regular_cycle, build_weight_matrix
 from dbfgs.objectives import DistributedObjective, make_quadratic
 from dbfgs.sync_runtime import DbfgsSyncEngine, SyncConfig, run_dbfgs_sync
 from oracles import (
+    assemble_global_descent_matrix,
     curvature_states,
     dual_function_value,
     dual_grad_i,

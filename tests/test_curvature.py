@@ -6,8 +6,6 @@ from hypothesis import strategies as st
 from dbfgs._kernel import BLOCK_BYTES, CurvatureLost, RoundKernel
 from dbfgs.curvature import (
     CurvatureState,
-    aggregate_descent,
-    assemble_global_descent_matrix,
     bfgs_update,
     modified_variations,
     neighborhood_descent,
@@ -15,6 +13,8 @@ from dbfgs.curvature import (
 from dbfgs.netgraph import Graph, build_d_regular_cycle, build_weight_matrix
 from dbfgs.objectives import DistributedObjective, make_quadratic
 from oracles import (
+    aggregate_descent,
+    assemble_global_descent_matrix,
     centralized_bfgs_oracle,
     curvature_states,
     metropolis_dual,

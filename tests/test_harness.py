@@ -5,10 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dbfgs.harness as harness
 from dbfgs.cli import main as cli_main
 from dbfgs.harness import (
+    DEFAULT_SEEDS,
+    PROFILES,
     ConfigError,
     ExperimentConfig,
+    RunResult,
     histogram_exchanges,
     parse_config,
     read_trace_csv,
@@ -91,8 +95,8 @@ def valid_configs(draw):
         fields["eta"] = draw(_NONNEGATIVE)
     else:
         fields.update(p=draw(st.integers(1, 10**6)), q=draw(st.integers(1, 10**6)),
-                      lam=draw(_POSITIVE), mu=draw(_REAL), sigma_pos=draw(_REAL),
-                      sigma_neg=draw(_REAL))
+                      lam=draw(_POSITIVE), mu=draw(_REAL),
+                      sigma_pos=draw(_NONNEGATIVE), sigma_neg=draw(_NONNEGATIVE))
     is_async = draw(st.booleans())
     if is_async:
         fields.update(mu_clk=draw(_POSITIVE), sigma_clk=draw(_NONNEGATIVE),
@@ -120,6 +124,50 @@ def test_config_text_round_trip_and_stable_hash(cfg):
     assert (again.regime == "async") == ("[async]" in text)
     assert again.to_text() == text
     assert again.config_hash() == cfg.config_hash()
+
+
+def test_parse_defaults():
+    text = BASE_CONFIG.replace("[dbfgs]\ngamma = 0.01\nbig_gamma = 0.001\n", "")
+    cfg = parse_config(text)
+    assert (cfg.gamma, cfg.big_gamma) == (1e-2, 1e-3)
+    assert cfg.regime == "sync" and cfg.delta_msg is None and cfg.horizon is None
+    assert cfg.stop_error is None and cfg.alpha is None and cfg.q is None
+
+
+# config_hash() of every profile config at the default seeds, in run order;
+# a change to the written config format renames every saved trace
+PROFILE_HASHES = {
+    "fig2": ["13827951a8"],
+    "fig3": ["ae58ce3350", "f7e6c85db6", "966e4a5f40", "cb409bc2b5"],
+    "fig4": ["b8085ffc69"],
+    "fig5": ["7c51320016", "fe4358a7d1", "6cd186ef67", "e86a4e4818"],
+    "fig6": ["fb2354696e", "e62656477b"],
+    "fig7-logistic": ["43651b8d97"],
+}
+
+
+def test_profile_config_hashes_are_pinned(monkeypatch):
+    seen = []
+
+    def record(cfg, outdir=None):
+        # one single-row trace per run, so the profile's criteria evaluate
+        seen.append(cfg)
+        results = []
+        for method, _ in cfg.methods:
+            for seed in cfg.seeds:
+                trace = Trace(method=method, mode=cfg.mode, seed=seed)
+                trace.append(cfg.iterations, 1.0, 1.0, 1)
+                results.append(RunResult(method, seed, trace, None))
+        return results
+
+    monkeypatch.setattr(harness, "run_experiment", record)
+    assert sorted(PROFILE_HASHES) == sorted(PROFILES)
+    for name, hashes in PROFILE_HASHES.items():
+        seen.clear()
+        PROFILES[name](DEFAULT_SEEDS, None)
+        assert [cfg.config_hash() for cfg in seen] == hashes, name
+        for cfg in seen:
+            assert parse_config(cfg.to_text()) == cfg
 
 
 def test_parse_async_section():
@@ -171,11 +219,26 @@ def test_parse_async_section():
     (("dd = 0.002", "dd = 0.002\n[async]\nmu_clk = 1.0\nsigma_clk = 0.1\n"
       "horizon = 0.0"), "async.horizon"),
     *MODE_MISMATCHES,
+    (('kind = "quadratic"\np = 4\neta = 1.0', LOGISTIC_PROBLEM.format(q=4, lam=0.1)
+      .replace("sigma_pos = 1.0", "sigma_pos = -1.0")), "problem.sigma_pos"),
+    (('kind = "quadratic"\np = 4\neta = 1.0', LOGISTIC_PROBLEM.format(q=4, lam=0.1)
+      .replace("sigma_neg = 1.0", "sigma_neg = -0.5")), "problem.sigma_neg"),
+    # a key of the other problem kind is unknown to this one
+    (("eta = 1.0", "eta = 1.0\nq = 4"), "problem.q: unknown key"),
 ])
 def test_parse_rejections(mutation, match):
     old, new = mutation
     with pytest.raises(ConfigError, match=match):
         parse_config(BASE_CONFIG.replace(old, new))
+
+
+def test_quadratic_keys_are_unknown_to_a_logistic_problem():
+    text = BASE_CONFIG.replace('kind = "dual"', 'kind = "primal"\nalpha = 0.1')
+    text = text.replace("dd = 0.002", "dgd = 0.5").replace(
+        'kind = "quadratic"\np = 4\neta = 1.0', LOGISTIC_PROBLEM.format(q=4, lam=0.1))
+    assert parse_config(text).problem_kind == "logistic"
+    with pytest.raises(ConfigError, match="problem.eta: unknown key"):
+        parse_config(text.replace("sigma_neg = 1.0", "sigma_neg = 1.0\neta = 0.5"))
 
 
 def test_quoted_hash_is_part_of_the_value():
@@ -326,6 +389,21 @@ def test_cli_histogram_no_match_is_usage_error(tmp_path):
     rc = cli_main(["histogram", str(tmp_path / "none*.csv"),
                    "--threshold", "0.5"])
     assert rc == 2
+
+
+def test_cli_histogram_of_a_non_trace_csv_is_usage_error(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("a,b\n1,2\n")
+    rc = cli_main(["histogram", str(bad), "--threshold", "0.1"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and "not a trace CSV" in err
+
+
+def test_cli_run_on_a_directory_is_usage_error(tmp_path, capsys):
+    rc = cli_main(["run", str(tmp_path), "--outdir", str(tmp_path / "out")])
+    assert rc == 2
+    assert str(tmp_path) in capsys.readouterr().err
 
 
 def test_cli_bad_config_exit_code(tmp_path):

@@ -9,7 +9,6 @@ from dbfgs.async_sim import (
     run_dd_async,
     virtual_replay,
 )
-from dbfgs.curvature import assemble_global_descent_matrix
 from dbfgs.netgraph import Graph, build_d_regular_cycle, build_weight_matrix
 from dbfgs.objectives import DistributedObjective, QuadraticInstance, make_quadratic
 from dbfgs.sync_runtime import (
@@ -21,8 +20,8 @@ from dbfgs.sync_runtime import (
     run_dd,
     run_dgd,
 )
-from oracles import (curvature_states, dual_function_value, metropolis_weights,
-                     runtime_value)
+from oracles import (assemble_global_descent_matrix, curvature_states,
+                     dual_function_value, metropolis_weights, runtime_value)
 
 
 def ring_objective(n, d, p, eta, seed, mode, alpha=None):
