@@ -19,8 +19,8 @@ reproduces the synchronous runtime bit for bit.
 The schedule and the graph fix every index a run uses, so the engine plans
 them apart from the float work, as inspector-executor schemes do for
 irregular loops (Saltz, Mirchandaney and Crowley, IEEE Trans. Computers,
-1991): per window its batches, kernel groups, the log rows its reads take,
-and per row its local_iter_min and the keys its record refreshes.
+1991): once per run the windows, each event's slots and log reads and each
+row's local_iter_min; per slice of windows the kernel groups and record keys.
 
 Messages live in two dated logs that every event writes once, as Time
 Warp keeps its message logs (Jefferson, "Virtual Time", 1985). Every event
@@ -89,10 +89,6 @@ class ClockSchedule:
     """Per-node strictly increasing availability times, all starting at 0."""
 
     times: tuple
-    horizon: float
-    mu: float
-    sigma: float
-    seed: int
 
     @property
     def n(self) -> int:
@@ -121,8 +117,7 @@ def gen_clock_schedule(n: int, mu_clk: float, sigma_clk: float, horizon: float,
                 break
             ticks.append(t)
         times.append(np.asarray(ticks))
-    return ClockSchedule(times=tuple(times), horizon=float(horizon),
-                         mu=float(mu_clk), sigma=float(sigma_clk), seed=seed)
+    return ClockSchedule(times=tuple(times))
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +182,8 @@ class EventLog(NamedTuple):
 
 class _Window(NamedTuple):
     """A window's share of the plan. Its batches are its trace rows (in the
-    run's first window, none), and key r n + i names node i at row r."""
+    run's first window, none), and key r n + i names node i at row r. The
+    arrays ``slots``, ``read`` and ``inbox`` are views of the run's."""
 
     events: slice
     ends: list  # each batch's end among the window's events, after a 0
@@ -208,23 +204,30 @@ class _Window(NamedTuple):
 class _AsyncEngine:
     """One event loop for asynchronous D-BFGS (physical and virtual) and DD.
 
-    ``_plan`` plans windows of at least ``PLAN_EVENTS`` events at a time, so
-    the plan's memory stays bounded and a run that stops early plans at most
-    one slice past its stop; ``_process_window`` does a window's float work.
-    The logs have room for every event of the schedule: its package, at
-    the row of its tick in ``packages``, and in physical D-BFGS its chunks,
-    from row ``chunk_at[k]`` of ``chunk_log`` for event k. With the event
-    log they are O(events m p) and go with the engine.
+    The engine plans by lifetime: built, it computes the flat indices the
+    schedule fixes for the whole run (windows, event slots, the ``packages``
+    rows they read, each event's inbox chunks), O(events m) like
+    ``chunk_log``; ``_plan`` builds the per-window objects (kernel groups,
+    record key sets) a slice of at least ``PLAN_EVENTS`` events at a time,
+    so a run that stops early builds at most one slice past its stop;
+    ``_process_window`` does a window's float work. The logs have room for
+    every event: its package at its tick's row of ``packages``, in physical
+    D-BFGS its chunks at its slots' rows of ``chunk_log``.
     """
 
     def __init__(self, graph: Graph, objective: DistributedObjective,
                  cfg: AsyncConfig, schedule: ClockSchedule, method: str,
                  virtual: bool = False):
-        cfg.validate(objective, method)
+        cfg.validate(graph, objective, method)
         if schedule.n != graph.n:
             raise ValueError("schedule and graph disagree on node count")
-        if any(ticks[0] != 0.0 for ticks in schedule.times):
+        if any(len(ticks) == 0 or ticks[0] != 0.0 for ticks in schedule.times):
             raise ValueError("all availability clocks must start at t = 0")
+        # node i's ticks, listed node by node, start at first[i]
+        first = np.cumsum([0] + [len(t) for t in schedule.times])
+        gaps = np.delete(np.diff(np.concatenate(schedule.times)), first[1:-1] - 1)
+        if not np.all(gaps > 0):
+            raise ValueError("availability clocks must strictly increase")
         self.obj, self.cfg, self.virtual = objective, cfg, virtual
         n, p = graph.n, objective.p
         self.kernel = kernel = RoundKernel(graph, p)
@@ -240,43 +243,57 @@ class _AsyncEngine:
         self.chunks = self.dbfgs and not virtual
         self.trace = Trace(method=method, mode=cfg.mode, seed=cfg.seed,
                            model_time=[], local_iter_min=[])
-        # the events in event order; node i's ticks, listed node by node,
-        # start at first[i]
-        self.queue = queue = EventQueue(schedule)
+        self.queue = queue = EventQueue(schedule)  # the events in event order
         events = len(queue.time)
-        self.first = first = np.cumsum([0] + [len(t) for t in schedule.times])
-        # per tick, node * events + event: node i's events before event e
-        # are its ticks whose key falls below i * events + e
-        self.keys = np.empty(events, dtype=np.intp)
-        self.keys[queue.order] = queue.node * events + np.arange(events)
+        # each tick's event; per tick, node * events + event: node i's events
+        # before event e are its ticks whose key falls below i * events + e
+        event = np.argsort(queue.order)
+        keys = queue.node[event] * events + event
         # among its node's events: the node's local iteration count there
         self.rank = queue.order - first[queue.node]
-        self.arrival = queue.time + cfg.delta_msg  # of each event's messages
-        # each event's batch; per k >= 1, the batch of the last k-th tick
+        # each event's batch; per batch its local_iter_min: the largest k
+        # such that every node's k-th tick is in it or before it, or 0
         self.batch = np.repeat(np.arange(len(queue.cuts) - 1), np.diff(queue.cuts))
-        ticks = np.empty(events, dtype=np.intp)
-        ticks[queue.order] = self.batch
-        self.kth = ticks[first[:-1, None] + np.arange(1, np.diff(first).min())].max(0)
-        # the windows, planned up to batch ``planned``
-        self.windows, self.planned = queue.windows(graph.layout), 0
+        kth = self.batch[event[first[:-1, None]
+                               + np.arange(1, np.diff(first).min())]].max(0)
+        self.lmin = np.searchsorted(kth, np.arange(len(queue.cuts) - 1), side="right")
+        # each window's first batch and first event, then the ends; windows
+        # up to ``planned`` are planned
+        self.wb = np.cumsum([0] + [len(w) for w in queue.windows(graph.layout)])
+        self.we, self.planned = queue.cuts[self.wb], 0
         # the packages by tick after a zero row per node: row first[i] + i + c
         # holds node i's c-th package, the zero row stands for none
         self.packages = np.zeros((3, events + n, p))
         self.package_row = queue.order + queue.node + 1
-        # the chunks by event from chunk_at[k], one per slot of its node's
-        # layout row; and each node's inbox from inbox_at[i]: the rows of the
-        # chunks sent to it, in (arrival, send) order. A chunk arrives at
-        # once at its own node and after the message delay at the others.
-        self.chunk_at = np.cumsum(np.append(0, kernel.m[queue.node]))
-        self.chunk_log = np.empty((self.chunk_at[-1] if self.chunks else 0, p))
+        # every event's layout slots, from slot_at[k] for event k: its chunks'
+        # rows of ``chunk_log``, and where its dated copies go. A slot reads
+        # its neighbor's latest package that arrived strictly before the event
+        # (its last tick among the first ``arrived`` events, one key lookup),
+        # or with none, and at its own node, the zero row.
+        self.slots, sender = self._slots(queue.node)
+        self.slot_at = np.cumsum(np.append(0, kernel.m[queue.node]))
+        cols = kernel.cols[self.slots]
+        own = cols == graph.layout.rows[self.slots]
+        arrival = queue.time + cfg.delta_msg  # of each event's messages
+        arrived = np.searchsorted(arrival, queue.time)
+        tick = np.searchsorted(keys, cols * events + arrived[sender] * ~own)
+        self.read = tick + cols
+        self.chunk_log = np.empty((len(self.slots) if self.chunks else 0, p))
+        # the chunks each event reads, from inbox_at[k]: readers and rows. A
+        # node's inbox lists the chunks sent to it by (arrival, send), at once
+        # from itself and after the delay from its neighbors; an event reads
+        # those its node has by then and did not have at its previous event.
+        new = np.zeros(events, dtype=np.intp)
+        self.inbox = (new[:0], new[:0])
         if self.chunks:
-            slot, sender = self._slots(queue.node)
-            to = kernel.cols[slot]
-            arrival = np.where(to != graph.layout.rows[slot], self.arrival[sender],
-                               queue.time[sender])
-            self.inbox = np.lexsort((sender, arrival, to))
-            self.inbox_at = np.searchsorted(to[self.inbox], np.arange(n))
-            self.taken = np.zeros(n, dtype=np.intp)  # chunks each node read
+            inbox = np.lexsort((sender, np.where(own, queue.time[sender],
+                                                 arrival[sender]), cols))
+            total = np.add.reduceat(tick - first[cols], self.slot_at[:-1]) + self.rank
+            new = total - np.where(self.rank > 0, total[event[queue.order - 1]], 0)
+            start = np.searchsorted(cols[inbox], queue.node) + total - np.cumsum(new)
+            self.inbox = (np.repeat(queue.node, new),
+                          inbox[np.repeat(start, new) + np.arange(new.sum())])
+        self.inbox_at = np.cumsum(np.append(0, new))
         # the event log's blocks; ``logged`` events so far
         self.log_block = np.empty((events, p))
         self.logged = 0
@@ -335,49 +352,16 @@ class _AsyncEngine:
 
     def _plan(self) -> list:
         """The next windows' plans, at least ``PLAN_EVENTS`` events unless
-        the schedule ends first; [] once it has ended."""
-        queue, kernel, n = self.queue, self.kernel, len(self.err_terms)
-        counts, events = [], 0  # batches per window
-        for window in self.windows:
-            counts.append(len(window))
-            events += sum(len(batch) for _, batch in window)
-            if events >= PLAN_EVENTS:
-                break
-        if not counts:
+        the schedule ends first; [] once it has ended. A slice builds the
+        kernel groups and the record's key sets; the rest is the run's."""
+        queue, n, we = self.queue, len(self.err_terms), self.we
+        wl = self.planned
+        self.planned = wh = min(np.searchsorted(we, we[wl] + PLAN_EVENTS), len(we) - 1)
+        if wh == wl:
             return []
-        bl = self.planned
-        self.planned = bh = bl + sum(counts)
-        wb = np.cumsum([0] + counts)  # each window's first batch, from bl
-        eb = queue.cuts[bl:bh + 1]  # each batch's first event
-        el, eh = eb[0], eb[-1]
-        node = queue.node[el:eh]
-        groups = kernel.batches(node, eb[wb] - el)
-        # a slot reads its neighbor's latest package that arrived strictly
-        # before the event: its last tick among the first ``arrived`` events
-        # (one key lookup), or with none, and at its own node, the zero row
-        slots, at = self._slots(node)
-        cols = kernel.cols[slots]
-        arrived = np.searchsorted(self.arrival, queue.time[el:eh])
-        tick = np.searchsorted(self.keys, cols * len(self.keys) + arrived[at]
-                               * (cols != kernel.graph.layout.rows[slots]))
-        sb = self.chunk_at[eb] - self.chunk_at[el]  # each batch's first slot
-        # the inbox: a node has the chunks of its neighbors' arrived packages
-        # and of its own earlier events, and reads those it has not yet
-        new = readers = chunks = np.zeros(eh - el, dtype=np.intp)  # none read
-        if self.chunks:
-            total = (np.add.reduceat(tick - self.first[cols],
-                                     self.chunk_at[el:eh] - self.chunk_at[el])
-                     + self.rank[el:eh])
-            order = np.argsort(node, kind="stable")
-            had = np.empty_like(total)
-            had[order] = np.where(np.append(True, np.diff(node[order]) != 0),
-                                  self.taken[node[order]], np.append(0, total[order][:-1]))
-            np.maximum.at(self.taken, node, total)
-            new = total - had
-            readers = np.repeat(node, new)
-            start = self.inbox_at[node] + had - np.cumsum(new) + new
-            chunks = self.inbox[np.repeat(start, new) + np.arange(len(readers))]
-        cb = np.append(0, np.cumsum(new))[eb[wb] - el]  # each window's first chunk
+        bl, bh, eh = self.wb[wl], self.wb[wh], we[wh]
+        wb = self.wb[wl:wh + 1] - bl  # each window's first batch, from bl
+        groups = self.kernel.batches(queue.node[we[wl]:eh], we[wl:wh + 1] - we[wl])
         # the record keys of the rows (the batches after the first): the nodes
         # whose var moved (at the first row all; then a batch's own in physical
         # D-BFGS, the batch before's in DD and their neighbors in the virtual
@@ -395,17 +379,18 @@ class _AsyncEngine:
         err = self._reach(np.concatenate((own, every)), size, 0)[0] if dual else reach[0]
         record = [self._key_sets(keys, wb, hoods) for keys, hoods
                   in zip((err, *reach[1:]), (False, True, True))]
-        rows = list(zip(queue.time[eb[:-1]].tolist(), np.searchsorted(
-            self.kth, np.arange(bl, bh), side="right").tolist()))
-        read, eb, sb, cb = tick + cols, eb.tolist(), sb.tolist(), cb.tolist()
+        eb = queue.cuts[bl:bh + 1]  # each batch's first event
+        rows = list(zip(queue.time[eb[:-1]].tolist(), self.lmin[bl:bh].tolist()))
+        eb, sb, cb = eb.tolist(), self.slot_at[eb].tolist(), self.inbox_at[eb].tolist()
         plan = []
         for w, (b0, b1) in enumerate(zip(wb.tolist(), wb[1:].tolist())):
-            e0, s0, s1, c0, c1 = eb[b0], sb[b0], sb[b1], cb[w], cb[w + 1]
+            e0, s0, s1, c0, c1 = eb[b0], sb[b0], sb[b1], cb[b0], cb[b1]
             plan.append(_Window(
                 slice(e0, eb[b1]), [e - e0 for e in eb[b0:b1 + 1]],
                 [s - s0 for s in sb[b0:b1 + 1]], rows[b0:b1],
-                groups[w], slots[s0:s1], read[s0:s1],
-                (readers[c0:c1], chunks[c0:c1]), tuple(keys[w] for keys in record)))
+                groups[w], self.slots[s0:s1], self.read[s0:s1],
+                tuple(col[c0:c1] for col in self.inbox),
+                tuple(keys[w] for keys in record)))
         return plan
 
     def _views(self, groups, q: int) -> list:
@@ -480,7 +465,7 @@ class _AsyncEngine:
         their chunks: the kernel's ``contrib`` at its layout rows."""
         self.packages[:, self.package_row[w.events]] = packages
         if self.chunks:
-            self.chunk_log[self.chunk_at[w.events.start]:self.chunk_at[w.events.stop]] = \
+            self.chunk_log[self.slot_at[w.events.start]:self.slot_at[w.events.stop]] = \
                 self.kernel.contrib[w.slots]
 
     def _record(self, states: np.ndarray, record: tuple) -> tuple:

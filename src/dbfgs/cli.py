@@ -33,8 +33,11 @@ def _outdir(args) -> str:
 
 
 def _cmd_run(args) -> int:
-    with open(args.config) as fh:
-        cfg = parse_config(fh.read())
+    try:
+        with open(args.config, encoding="utf-8") as fh:
+            cfg = parse_config(fh.read())
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{args.config}: not UTF-8 text ({exc})") from None
     outdir = _outdir(args)
     results = run_experiment(cfg, outdir)
     diverged = [r for r in results if r.trace.status == "diverged"]

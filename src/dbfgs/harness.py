@@ -365,7 +365,8 @@ def histogram_exchanges(traces, threshold: float) -> HistogramResult:
 
 def read_trace_csv(path: str) -> Trace:
     """A trace as ``Trace.to_csv`` writes it; ValueError, naming the file,
-    if the header lacks a trace column."""
+    if the header lacks a trace column, and ``path:line`` if a row does not
+    have the header's fields or a number does not parse."""
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         missing = [c for c in SYNC_CSV_HEADER.split(",") if c not in header]
@@ -375,16 +376,20 @@ def read_trace_csv(path: str) -> Trace:
         trace = Trace(method="?", mode="?", seed=0,
                       model_time=[] if is_async else None,
                       local_iter_min=[] if is_async else None)
-        for line in fh:
+        for lineno, line in enumerate(fh, 2):
             parts = line.strip().split(",")
-            row = dict(zip(header, parts))
-            trace.method = row["method"]
-            trace.mode = row["mode"]
-            trace.seed = int(row["seed"])
-            trace.append(int(row["iter"]), float(row["error"]),
-                         float(row["grad_norm"]), int(row["exchanges"]),
-                         model_time=float(row["model_time"]) if is_async else None,
-                         local_iter_min=int(row["local_iter_min"]) if is_async else None)
+            try:
+                if len(parts) != len(header):
+                    raise ValueError(f"{len(parts)} fields, the header has {len(header)}")
+                row = dict(zip(header, parts))
+                trace.method, trace.mode = row["method"], row["mode"]
+                trace.seed = int(row["seed"])
+                trace.append(int(row["iter"]), float(row["error"]),
+                             float(row["grad_norm"]), int(row["exchanges"]),
+                             float(row.get("model_time", "nan")),
+                             int(row.get("local_iter_min", 0)))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
     return trace
 
 

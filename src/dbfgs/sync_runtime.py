@@ -65,8 +65,11 @@ class SyncConfig:
     stop_grad_norm: float | None = None
     var0: np.ndarray | None = None
 
-    def validate(self, objective: DistributedObjective, method: str) -> None:
-        """Check against the objective and the runner's method."""
+    def validate(self, graph: Graph, objective: DistributedObjective,
+                 method: str) -> None:
+        """Check against the runner's graph, objective and method."""
+        if graph != objective.graph:
+            raise ValueError("the graph is not the objective's graph")
         if method != self.method:
             raise ValueError(f"a {self.method!r} config passed to the {method} runner")
         if self.method not in METHOD_MODES:
@@ -88,6 +91,9 @@ class SyncConfig:
         if self.mode not in METHOD_MODES[self.method]:
             raise ValueError(f"{self.method} runs in "
                              f"{' or '.join(METHOD_MODES[self.method])} mode only")
+        if self.var0 is not None and np.shape(self.var0) != (graph.n, objective.p):
+            raise ValueError(f"var0 has shape {np.shape(self.var0)}, not (n, p) = "
+                             f"{(graph.n, objective.p)}")
 
 
 @dataclass
@@ -201,7 +207,7 @@ def run_dbfgs_sync(graph: Graph, objective: DistributedObjective,
                    cfg: SyncConfig) -> Trace:
     """Synchronous D-BFGS; in dual mode the iterated variable is nu and the
     machinery descends -psi, so the update ascends the dual function."""
-    cfg.validate(objective, "dbfgs")
+    cfg.validate(graph, objective, "dbfgs")
     engine = DbfgsSyncEngine(graph, objective, cfg.gamma, cfg.big_gamma,
                              cfg.step_size, cfg.var0)
     cost = exchanges_per_iteration("dbfgs", cfg.mode)
@@ -224,7 +230,7 @@ def run_dbfgs_sync(graph: Graph, objective: DistributedObjective,
 def run_dgd(graph: Graph, objective: DistributedObjective,
             cfg: SyncConfig) -> Trace:
     """Decentralized gradient descent on the scaled penalty objective."""
-    cfg.validate(objective, "dgd")
+    cfg.validate(graph, objective, "dgd")
     x = (np.zeros((graph.n, objective.p)) if cfg.var0 is None
          else np.array(cfg.var0, dtype=float))
     g = objective.runtime_grad(x)
@@ -243,7 +249,7 @@ def run_dd(graph: Graph, objective: DistributedObjective,
     """Dual decomposition: gradient ascent on psi through the Lagrangian
     minimizers. Trace rows carry the state the round computed with (the
     event simulator's rows align with these)."""
-    cfg.validate(objective, "dd")
+    cfg.validate(graph, objective, "dd")
     nu = (np.zeros((graph.n, objective.p)) if cfg.var0 is None
           else np.array(cfg.var0, dtype=float))
     trace = Trace(method="dd", mode=cfg.mode, seed=cfg.seed)
@@ -265,7 +271,7 @@ def run_admm(graph: Graph, objective: DistributedObjective, cfg: SyncConfig,
     accumulated multiplier of its incident edges; both updates touch only
     neighbor variables. Quadratic instances only.
     """
-    cfg.validate(objective, "admm")
+    cfg.validate(graph, objective, "admm")
     inst = objective.instance
     n, p = graph.n, objective.p
     rho = cfg.step_size

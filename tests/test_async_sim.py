@@ -82,8 +82,7 @@ def test_schedule_reference_regimes_smoke():
 
 
 def test_time_functions_examples():
-    s = ClockSchedule(times=(np.array([0.0, 3.0, 5.0]), np.array([0.0, 2.0])),
-                      horizon=6.0, mu=1.0, sigma=0.0, seed=0)
+    s = ClockSchedule(times=(np.array([0.0, 3.0, 5.0]), np.array([0.0, 2.0])))
     pi_i, _ = time_functions(s, 0, 0, 4.0)
     assert pi_i == 3.0
     _, pi_ij = time_functions(s, 0, 1, 4.0)
@@ -118,8 +117,7 @@ def test_measure_lockstep_staleness_is_two_periods():
 
 
 def test_measure_single_node_is_own_gap():
-    s = ClockSchedule(times=(np.array([0.0, 1.5, 3.0]),), horizon=3.0,
-                      mu=1.5, sigma=0.0, seed=0)
+    s = ClockSchedule(times=(np.array([0.0, 1.5, 3.0]),))
     assert measure_asynchronicity(s) == pytest.approx(1.5)
 
 
@@ -307,8 +305,7 @@ def test_mailbox_delivers_every_arrived_chunk_in_arrival_order():
     # events 0-6: (0, node 0), (0, node 1), (0.125, 1), (0.25, 0), (0.625, 0),
     # (0.75, 1), (1.25, 0)
     sched = ClockSchedule(times=(np.array([0.0, 0.25, 0.625, 1.25]),
-                                 np.array([0.0, 0.125, 0.75])),
-                          horizon=1.25, mu=0.5, sigma=0.0, seed=0)
+                                 np.array([0.0, 0.125, 0.75])))
     reads = [entry[1:] for entry in log_timeline(g, obj, sched, 0.5)
              if entry[0] == "read"]
     assert [(i, now, chunks) for i, now, chunks, _ in reads] == [
@@ -333,8 +330,7 @@ PROPERTY = settings(max_examples=40, deadline=None, database=None)
 def grid_schedule(n, seed):
     """Clocks on a 0.5 grid: ties in event times and in arrivals."""
     sched = gen_clock_schedule(n, 1.0, 0.3, 6.0, seed)
-    return ClockSchedule(times=tuple(np.unique(np.round(t * 2) / 2) for t in sched.times),
-                         horizon=6.0, mu=1.0, sigma=0.3, seed=seed)
+    return ClockSchedule(times=tuple(np.unique(np.round(t * 2) / 2) for t in sched.times))
 
 
 @PROPERTY
@@ -506,10 +502,20 @@ def test_schedule_must_start_at_zero():
     inst = QuadraticInstance(a=np.ones((2, 2)), b=np.ones((2, 2)), eta=0.0,
                              seed=0)
     objective = DistributedObjective(inst, graph, w, "dual")
-    bad = ClockSchedule(times=(np.array([0.0, 1.0]), np.array([0.5, 1.5])),
-                        horizon=2.0, mu=1.0, sigma=0.0, seed=0)
-    with pytest.raises(ValueError, match="start at t = 0"):
-        run_dbfgs_async(graph, objective, dbfgs_cfg(), bad)
+    for bad in (ClockSchedule(times=(np.array([0.0, 1.0]), np.array([0.5, 1.5]))),
+                ClockSchedule(times=(np.array([0.0, 1.0]), np.array([])))):
+        with pytest.raises(ValueError, match="start at t = 0"):
+            run_dbfgs_async(graph, objective, dbfgs_cfg(), bad)
+
+
+@pytest.mark.parametrize("ticks", [(0.0, 1.0, 1.0, 2.0), (0.0, 2.0, 1.0, 3.0)],
+                         ids=["repeated", "decreasing"])
+def test_schedule_must_strictly_increase(ticks):
+    g, obj = ring_dual(6, 2, 1.0, 0)
+    bad = ClockSchedule(times=(np.array(ticks),)
+                        + gen_clock_schedule(6, 1.0, 0.0, 3.0, 0).times[1:])
+    with pytest.raises(ValueError, match="strictly increase"):
+        run_dbfgs_async(g, obj, dbfgs_cfg(), bad)
 
 
 # ---------------------------------------------------------------------------
@@ -620,8 +626,7 @@ def drifting_schedule(n, sigma, grid, seed):
     if grid is None:
         return sched
     return ClockSchedule(
-        times=tuple(np.unique(np.round(t / grid) * grid) for t in sched.times),
-        horizon=8.0, mu=1.0, sigma=sigma, seed=seed)
+        times=tuple(np.unique(np.round(t / grid) * grid) for t in sched.times))
 
 
 # the schedules of the window and plan properties: graph, engine, clock

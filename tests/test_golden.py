@@ -110,8 +110,7 @@ def schedule(n: int, sigma: float, grid: float | None) -> ClockSchedule:
     if grid is None:
         return sched
     return ClockSchedule(times=tuple(np.unique(np.round(t / grid) * grid)
-                                     for t in sched.times),
-                         horizon=HORIZON, mu=1.0, sigma=sigma, seed=3)
+                                     for t in sched.times))
 
 
 def event_log_bytes(log) -> bytes:

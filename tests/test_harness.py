@@ -400,6 +400,28 @@ def test_cli_histogram_of_a_non_trace_csv_is_usage_error(tmp_path, capsys):
     assert str(bad) in err and "not a trace CSV" in err
 
 
+@pytest.mark.parametrize("row, message", [
+    ("1,0.5,1.0,2,dbfgs", "5 fields, the header has 7"),
+    ("1,x,1.0,2,dbfgs,dual,0", "could not convert string to float: 'x'"),
+], ids=["short-row", "non-numeric"])
+def test_cli_histogram_of_a_bad_trace_row_names_its_line(tmp_path, capsys, row,
+                                                         message):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("iter,error,grad_norm,exchanges,method,mode,seed\n"
+                   f"1,0.5,1.0,2,dbfgs,dual,0\n{row}\n")
+    rc = cli_main(["histogram", str(bad), "--threshold", "0.1"])
+    assert rc == 2
+    assert f"{bad}:3: {message}" in capsys.readouterr().err
+
+
+def test_cli_run_on_a_non_utf8_config_is_usage_error(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(b"\xff\xfe" + BASE_CONFIG.encode("utf-16-le"))
+    rc = cli_main(["run", str(bad), "--outdir", str(tmp_path / "out")])
+    assert rc == 2
+    assert f"{bad}: not UTF-8 text" in capsys.readouterr().err
+
+
 def test_cli_run_on_a_directory_is_usage_error(tmp_path, capsys):
     rc = cli_main(["run", str(tmp_path), "--outdir", str(tmp_path / "out")])
     assert rc == 2

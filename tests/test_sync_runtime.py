@@ -40,39 +40,69 @@ def test_config_validation_errors():
     g, obj = ring_objective(6, 2, 2, 1.0, 0, "primal", alpha=1e-2)
     with pytest.raises(ValueError, match="gamma"):
         SyncConfig(method="dbfgs", mode="primal", step_size=0.1,
-                   max_iters=5).validate(obj, "dbfgs")
+                   max_iters=5).validate(g, obj, "dbfgs")
     with pytest.raises(ValueError, match="dual mode only"):
         SyncConfig(method="dd", mode="primal", step_size=0.1,
-                   max_iters=5).validate(obj, "dd")
+                   max_iters=5).validate(g, obj, "dd")
     with pytest.raises(ValueError, match="does not match"):
         SyncConfig(method="dgd", mode="dual", step_size=0.1,
-                   max_iters=5).validate(obj, "dgd")
+                   max_iters=5).validate(g, obj, "dgd")
     with pytest.raises(ValueError, match="unknown method"):
         SyncConfig(method="newton", mode="primal", step_size=0.1,
-                   max_iters=5).validate(obj, "newton")
+                   max_iters=5).validate(g, obj, "newton")
+
+
+RUNNERS = [(run_dbfgs_sync, "dbfgs", "dual"), (run_dgd, "dgd", "primal"),
+           (run_dd, "dd", "dual"), (run_admm, "admm", "dual"),
+           (run_dbfgs_async, "dbfgs", "dual"), (virtual_replay, "dbfgs", "dual"),
+           (run_dd_async, "dd", "dual")]
+RUNNER_IDS = [runner.__name__ for runner, *_ in RUNNERS]
+
+
+def ring10(mode):
+    """The 2-regular ring of 10 nodes and its objective in ``mode``."""
+    return ring_objective(10, 2, 2, 1.0, 0, mode,
+                          alpha=1e-2 if mode == "primal" else None)
+
+
+def config_args(runner, method, mode, **fields):
+    """A valid config for ``method`` in ``mode`` on ``ring10``, as the
+    runner takes it: an async runner's config with a clock schedule."""
+    if method == "dbfgs":
+        fields.update(gamma=1e-2, big_gamma=1e-3)
+    fields.update(method=method, mode=mode, step_size=0.01, max_iters=5)
+    if runner in (run_dbfgs_async, virtual_replay, run_dd_async):
+        return AsyncConfig(**fields), gen_clock_schedule(10, 1.0, 0.1, 5.0, 0)
+    return (SyncConfig(**fields),)
 
 
 @pytest.mark.parametrize("runner, method, other, mode", [
-    (run_dbfgs_sync, "dbfgs", "dd", "dual"),
-    (run_dgd, "dgd", "dbfgs", "primal"),
-    (run_dd, "dd", "dbfgs", "dual"),
-    (run_admm, "admm", "dbfgs", "dual"),
-    (run_dbfgs_async, "dbfgs", "dd", "dual"),
-    (virtual_replay, "dbfgs", "dd", "dual"),
-    (run_dd_async, "dd", "dbfgs", "dual"),
-], ids=lambda v: v.__name__ if callable(v) else None)
+    (runner, method, "dd" if method == "dbfgs" else "dbfgs", mode)
+    for runner, method, mode in RUNNERS],
+    ids=lambda v: v.__name__ if callable(v) else None)
 def test_runners_reject_a_config_for_another_method(runner, method, other, mode):
     # the config is valid for its own method in this mode; the runner must
     # neither run it under its own name nor fail later inside its kernel
-    g, obj = ring_objective(10, 2, 2, 1.0, 0, mode,
-                            alpha=1e-2 if mode == "primal" else None)
-    gammas = dict(gamma=1e-2, big_gamma=1e-3) if other == "dbfgs" else {}
-    fields = dict(method=other, mode=mode, step_size=0.01, max_iters=5, **gammas)
-    if runner in (run_dbfgs_async, virtual_replay, run_dd_async):
-        args = (AsyncConfig(**fields), gen_clock_schedule(10, 1.0, 0.1, 5.0, 0))
-    else:
-        args = (SyncConfig(**fields),)
+    g, obj = ring10(mode)
     with pytest.raises(ValueError, match=f"'{other}' config .* {method} runner"):
+        runner(g, obj, *config_args(runner, other, mode))
+
+
+@pytest.mark.parametrize("runner, method, mode", RUNNERS, ids=RUNNER_IDS)
+def test_runners_reject_a_graph_that_is_not_the_objectives(runner, method, mode):
+    # a 2-regular objective run on a 4-regular graph of as many nodes
+    _, obj = ring10(mode)
+    with pytest.raises(ValueError, match="not the objective's graph"):
+        runner(build_d_regular_cycle(10, 4), obj, *config_args(runner, method, mode))
+
+
+@pytest.mark.parametrize("runner, method, mode", RUNNERS, ids=RUNNER_IDS)
+def test_runners_reject_a_var0_that_is_not_n_by_p(runner, method, mode):
+    # one (p,) block is not broadcast to every node
+    g, obj = ring10(mode)
+    args = config_args(runner, method, mode, var0=np.ones(2))
+    with pytest.raises(ValueError,
+                       match=r"var0 has shape \(2,\), not \(n, p\) = \(10, 2\)"):
         runner(g, obj, *args)
 
 
