@@ -11,11 +11,8 @@ of the simulator reproduce the synchronous runtime exactly.
 Per-node arrays follow the graph's flat neighborhood layout
 (``Graph.layout``, the one the consensus weights are stored in): row
 offsets[i] + k belongs to node i's k-th neighbor.
-A batch's neighborhood views read from a stack of such layout rows (the
-dated copies each node holds of its neighbors) followed by one row per
-node (its current block): a slot whose node is in the batch reads the
-current block, any other slot the dated copy. Views enter the kernel as
-one (g, m, p) array per group. The kernel also keeps every node's D-BFGS
+Neighborhood views enter the kernel as one (g, m, p) array per group;
+the caller gathers them. The kernel also keeps every node's D-BFGS
 state: its curvature, and in layout rows the (var, g) views the curvature
 was last fitted to and the node's descent contributions.
 
@@ -79,7 +76,6 @@ class Group(NamedTuple):
     dd: np.ndarray  # (g, m p) diagonal of D over each neighborhood
     ch: np.ndarray  # (g, m) layout rows holding each neighbor's contribution to the node
     rows: np.ndarray  # (g, m) the node's own layout rows
-    view: np.ndarray  # (g, m) rows of the view stack each slot reads
 
 
 class RoundKernel:
@@ -136,20 +132,14 @@ class RoundKernel:
 
     def batches(self, ids, cuts) -> list:
         """Per batch ``ids[cuts[k]:cuts[k + 1]]`` of distinct node ids, its
-        groups by neighborhood size, ascending, each in batch order. A slot
-        whose node is in its batch reads the current block, any other slot
-        the dated copy."""
-        ids, cuts, n = np.asarray(ids, dtype=np.intp), np.asarray(cuts), self.graph.n
+        groups by neighborhood size, ascending, each in batch order."""
+        ids, cuts = np.asarray(ids, dtype=np.intp), np.asarray(cuts)
         out = [[] for _ in cuts[1:]]
         for msize, sel, part, bounds in by_size(self.m, ids, cuts):
             nodes = ids[sel]
             rows = self.offsets[nodes, None] + np.arange(msize)
-            nb = self.cols[rows]
-            inside = np.isin(part[:, None] * n + nb, np.repeat(
-                np.arange(len(out)), np.diff(cuts)) * n + ids)
-            fields = (nodes, sel - cuts[part], self.slot[nodes], nb,
-                      self.dd[rows].reshape(len(sel), -1), self.mirror[rows], rows,
-                      np.where(inside, self.total_blocks + nb, rows))
+            fields = (nodes, sel - cuts[part], self.slot[nodes], self.cols[rows],
+                      self.dd[rows].reshape(len(sel), -1), self.mirror[rows], rows)
             bounds = bounds.tolist()
             for groups, lo, hi in zip(out, bounds, bounds[1:]):
                 if hi > lo:

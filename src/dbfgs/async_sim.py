@@ -27,12 +27,14 @@ Warp keeps its message logs (Jefferson, "Virtual Time", 1985). Every event
 publishes one (var, aux, g) package, arriving at its time plus the message
 delay; in physical D-BFGS it also files one descent chunk per neighborhood
 slot, arriving at once at its own node and after the delay at the others.
-A window reads both logs once: each reader's dated copies become each
-neighbor's latest package that arrived before its event, and the chunks
-that arrived since its last read land on its var one by one in (arrival,
-send) order. A window's readers are pairwise non-adjacent, so no message
-of the window reaches a reader of it, and the window writes its own
-messages to the logs once, after its trace rows.
+The package log ends with every node's current (var, aux, g) block, so a
+view gathers each slot straight from it: the neighbor's latest package
+that arrived before the event, or its current block when it ticks in the
+event's batch. A window reads the chunk log once: the chunks that arrived
+since a reader's last read land on its var one by one in (arrival, send)
+order. A window's readers are pairwise non-adjacent, so no message of the
+window reaches a reader of it, and the window writes its own messages to
+the logs once, after its trace rows.
 
 After the kernel step a window runs three phases. Apply lands each batch's
 fresh blocks and step in event order and keeps the state each row reads.
@@ -102,6 +104,8 @@ def gen_clock_schedule(n: int, mu_clk: float, sigma_clk: float, horizon: float,
     All nodes tick at t = 0. Increments are drawn node-major from a single
     PCG64 stream, so schedules are bit-reproducible from the seed.
     """
+    if not np.isfinite([mu_clk, sigma_clk, horizon]).all():
+        raise ValueError("clock parameters and horizon must be finite")
     if mu_clk <= 0:
         raise ValueError("mean clock increment must be positive")
     if sigma_clk < 0:
@@ -168,6 +172,13 @@ class AsyncConfig(SyncConfig):
 
     delta_msg: float = 0.0
 
+    def validate(self, graph: Graph, objective: DistributedObjective,
+                 method: str) -> None:
+        super().validate(graph, objective, method)
+        # a negative delay would read the package of an event yet to run
+        if not self.delta_msg >= 0:  # NaN too
+            raise ValueError(f"message delay must be >= 0, got {self.delta_msg!r}")
+
 
 class EventLog(NamedTuple):
     """An asynchronous run's events up to where it ended, in event order:
@@ -180,22 +191,6 @@ class EventLog(NamedTuple):
     block: np.ndarray  # (events, p)
 
 
-class _Window(NamedTuple):
-    """A window's share of the plan. Its batches are its trace rows (in the
-    run's first window, none), and key r n + i names node i at row r. The
-    arrays ``slots``, ``read`` and ``inbox`` are views of the run's."""
-
-    events: slice
-    ends: list  # each batch's end among the window's events, after a 0
-    slot_ends: list  # the same among its events' layout slots
-    rows: list  # each batch's time and local_iter_min
-    groups: list  # the kernel's groups
-    slots: np.ndarray  # the events' layout rows, event after event
-    read: np.ndarray  # the ``packages`` row each slot's dated copy reads
-    inbox: tuple  # the chunks read: their nodes and ``chunk_log`` rows
-    record: tuple  # key sets: error terms, stage 1 (dual mode), gradient
-
-
 # ---------------------------------------------------------------------------
 # the event engine
 # ---------------------------------------------------------------------------
@@ -204,15 +199,13 @@ class _Window(NamedTuple):
 class _AsyncEngine:
     """One event loop for asynchronous D-BFGS (physical and virtual) and DD.
 
-    The engine plans by lifetime: built, it computes the flat indices the
-    schedule fixes for the whole run (windows, event slots, the ``packages``
-    rows they read, each event's inbox chunks), O(events m) like
-    ``chunk_log``; ``_plan`` builds the per-window objects (kernel groups,
-    record key sets) a slice of at least ``PLAN_EVENTS`` events at a time,
-    so a run that stops early builds at most one slice past its stop;
-    ``_process_window`` does a window's float work. The logs have room for
-    every event: its package at its tick's row of ``packages``, in physical
-    D-BFGS its chunks at its slots' rows of ``chunk_log``.
+    Built, the engine computes the flat indices the schedule fixes for the
+    whole run (windows, event slots, the ``packages`` rows they read, each
+    event's inbox chunks), O(events m) like the logs, which have room for
+    every event; ``_plan`` builds each window's kernel groups and record key
+    sets a slice of at least ``PLAN_EVENTS`` events at a time, so a run that
+    stops early builds at most one slice past its stop; ``_process_window``
+    does a window's float work on its slices of the run-wide arrays.
     """
 
     def __init__(self, graph: Graph, objective: DistributedObjective,
@@ -231,14 +224,6 @@ class _AsyncEngine:
         self.obj, self.cfg, self.virtual = objective, cfg, virtual
         n, p = graph.n, objective.p
         self.kernel = kernel = RoundKernel(graph, p)
-        # the kernel's view stack of (var, aux, g): node i's dated copy of
-        # its k-th neighbor at row offsets[i] + k, then every node's own
-        # current block
-        self.store = np.zeros((3, kernel.total_blocks + n, p))
-        self.known = self.store[:, :kernel.total_blocks]
-        self.var, self.aux, self.g = self.store[:, kernel.total_blocks:]
-        if cfg.var0 is not None:
-            self.var[:] = cfg.var0
         self.dbfgs = method == "dbfgs"
         self.chunks = self.dbfgs and not virtual
         self.trace = Trace(method=method, mode=cfg.mode, seed=cfg.seed,
@@ -257,19 +242,24 @@ class _AsyncEngine:
         kth = self.batch[event[first[:-1, None]
                                + np.arange(1, np.diff(first).min())]].max(0)
         self.lmin = np.searchsorted(kth, np.arange(len(queue.cuts) - 1), side="right")
-        # each window's first batch and first event, then the ends; windows
-        # up to ``planned`` are planned
+        # each window's first batch and first event, then the ends
         self.wb = np.cumsum([0] + [len(w) for w in queue.windows(graph.layout)])
-        self.we, self.planned = queue.cuts[self.wb], 0
-        # the packages by tick after a zero row per node: row first[i] + i + c
-        # holds node i's c-th package, the zero row stands for none
-        self.packages = np.zeros((3, events + n, p))
+        self.we = queue.cuts[self.wb]
+        # (var, aux, g) of the packages by tick after a zero row per node (row
+        # first[i] + i + c holds node i's c-th package, the zero row stands
+        # for none), then of every node's current block (node i's at row
+        # events + n + i)
+        self.packages = np.zeros((3, events + 2 * n, p))
         self.package_row = queue.order + queue.node + 1
+        self.var, self.aux, self.g = self.packages[:, events + n:]
+        if cfg.var0 is not None:
+            self.var[:] = cfg.var0
         # every event's layout slots, from slot_at[k] for event k: its chunks'
-        # rows of ``chunk_log``, and where its dated copies go. A slot reads
-        # its neighbor's latest package that arrived strictly before the event
-        # (its last tick among the first ``arrived`` events, one key lookup),
-        # or with none, and at its own node, the zero row.
+        # rows of ``chunk_log``, and the ``packages`` row its view reads. A
+        # slot whose neighbor ticks in the event's batch (its own node too)
+        # reads the neighbor's current block; any other its latest package
+        # that arrived strictly before the event (its last tick among the
+        # first ``arrived`` events, one key lookup), or with none the zero row.
         self.slots, sender = self._slots(queue.node)
         self.slot_at = np.cumsum(np.append(0, kernel.m[queue.node]))
         cols = kernel.cols[self.slots]
@@ -277,7 +267,9 @@ class _AsyncEngine:
         arrival = queue.time + cfg.delta_msg  # of each event's messages
         arrived = np.searchsorted(arrival, queue.time)
         tick = np.searchsorted(keys, cols * events + arrived[sender] * ~own)
-        self.read = tick + cols
+        lo, hi = np.searchsorted(keys, cols * events
+                                 + queue.cuts[self.batch[sender] + [[0], [1]]])
+        self.read = np.where(hi > lo, events + n + cols, tick + cols)
         self.chunk_log = np.empty((len(self.slots) if self.chunks else 0, p))
         # the chunks each event reads, from inbox_at[k]: readers and rows. A
         # node's inbox lists the chunks sent to it by (arrival, send), at once
@@ -350,15 +342,12 @@ class _AsyncEngine:
                     groups.append((pos[lo:hi], ids[lo:hi], around[lo:hi]))
         return out
 
-    def _plan(self) -> list:
-        """The next windows' plans, at least ``PLAN_EVENTS`` events unless
-        the schedule ends first; [] once it has ended. A slice builds the
-        kernel groups and the record's key sets; the rest is the run's."""
+    def _plan(self, wl: int) -> list:
+        """Per window of the slice from window ``wl`` (at least ``PLAN_EVENTS``
+        events unless the schedule ends first), its kernel groups and record
+        key sets; the rest of its plan is the run's."""
         queue, n, we = self.queue, len(self.err_terms), self.we
-        wl = self.planned
-        self.planned = wh = min(np.searchsorted(we, we[wl] + PLAN_EVENTS), len(we) - 1)
-        if wh == wl:
-            return []
+        wh = min(np.searchsorted(we, we[wl] + PLAN_EVENTS), len(we) - 1)
         bl, bh, eh = self.wb[wl], self.wb[wh], we[wh]
         wb = self.wb[wl:wh + 1] - bl  # each window's first batch, from bl
         groups = self.kernel.batches(queue.node[we[wl]:eh], we[wl:wh + 1] - we[wl])
@@ -379,49 +368,42 @@ class _AsyncEngine:
         err = self._reach(np.concatenate((own, every)), size, 0)[0] if dual else reach[0]
         record = [self._key_sets(keys, wb, hoods) for keys, hoods
                   in zip((err, *reach[1:]), (False, True, True))]
-        eb = queue.cuts[bl:bh + 1]  # each batch's first event
-        rows = list(zip(queue.time[eb[:-1]].tolist(), self.lmin[bl:bh].tolist()))
-        eb, sb, cb = eb.tolist(), self.slot_at[eb].tolist(), self.inbox_at[eb].tolist()
-        plan = []
-        for w, (b0, b1) in enumerate(zip(wb.tolist(), wb[1:].tolist())):
-            e0, s0, s1, c0, c1 = eb[b0], sb[b0], sb[b1], cb[b0], cb[b1]
-            plan.append(_Window(
-                slice(e0, eb[b1]), [e - e0 for e in eb[b0:b1 + 1]],
-                [s - s0 for s in sb[b0:b1 + 1]], rows[b0:b1],
-                groups[w], self.slots[s0:s1], self.read[s0:s1],
-                tuple(col[c0:c1] for col in self.inbox),
-                tuple(keys[w] for keys in record)))
-        return plan
+        return list(zip(groups, zip(*record)))
 
-    def _views(self, groups, q: int) -> list:
-        """Per-group (g, m, p) views of quantity q (0 var, 1 aux, 2 g)."""
-        return [self.store[q][grp.view] for grp in groups]
-
-    def _process_window(self, w: _Window, init: bool) -> bool:
-        """Run one window; True when a stop rule ends the run."""
-        cfg, kernel = self.cfg, self.kernel
-        ids = self.queue.node[w.events]
+    def _process_window(self, w: int, groups: list, record: tuple,
+                        init: bool) -> bool:
+        """Run window w from its kernel groups and record key sets (the
+        window's batches are its trace rows; in the run's first window,
+        none); True when a stop rule ends the run."""
+        cfg, kernel, queue = self.cfg, self.kernel, self.queue
+        b0, b1 = self.wb[w], self.wb[w + 1]
+        eb = queue.cuts[b0:b1 + 1].tolist()  # each batch's first event, then the end
+        e0, e1 = eb[0], eb[-1]
+        ids = queue.node[e0:e1]
         before = self.var[ids], self.aux[ids]
-        # phase 1: every event reads its messages; ufunc.at adds a node's
+        # phase 1: every event reads its chunks; ufunc.at adds a node's
         # chunks one by one, in order
-        self.known[:, w.slots] = self.packages[:, w.read]
         if self.chunks:
-            readers, chunks = w.inbox
+            readers, chunks = (col[self.inbox_at[e0]:self.inbox_at[e1]]
+                               for col in self.inbox)
             np.add.at(self.var, readers, cfg.step_size * self.chunk_log[chunks])
-        # phase 2: gradients from fresh and dated views
-        var_views = self._views(w.groups, 0)
-        for grp, vv in zip(w.groups, var_views):
+        # phase 2: gradients from fresh and dated views, per group the
+        # (g, m) ``packages`` rows its slots read
+        reads = [self.read[self.slot_at[e0 + grp.pos, None] + np.arange(grp.msize)]
+                 for grp in groups]
+        var_views = [self.packages[0][rows] for rows in reads]
+        for grp, vv in zip(groups, var_views):
             self.aux[grp.ids] = self.obj.stage1_block(grp.ids, vv)
-        aux_views = self._views(w.groups, 1)
-        for grp, vv, av in zip(w.groups, var_views, aux_views):
+        aux_views = [self.packages[1][rows] for rows in reads]
+        for grp, vv, av in zip(groups, var_views, aux_views):
             self.g[grp.ids] = self.obj.stage2_block(grp.ids, vv, av)
         # D-BFGS's step; a lost curvature ends the run at the first batch
         # holding one, and nothing the window does after that is observed
         lost = []
         if self.dbfgs:
             try:
-                kernel.dbfgs_round(var_views, self._views(w.groups, 2), cfg.gamma,
-                                   cfg.big_gamma, init, w.groups)
+                kernel.dbfgs_round(var_views, [self.packages[2][rows] for rows in reads],
+                                   cfg.gamma, cfg.big_gamma, init, groups)
             except CurvatureLost as exc:
                 lost = exc.nodes
         # phase 3, apply: the fresh blocks go back and each batch's step
@@ -430,43 +412,43 @@ class _AsyncEngine:
         fresh = self.var[ids], self.aux[ids]
         self.var[ids], self.aux[ids] = before
         n, planes = len(self.err_terms), 2 if self.obj.mode == "dual" else 1
-        states = np.empty((planes, len(w.rows) * n, self.var.shape[1]))
-        bounds = zip(w.ends, w.ends[1:], w.slot_ends, w.slot_ends[1:])
-        for r, (lo, hi, s0, s1) in enumerate(bounds):
-            batch = ids[lo:hi]
-            self.var[batch], self.aux[batch] = fresh[0][lo:hi], fresh[1][lo:hi]
-            states[:, r * n:(r + 1) * n] = self.store[:planes, kernel.total_blocks:]
+        states = np.empty((planes, (b1 - b0) * n, self.var.shape[1]))
+        for r, (lo, hi) in enumerate(zip(eb, eb[1:])):
+            batch, new = queue.node[lo:hi], slice(lo - e0, hi - e0)
+            self.var[batch], self.aux[batch] = fresh[0][new], fresh[1][new]
+            states[:, r * n:(r + 1) * n] = self.packages[:planes, -n:]
             if self.virtual:  # every finished descent lands at once, in order
-                slots = w.slots[s0:s1]
+                slots = self.slots[self.slot_at[lo]:self.slot_at[hi]]
                 np.add.at(self.var, kernel.cols[slots],
                           cfg.step_size * kernel.contrib[slots])
             elif not (self.dbfgs or init):  # DD's gradient step
                 self.var[batch] -= cfg.step_size * self.g[batch]
         if not init:
-            errors, gnorms = self._record(states, w.record)
+            errors, gnorms = self._record(states, record)
         # phase 3, emit: the events, then each batch's row and stop check
-        self.log_block[w.events] = fresh[0]
-        for r, ((t, lmin), lo, hi) in enumerate(zip(w.rows, w.ends, w.ends[1:])):
-            self.logged = w.events.start + hi  # events count as exchanges
+        self.log_block[e0:e1] = fresh[0]
+        times, lmins = queue.time[eb[:-1]].tolist(), self.lmin[b0:b1].tolist()
+        for r, (t, lmin, lo, hi) in enumerate(zip(times, lmins, eb, eb[1:])):
+            self.logged = hi  # events count as exchanges
             if not init:
                 self.trace.append(lmin, errors[r], gnorms[r], self.logged,
                                   model_time=t, local_iter_min=lmin)
                 if _check_stop(self.trace, cfg):
                     return True
-            if hit := [i for i in lost if i in ids[lo:hi]]:
+            if hit := [i for i in lost if i in queue.node[lo:hi]]:
                 raise CurvatureLost(hit)
         # sends: D-BFGS publishes its pre-descent var, DD its stepped one
         published = fresh[0] if self.dbfgs else self.var[ids]
-        self._send(w, np.array((published, self.aux[ids], self.g[ids])))
+        self._send(slice(e0, e1), np.array((published, self.aux[ids], self.g[ids])))
         return False
 
-    def _send(self, w: _Window, packages: np.ndarray) -> None:
-        """File the window's (3, k, p) packages and, in physical D-BFGS,
-        their chunks: the kernel's ``contrib`` at its layout rows."""
-        self.packages[:, self.package_row[w.events]] = packages
+    def _send(self, events: slice, packages: np.ndarray) -> None:
+        """File the (3, k, p) packages of the k ``events`` and, in physical
+        D-BFGS, their chunks: the kernel's ``contrib`` at their slots."""
+        self.packages[:, self.package_row[events]] = packages
         if self.chunks:
-            self.chunk_log[self.slot_at[w.events.start]:self.slot_at[w.events.stop]] = \
-                self.kernel.contrib[w.slots]
+            slots = slice(self.slot_at[events.start], self.slot_at[events.stop])
+            self.chunk_log[slots] = self.kernel.contrib[self.slots[slots]]
 
     def _record(self, states: np.ndarray, record: tuple) -> tuple:
         """Each row's error and gradient norm, as consensus_error and the norm
@@ -505,10 +487,12 @@ class _AsyncEngine:
         return out
 
     def run(self) -> Trace:
-        # a window's plan goes once it has run, so no two slices coexist
-        plan = []  # the first window initializes: nothing logged before it
-        while plan or (plan := self._plan()[::-1]):
-            if self._process_window(plan.pop(), init=self.logged == 0):
+        # a window's plan goes once it has run, so no two slices coexist; the
+        # first window initializes: nothing logged before it
+        plan = []
+        for w in range(len(self.wb) - 1):
+            plan = plan or self._plan(w)[::-1]
+            if self._process_window(w, *plan.pop(), init=w == 0):
                 break
         # copies, so the trace keeps no more than the events it logged
         self.trace.event_log = EventLog(*(col[:self.logged].copy() for col in (

@@ -49,7 +49,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
-    seeds = range(args.seeds) if args.seeds else None
+    seeds = None if args.seeds is None else range(args.seeds)
     ok, results = reproduce_paper_suite(args.profile, seeds=seeds,
                                         outdir=_outdir(args) if args.save else None)
     for r in results:

@@ -10,6 +10,7 @@ canonical config serialization.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import tomllib
 from dataclasses import dataclass, field, replace
@@ -74,16 +75,29 @@ _PROBLEM_KEYS = {"quadratic": ("eta",),
 
 
 def _checked(path: str, val, kind, bound):
-    """val as a ``kind``; ints pass as floats, booleans as nothing."""
+    """val as a ``kind``; ints pass as floats, booleans as nothing, and a
+    float only if it is finite."""
     if kind is float and type(val) is int:
         val = float(val)
     if not isinstance(val, kind) or isinstance(val, bool):
         raise ConfigError(f"{path}: expected {kind.__name__}, "
                           f"got {type(val).__name__}")
+    if kind is float and not math.isfinite(val):
+        raise ConfigError(f"{path}: must be finite, got {val!r}")
     if bound is not None and not (val > bound[1] if bound[0] == ">"
                                   else val >= bound[1]):
         raise ConfigError(f"{path}: must be {bound[0]} {bound[1]}, got {val!r}")
     return val
+
+
+def _seeds(path: str, seeds) -> tuple:
+    """seeds as a tuple, if they are distinct non-negative integers."""
+    seeds = tuple(seeds)
+    if (not seeds or not all(type(s) is int and s >= 0 for s in seeds)
+            or len(set(seeds)) < len(seeds)):
+        raise ConfigError(f"{path}: expected a non-empty list of distinct "
+                          f"non-negative integers, got {list(seeds)}")
+    return seeds
 
 
 def _toml(val) -> str:
@@ -183,9 +197,7 @@ class ExperimentConfig:
             raise ConfigError("mode.alpha: alpha applies to primal mode only")
 
         need("run", "iterations", "seeds")
-        seeds = fields["seeds"] = tuple(fields["seeds"])
-        if not seeds or not all(type(s) is int for s in seeds):
-            raise ConfigError("run.seeds: expected a non-empty list of integers")
+        fields["seeds"] = _seeds("run.seeds", fields["seeds"])
 
         if not sections.get("methods"):
             raise ConfigError("missing or empty [methods] section")
@@ -552,6 +564,6 @@ def reproduce_paper_suite(profile: str, seeds=None, outdir: str | None = None):
     if profile not in PROFILES:
         raise ConfigError(f"unknown profile {profile!r}; choose from "
                           f"{sorted(PROFILES)}")
-    seeds = DEFAULT_SEEDS if seeds is None else tuple(seeds)
+    seeds = DEFAULT_SEEDS if seeds is None else _seeds("seeds", seeds)
     results = PROFILES[profile](seeds, outdir)
     return all(r.passed for r in results), results

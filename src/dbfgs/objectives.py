@@ -57,11 +57,12 @@ class QuadraticInstance:
     def p(self) -> int:
         return self.a.shape[1]
 
-    def local_grad(self, i: int, x_i: np.ndarray) -> np.ndarray:
+    def local_grad(self, i, x_i: np.ndarray) -> np.ndarray:
+        """Gradient of f_i at x_i; ``i`` may be an index array or ``...``."""
         return self.a[i] * x_i + self.b[i]
 
     def grad_all(self, x: np.ndarray) -> np.ndarray:
-        return self.a * x + self.b
+        return self.local_grad(..., x)
 
 
 def _exponent_grid(eta: float) -> list:

@@ -256,34 +256,38 @@ def test_message_delay_changes_trajectory():
 
 
 def log_timeline(g, obj, sched, delta):
-    """The engine's message logs driven through the plan's windows with no
-    solve in between, as the timeline of ("read", reader, now, chunks,
-    copies) and ("push", reader, arrival, row, message) entries in the order
-    the engine makes them.
+    """The engine's message logs driven through its windows with no solve
+    in between, as the timeline of ("read", reader, now, chunks, copies)
+    and ("push", reader, arrival, row, message) entries in the order the
+    engine makes them.
 
     A message is named by the event that sent it. Every event sends its
     package to each neighbor's layout row for it, arriving after the delay,
     and a chunk to each node of its neighborhood, arriving at once at its
     own node. A read lists the chunks the logs delivered, in order, and the
-    reader's dated copies after it (-1 before any package: a package holds
-    its event plus one)."""
+    package each of the reader's slots reads (-1 before any package: a
+    package holds its event plus one; None for a neighbor that ticks in the
+    reader's batch, whose current block the slot reads)."""
     eng = _AsyncEngine(g, obj, dbfgs_cfg(delta_msg=delta), sched, "dbfgs")
     kernel, queue = eng.kernel, eng.queue
     off, cols, mirror = kernel.offsets, kernel.cols, kernel.mirror
+    current = len(queue.time) + g.n  # the first current block's row
     timeline = []
-    for w in (w for plan in iter(eng._plan, []) for w in plan):
-        first, last = w.events.start, w.events.stop
-        eng.known[:, w.slots] = eng.packages[:, w.read]
-        readers, rows = w.inbox
+    for first, last in zip(queue.cuts[eng.wb[:-1]], queue.cuts[eng.wb[1:]]):
+        inbox = slice(eng.inbox_at[first], eng.inbox_at[last])
+        readers, rows = (col[inbox] for col in eng.inbox)
         chunks = eng.chunk_log[rows, 0].astype(int)
         for e in range(first, last):
             i = int(queue.node[e])
+            reads = eng.read[eng.slot_at[e]:eng.slot_at[e + 1]].tolist()
             timeline.append(("read", i, float(queue.time[e]),
                              chunks[readers == i].tolist(),
-                             (eng.known[0, off[i]:off[i + 1], 0] - 1).astype(int).tolist()))
-        sender = np.repeat(np.arange(first, last), kernel.m[queue.node[w.events]])
-        kernel.contrib[w.slots] = sender[:, None]
-        eng._send(w, np.broadcast_to(
+                             [None if row >= current else int(eng.packages[0, row, 0]) - 1
+                              for row in reads]))
+        slots = eng.slots[eng.slot_at[first]:eng.slot_at[last]]
+        kernel.contrib[slots] = np.repeat(np.arange(first, last),
+                                          kernel.m[queue.node[first:last]])[:, None]
+        eng._send(slice(first, last), np.broadcast_to(
             np.arange(first + 1, last + 1, dtype=float)[:, None], (3, last - first, obj.p)))
         for e in range(first, last):
             i, t = int(queue.node[e]), float(queue.time[e])
@@ -315,8 +319,9 @@ def test_mailbox_delivers_every_arrived_chunk_in_arrival_order():
         (1, 0.75, [2, 0]),
         # a tie at 0.625: neighbor chunk 2 was sent before own chunk 4
         (0, 1.25, [2, 4])]
-    # node 0's copy of node 1: the latest package that arrived
-    assert [copies[1] for i, _, _, copies in reads if i == 0] == [-1, -1, 1, 2]
+    # node 0's copy of node 1: the latest package that arrived, and at 0
+    # node 1's current block (both tick)
+    assert [copies[1] for i, _, _, copies in reads if i == 0] == [None, -1, 1, 2]
     # exactly once
     got = [c for i, _, chunks, _ in reads if i == 0 for c in chunks]
     assert sorted(got) == [0, 1, 2, 3, 4]
@@ -339,11 +344,13 @@ def grid_schedule(n, seed):
 def test_inbox_delivers_each_message_once_after_arrival(problem, delta, seed):
     # a read delivers every message to its node that arrived before it and
     # was not delivered yet: chunks in (arrival, send order), and each
-    # layout row takes its latest package
+    # layout row takes its latest package, unless its neighbor ticks at the
+    # read too: then the row reads the neighbor's current block
     g, obj = problem
-    off = g.layout.indptr
+    off, cols = g.layout.indptr, g.layout.cols
+    sched = grid_schedule(g.n, seed)
     sent, delivered = [], set()
-    for op, reader, now, *rest in log_timeline(g, obj, grid_schedule(g.n, seed), delta):
+    for op, reader, now, *rest in log_timeline(g, obj, sched, delta):
         if op == "push":
             sent.append((reader, now, *rest))
             continue
@@ -353,7 +360,9 @@ def test_inbox_delivers_each_message_once_after_arrival(problem, delta, seed):
         assert chunks == [sent[k][3] for _, k in due if sent[k][2] is None]
         for row in range(off[reader], off[reader + 1]):
             latest = [k for _, k in due if sent[k][2] == row]
-            if latest:
+            if now in sched.times[cols[row]]:
+                assert copies[row - off[reader]] is None
+            elif latest:
                 assert copies[row - off[reader]] == sent[latest[-1]][3]
         delivered.update(k for _, k in due)
 
@@ -362,18 +371,22 @@ def test_inbox_delivers_each_message_once_after_arrival(problem, delta, seed):
 @given(metropolis_dual(max_n=8), st.sampled_from([0.0, 0.5, 1.0]),
        st.integers(0, 2**16))
 def test_logs_deliver_what_the_reference_inbox_delivers(problem, delta, seed):
-    # the same pushes into one heap per node, popped one message at a time
+    # the same pushes into one heap per node, popped one message at a time;
+    # a row whose neighbor ticks at the read reads its current block
     g, obj = problem
-    off = g.layout.indptr
+    off, cols = g.layout.indptr, g.layout.cols
+    sched = grid_schedule(g.n, seed)
     boxes = [Mailbox() for _ in range(g.n)]
     known = np.full((3, off[-1], 1), -1)
-    for op, reader, now, *rest in log_timeline(g, obj, grid_schedule(g.n, seed), delta):
+    for op, reader, now, *rest in log_timeline(g, obj, sched, delta):
         if op == "push":
             boxes[reader].push(now, *rest)
             continue
         chunks, copies = rest
         assert chunks == boxes[reader].read(now, known)
-        assert copies == known[0, off[reader]:off[reader + 1], 0].tolist()
+        hood = slice(off[reader], off[reader + 1])
+        assert copies == [None if now in sched.times[j] else copy
+                          for j, copy in zip(cols[hood], known[0, hood, 0].tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -516,6 +529,27 @@ def test_schedule_must_strictly_increase(ticks):
                         + gen_clock_schedule(6, 1.0, 0.0, 3.0, 0).times[1:])
     with pytest.raises(ValueError, match="strictly increase"):
         run_dbfgs_async(g, obj, dbfgs_cfg(), bad)
+
+
+@pytest.mark.parametrize("mu, sigma, horizon", [
+    (np.nan, 0.1, 10.0), (np.inf, 0.1, 10.0), (1.0, np.nan, 10.0),
+    (1.0, np.inf, 10.0), (1.0, 0.1, np.inf), (1.0, 0.1, np.nan)])
+def test_schedule_rejects_non_finite_clock_parameters(mu, sigma, horizon):
+    # a NaN increment or an infinite horizon would never pass the horizon
+    with pytest.raises(ValueError, match="finite"):
+        gen_clock_schedule(1, mu, sigma, horizon, 0)
+
+
+@pytest.mark.parametrize("delta", [-0.5, np.nan])
+@pytest.mark.parametrize("runner", [run_dbfgs_async, virtual_replay, run_dd_async])
+def test_async_config_rejects_negative_or_nan_delay(runner, delta):
+    g, obj = ring_dual(10, 2, 1.0, 0)
+    cfg = dbfgs_cfg(delta_msg=delta)
+    if runner is run_dd_async:
+        cfg = AsyncConfig(method="dd", mode="dual", step_size=0.002,
+                          max_iters=10**9, delta_msg=delta)
+    with pytest.raises(ValueError, match="message delay must be >= 0"):
+        runner(g, obj, cfg, gen_clock_schedule(10, 1.0, 0.1, 20.0, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -670,22 +704,26 @@ def test_plan_matches_brute_force_and_slices_move_no_bit(problem, engine, sigma,
         assert local_iter == post_init_ticks(sched.times[i], t)
     for t, local_iter_min in zip(tr.model_time, tr.local_iter_min):
         assert local_iter_min == min(post_init_ticks(ticks, t) for ticks in sched.times)
-    # each slot reads its neighbor's latest package that arrived strictly
-    # before the event (row first[j] + j + packages, after a zero row per
-    # node), its own slot the zero row
+    # each slot reads its neighbor's current block (row events + n + j) if
+    # the neighbor ticks at the event, as its own node does, else its
+    # latest package that arrived strictly before the event (row first[j]
+    # + j + packages, after a zero row per node)
     _, obj, acfg, _ = args
     eng = _AsyncEngine(g, obj, acfg, sched, acfg.method,
                        virtual=runner is virtual_replay)
     off, cols = g.layout.indptr, g.layout.cols
     first = np.cumsum([0] + [len(t) for t in sched.times])
-    for w in (w for plan in iter(eng._plan, []) for w in plan):
-        reads = zip(w.slots.tolist(), w.read.tolist())
-        for t, i in zip(eng.queue.time[w.events], eng.queue.node[w.events]):
-            for slot in range(off[i], off[i + 1]):
-                j = cols[slot]
-                arrived = 0 if j == i else np.sum(sched.times[j] + delta < t)
+    events = len(eng.queue.time)
+    reads = zip(eng.slots.tolist(), eng.read.tolist())
+    for t, i in zip(eng.queue.time, eng.queue.node):
+        for slot in range(off[i], off[i + 1]):
+            j = cols[slot]
+            if t in sched.times[j]:
+                assert next(reads) == (slot, events + g.n + j)
+            else:
+                arrived = np.sum(sched.times[j] + delta < t)
                 assert next(reads) == (slot, first[j] + j + arrived)
-        assert next(reads, None) is None
+    assert next(reads, None) is None
 
 
 @pytest.mark.parametrize("engine", sorted(ENGINES))

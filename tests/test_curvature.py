@@ -442,19 +442,23 @@ def test_kernel_batch_of_non_adjacent_nodes_equals_one_at_a_time(graph, nodes):
                            1e-2, 1e-3, first=True)
         kernel.dbfgs_round(gather(x1, kernel.groups), gather(g1, kernel.groups),
                            1e-2, 1e-3)
-    # a view stack as the simulator keeps it: dated copies, then own blocks
-    var, aux, g = (rng.normal(size=(kernels[0].total_blocks + graph.n, p))
-                   for _ in range(3))
+    # dated packages in layout rows, then the current blocks, as the
+    # simulator's log holds them: a node reads its own current block and
+    # its dated package of each neighbor (none is in the batch)
+    total = kernels[0].total_blocks
+    var, aux, g = (rng.normal(size=(total + graph.n, p)) for _ in range(3))
 
     def step(kernel, batch):
         groups = one_batch(kernel, batch)
+        views = [np.where(grp.nb == grp.ids[:, None], total + grp.nb, grp.rows)
+                 for grp in groups]
         stages = {}
-        for grp in groups:
-            one = obj.stage1_block(grp.ids, var[grp.view])
-            two = obj.stage2_block(grp.ids, var[grp.view], aux[grp.view])
+        for grp, view in zip(groups, views):
+            one = obj.stage1_block(grp.ids, var[view])
+            two = obj.stage2_block(grp.ids, var[view], aux[view])
             stages.update({i: (a, b) for i, a, b in zip(grp.ids.tolist(), one, two)})
-        acc = kernel.dbfgs_round([var[grp.view] for grp in groups],
-                                 [g[grp.view] for grp in groups], 1e-2, 1e-3,
+        acc = kernel.dbfgs_round([var[view] for view in views],
+                                 [g[view] for view in views], 1e-2, 1e-3,
                                  groups=groups)
         return stages, acc.tolist()
 

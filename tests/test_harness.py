@@ -74,7 +74,7 @@ def test_parse_and_round_trip():
 _REAL = st.floats(allow_nan=False, allow_infinity=False)
 _POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 _NONNEGATIVE = st.floats(min_value=0.0, allow_infinity=False)
-_INT64 = st.integers(-2**63, 2**63 - 1)
+_SEED = st.integers(0, 2**63 - 1)
 
 
 @st.composite
@@ -108,7 +108,7 @@ def valid_configs(draw):
     fields["methods"] = tuple((m, draw(_POSITIVE)) for m in names)
     fields.update(gamma=draw(_POSITIVE), big_gamma=draw(_POSITIVE),
                   iterations=draw(st.integers(1, 2**63 - 1)),
-                  seeds=tuple(draw(st.lists(_INT64, min_size=1, max_size=5))),
+                  seeds=tuple(draw(st.lists(_SEED, min_size=1, max_size=5, unique=True))),
                   error_threshold=draw(st.none() | _REAL),
                   stop_error=draw(st.none() | _REAL),
                   stop_grad_norm=draw(st.none() | _REAL))
@@ -225,6 +225,19 @@ def test_parse_async_section():
       .replace("sigma_neg = 1.0", "sigma_neg = -0.5")), "problem.sigma_neg"),
     # a key of the other problem kind is unknown to this one
     (("eta = 1.0", "eta = 1.0\nq = 4"), "problem.q: unknown key"),
+    # floats must be finite, seeds distinct and non-negative
+    (("dd = 0.002", "dd = 0.002\n[async]\nmu_clk = 1.0\nsigma_clk = 0.1\n"
+      "horizon = inf"), "async.horizon: must be finite"),
+    (("dd = 0.002", "dd = 0.002\n[async]\nmu_clk = 1.0\nsigma_clk = 0.1\n"
+      "delta_msg = inf"), "async.delta_msg: must be finite"),
+    (("dd = 0.002", "dd = 0.002\n[async]\nmu_clk = nan\nsigma_clk = 0.1"),
+     "async.mu_clk: must be finite"),
+    (("iterations = 30", "iterations = 30\nstop_error = nan"),
+     "run.stop_error: must be finite"),
+    (("error_threshold = 0.5", "error_threshold = -inf"),
+     "run.error_threshold: must be finite"),
+    (("seeds = [0, 1]", "seeds = [-1]"), "run.seeds: .* non-negative"),
+    (("seeds = [0, 1]", "seeds = [0, 0]"), "run.seeds: .*distinct"),
 ])
 def test_parse_rejections(mutation, match):
     old, new = mutation
@@ -451,6 +464,26 @@ def test_cli_mode_mismatch_exit_code(tmp_path, capsys, mutation, path):
     assert rc == 2
     assert path in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("seeds", [(), (-1,), (0, 0), [2, 1, 2]])
+def test_reproduce_rejects_bad_seeds(monkeypatch, seeds):
+    def profile(seeds, outdir):
+        raise AssertionError("the profile ran")
+
+    monkeypatch.setitem(PROFILES, "fig2", profile)
+    with pytest.raises(ConfigError, match="seeds: expected a non-empty list"):
+        reproduce_paper_suite("fig2", seeds=seeds)
+
+
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_cli_reproduce_seed_count_below_one_is_usage_error(monkeypatch, capsys, count):
+    def profile(seeds, outdir):
+        raise AssertionError("the profile ran")
+
+    monkeypatch.setitem(PROFILES, "fig2", profile)
+    assert cli_main(["reproduce", "fig2", "--seeds", count]) == 2
+    assert "seeds: expected a non-empty list" in capsys.readouterr().err
 
 
 def test_cli_unknown_profile_is_usage_error():
