@@ -1,10 +1,9 @@
 """Experiment front-end: configs, batch runs, histograms, reproduction suites.
 
-Configs are TOML (read with the standard library's ``tomllib``), checked
-strictly: unknown sections or keys, wrongly typed values and values out of
-their range are rejected at parse time with their full path. Every run
-writes one CSV trace named after its method, seed, and a hash of the
-canonical config serialization.
+An ExperimentConfig checks itself strictly when it is built, from TOML text
+(read with the standard library's ``tomllib``) or in code; a fault raises
+ConfigError with its key's full path. Every run writes one CSV trace named
+after its method, seed, and a hash of the canonical config serialization.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ import hashlib
 import math
 import os
 import tomllib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -68,6 +67,8 @@ _FORMAT = {
 }
 # the ExperimentConfig field of each key not named like it
 _FIELD = {("problem", "kind"): "problem_kind", ("mode", "kind"): "mode"}
+# the fields with no default; from_text passes None for each one a text lacks
+_REQUIRED = ("n", "d", "problem_kind", "p", "mode", "iterations", "seeds")
 
 # the [problem] keys each problem kind requires; the other kind's are unknown
 _PROBLEM_KEYS = {"quadratic": ("eta",),
@@ -91,13 +92,13 @@ def _checked(path: str, val, kind, bound):
 
 
 def _seeds(path: str, seeds) -> tuple:
-    """seeds as a tuple, if they are distinct non-negative integers."""
-    seeds = tuple(seeds)
-    if (not seeds or not all(type(s) is int and s >= 0 for s in seeds)
+    """seeds as a tuple, if a non-empty list (tuple, range) of distinct ints >= 0."""
+    listed = isinstance(seeds, (list, tuple, range))
+    if (not listed or not seeds or not all(type(s) is int and s >= 0 for s in seeds)
             or len(set(seeds)) < len(seeds)):
-        raise ConfigError(f"{path}: expected a non-empty list of distinct "
-                          f"non-negative integers, got {list(seeds)}")
-    return seeds
+        raise ConfigError(f"{path}: expected a non-empty list of distinct non-negative "
+                          f"integers, got {list(seeds) if listed else seeds!r}")
+    return tuple(seeds)
 
 
 def _toml(val) -> str:
@@ -141,6 +142,61 @@ class ExperimentConfig:
         """async exactly when the [async] section set the clock, else sync."""
         return "sync" if self.mu_clk is None else "async"
 
+    def __post_init__(self):
+        """Check every value rule; ints become floats, seeds and methods tuples."""
+        for name, keys in _FORMAT.items():
+            for key, (kind, bound) in keys.items() if name != "methods" else ():
+                attr, path = _FIELD.get((name, key), key), f"{name}.{key}"
+                if (val := getattr(self, attr)) is not None:
+                    object.__setattr__(self, attr, _seeds(path, val) if kind is list
+                                       else _checked(path, val, kind, bound))
+                elif attr in _REQUIRED:
+                    raise ConfigError(f"{path}: missing required key")
+        methods = {}
+        for method, step in self.methods:
+            path = f"methods.{method}"
+            if method not in _FORMAT["methods"]:
+                raise ConfigError(f"{path}: unknown method")
+            if method in methods:
+                raise ConfigError(f"{path}: given more than once")
+            methods[method] = _checked(path, step, *_FORMAT["methods"][method])
+        if not methods:
+            raise ConfigError("[methods]: no method given")
+        object.__setattr__(self, "methods", tuple(methods.items()))
+        n, d, kind, mode = self.n, self.d, self.problem_kind, self.mode
+        if not 0 < d < n or d % 2:
+            raise ConfigError(f"topology.d: must be even, > 0 and < n = {n}, got {d}")
+        if kind not in _PROBLEM_KEYS:
+            raise ConfigError(f"problem.kind: unknown problem {kind!r}")
+        for key in (*_PROBLEM_KEYS["quadratic"], *_PROBLEM_KEYS["logistic"]):
+            needed = key in _PROBLEM_KEYS[kind]
+            if (getattr(self, key) is None) == needed:
+                raise ConfigError(f"problem.{key}: "
+                                  f"{'missing required' if needed else 'unknown'} key")
+        if kind == "quadratic" and self.p % 2:
+            raise ConfigError(f"problem.p: must be even for a quadratic, got {self.p}")
+        if mode not in ("primal", "dual"):
+            raise ConfigError(f"mode.kind: unknown mode {mode!r}")
+        if mode == "dual" and kind != "quadratic":
+            raise ConfigError(f"mode.kind: dual mode needs a quadratic problem, "
+                              f"got {kind!r}")
+        if (self.alpha is None) == (mode == "primal"):
+            raise ConfigError("mode.alpha: " + ("missing required key" if mode == "primal"
+                                                else "primal mode only"))
+        if any(getattr(self, key) is not None for key in _FORMAT["async"]):
+            for key in ("mu_clk", "sigma_clk"):
+                if getattr(self, key) is None:
+                    raise ConfigError(f"async.{key}: missing required key")
+            if self.delta_msg is None:
+                object.__setattr__(self, "delta_msg", 0.0)
+        for method in methods:
+            if mode not in METHOD_MODES[method]:
+                raise ConfigError(f"methods.{method}: runs in "
+                                  f"{' or '.join(METHOD_MODES[method])} mode only, "
+                                  f"not {mode}")
+            if self.regime == "async" and method not in ("dbfgs", "dd"):
+                raise ConfigError(f"methods.{method}: async runs dbfgs and dd only")
+
     @classmethod
     def from_text(cls, text: str) -> "ExperimentConfig":
         try:
@@ -152,68 +208,15 @@ class ExperimentConfig:
                 raise ConfigError(f"{name}: key outside of any section")
             if name not in _FORMAT:
                 raise ConfigError(f"[{name}]: unknown section")
-            for key, val in sec.items():
+            if not sec:
+                raise ConfigError(f"[{name}]: empty section")
+            for key in sec if name != "methods" else ():  # methods: checked when built
                 if key not in _FORMAT[name]:
-                    what = "method" if name == "methods" else "key"
-                    raise ConfigError(f"{name}.{key}: unknown {what}")
-                sec[key] = _checked(f"{name}.{key}", val, *_FORMAT[name][key])
+                    raise ConfigError(f"{name}.{key}: unknown key")
         fields = {_FIELD.get((name, key), key): val for name, sec in sections.items()
                   if name != "methods" for key, val in sec.items()}
-
-        def need(name, *keys):
-            if name not in sections:
-                raise ConfigError(f"missing [{name}] section")
-            for key in keys:
-                if key not in sections[name]:
-                    raise ConfigError(f"{name}.{key}: missing required key")
-
-        need("topology", "n", "d")
-        n, d = fields["n"], fields["d"]
-        if not 0 < d < n or d % 2:
-            raise ConfigError(f"topology.d: must be a positive even integer "
-                              f"below n = {n}, got {d}")
-
-        need("problem", "kind", "p")
-        kind, p = fields["problem_kind"], fields["p"]
-        if kind not in _PROBLEM_KEYS:
-            raise ConfigError(f"problem.kind: unknown problem {kind!r}")
-        need("problem", *_PROBLEM_KEYS[kind])
-        for key in sections["problem"]:
-            if key not in ("kind", "p", *_PROBLEM_KEYS[kind]):
-                raise ConfigError(f"problem.{key}: unknown key")
-        if kind == "quadratic" and p % 2:
-            raise ConfigError(f"problem.p: must be even for a quadratic, got {p}")
-
-        need("mode", "kind")
-        mode = fields["mode"]
-        if mode not in ("primal", "dual"):
-            raise ConfigError(f"mode.kind: unknown mode {mode!r}")
-        if mode == "dual" and kind != "quadratic":
-            raise ConfigError(f"mode.kind: dual mode needs a quadratic problem, "
-                              f"got {kind!r}")
-        if mode == "primal":
-            need("mode", "alpha")
-        elif "alpha" in fields:
-            raise ConfigError("mode.alpha: alpha applies to primal mode only")
-
-        need("run", "iterations", "seeds")
-        fields["seeds"] = _seeds("run.seeds", fields["seeds"])
-
-        if not sections.get("methods"):
-            raise ConfigError("missing or empty [methods] section")
-        fields["methods"] = tuple(sections["methods"].items())
-        for name in sections["methods"]:
-            if mode not in METHOD_MODES[name]:
-                raise ConfigError(f"methods.{name}: runs in "
-                                  f"{' or '.join(METHOD_MODES[name])} mode only, "
-                                  f"not {mode}")
-            if "async" in sections and name not in ("dbfgs", "dd"):
-                raise ConfigError(f"methods.{name}: not available in the "
-                                  "async regime (dbfgs and dd only)")
-        if "async" in sections:
-            need("async", "mu_clk", "sigma_clk")
-            fields.setdefault("delta_msg", 0.0)
-        return cls(**fields)
+        return cls(**(dict.fromkeys(_REQUIRED) | fields),
+                   methods=tuple(sections.get("methods", {}).items()))
 
     def to_text(self) -> str:
         blocks = []
@@ -424,9 +427,8 @@ def _median_err_at(results, method: str, iteration: int) -> float:
 
 def _quad_config(n, eta, mode, methods, iterations, seeds, **fields):
     """A profile's quadratic config on the 4-regular cycle, p = 4."""
-    return ExperimentConfig(n=n, d=4, problem_kind="quadratic", p=4, eta=eta,
-                            mode=mode, methods=tuple(methods),
-                            iterations=iterations, seeds=tuple(seeds), **fields)
+    return ExperimentConfig(n=n, d=4, problem_kind="quadratic", p=4, eta=eta, mode=mode,
+                            methods=methods, iterations=iterations, seeds=seeds, **fields)
 
 
 def _profile_fig2(seeds, outdir):
@@ -528,11 +530,11 @@ def _profile_fig6(seeds, outdir):
 
 
 def _profile_fig7(seeds, outdir):
-    cfg = replace(
-        _quad_config(100, None, "primal", [("dbfgs", 0.3), ("dgd", 1.0)], 200,
-                     seeds, alpha=1e-3, gamma=0.1, big_gamma=0.1),
-        problem_kind="logistic", q=100, lam=1e-4, mu=3.0, sigma_pos=1.0,
-        sigma_neg=1.0)
+    cfg = ExperimentConfig(
+        n=100, d=4, problem_kind="logistic", p=4, q=100, lam=1e-4, mu=3.0,
+        sigma_pos=1.0, sigma_neg=1.0, mode="primal", alpha=1e-3, gamma=0.1,
+        big_gamma=0.1, methods=(("dbfgs", 0.3), ("dgd", 1.0)), iterations=200,
+        seeds=seeds)
     res = run_experiment(cfg, outdir)
     g_db = float(np.median([r.trace.grad_norm[-1] for r in res
                             if r.method == "dbfgs"]))

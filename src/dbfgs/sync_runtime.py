@@ -9,6 +9,7 @@ cost 1.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field
 from itertools import count
 
@@ -79,15 +80,14 @@ class SyncConfig:
         if self.mode != objective.mode:
             raise ValueError(f"config mode {self.mode!r} does not match objective "
                              f"mode {objective.mode!r}")
-        if self.step_size <= 0:
-            raise ValueError("step size must be positive")
+        curvature = ("gamma", "big_gamma") if self.method == "dbfgs" else ()
+        for name in ("step_size", *curvature):
+            val = getattr(self, name)
+            if val is None or not val > 0 or not math.isfinite(val):  # NaN too
+                raise ValueError(f"{self.method} requires a finite {name} > 0, "
+                                 f"got {val!r}")
         if self.max_iters < 1:
             raise ValueError("iteration budget must be at least 1")
-        if self.method == "dbfgs":
-            if self.gamma is None or self.gamma <= 0:
-                raise ValueError("dbfgs requires gamma > 0")
-            if self.big_gamma is None or self.big_gamma <= 0:
-                raise ValueError("dbfgs requires big_gamma > 0")
         if self.mode not in METHOD_MODES[self.method]:
             raise ValueError(f"{self.method} runs in "
                              f"{' or '.join(METHOD_MODES[self.method])} mode only")

@@ -1,3 +1,4 @@
+import math
 import os
 
 import numpy as np
@@ -243,6 +244,56 @@ def test_parse_rejections(mutation, match):
     old, new = mutation
     with pytest.raises(ConfigError, match=match):
         parse_config(BASE_CONFIG.replace(old, new))
+
+
+# BASE_CONFIG as built in code
+BASE_FIELDS = dict(n=8, d=2, problem_kind="quadratic", p=4, eta=1.0, mode="dual",
+                   gamma=0.01, big_gamma=0.001, iterations=30, seeds=(0, 1),
+                   error_threshold=0.5, methods=(("dbfgs", 0.05), ("dd", 0.002)))
+TO_LOGISTIC = ('kind = "quadratic"\np = 4\neta = 1.0', LOGISTIC_PROBLEM.format(q=4, lam=0.1))
+LOGISTIC_FIELDS = dict(problem_kind="logistic", eta=None, lam=0.1, mu=1.0, sigma_pos=1.0,
+                       sigma_neg=1.0)
+ASYNC_SECTION = "dd = 0.002\n[async]\nmu_clk = 1.0\nsigma_clk = 0.1\n"
+CLOCK = dict(mu_clk=1.0, sigma_clk=0.1)
+
+# (the fault as fields of a built config, as text replacements, its path)
+FAULTS = {
+    "repeated-seed": (dict(seeds=(0, 0)), [("seeds = [0, 1]", "seeds = [0, 0]")],
+                      "run.seeds"),
+    "infinite-delay": (dict(CLOCK, delta_msg=math.inf),
+                       [("dd = 0.002", ASYNC_SECTION + "delta_msg = inf")], "async.delta_msg"),
+    "logistic-without-q": (dict(LOGISTIC_FIELDS, mode="primal", alpha=0.1,
+                                methods=(("dbfgs", 0.05), ("dgd", 0.5))),
+                           [('kind = "dual"', 'kind = "primal"\nalpha = 0.1'),
+                            ("dd = 0.002", "dgd = 0.5"), TO_LOGISTIC, ("q = 4\n", "")],
+                           "problem.q"),
+    "odd-d": (dict(d=3), [("d = 2", "d = 3")], "topology.d"),
+    "dual-logistic": (dict(LOGISTIC_FIELDS, q=4), [TO_LOGISTIC], "mode.kind"),
+    "alpha-in-dual": (dict(alpha=0.1), [('kind = "dual"', 'kind = "dual"\nalpha = 0.1')],
+                      "mode.alpha"),
+    # TOML itself rejects a repeated key, so only code can repeat a method
+    "repeated-method": (dict(methods=(("dd", 0.01), ("dd", 0.02))), None, "methods.dd"),
+    "nan-horizon": (dict(CLOCK, horizon=math.nan),
+                    [("dd = 0.002", ASYNC_SECTION + "horizon = nan")], "async.horizon"),
+}
+
+
+@pytest.mark.parametrize("fields, edits, path", FAULTS.values(), ids=FAULTS)
+def test_a_built_config_is_checked_like_a_parsed_one(monkeypatch, fields, edits, path):
+    ran = []
+    monkeypatch.setattr(harness, "_setup", lambda *args: ran.append(args))
+    assert ExperimentConfig(**BASE_FIELDS) == parse_config(BASE_CONFIG)
+    with pytest.raises(ConfigError, match=f"^{path}: ") as built:
+        harness.run_experiment(ExperimentConfig(**{**BASE_FIELDS, **fields}))
+    assert not ran
+    if edits is not None:
+        text = BASE_CONFIG
+        for old, new in edits:
+            assert old in text
+            text = text.replace(old, new)
+        with pytest.raises(ConfigError) as parsed:
+            parse_config(text)
+        assert str(parsed.value) == str(built.value)
 
 
 def test_quadratic_keys_are_unknown_to_a_logistic_problem():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -104,6 +106,20 @@ def test_runners_reject_a_var0_that_is_not_n_by_p(runner, method, mode):
     with pytest.raises(ValueError,
                        match=r"var0 has shape \(2,\), not \(n, p\) = \(10, 2\)"):
         runner(g, obj, *args)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("runner, method, mode, name", [
+    (runner, method, mode, name) for runner, method, mode in RUNNERS
+    for name in ("step_size", "gamma", "big_gamma")
+    if name == "step_size" or method == "dbfgs"],
+    ids=lambda v: v.__name__ if callable(v) else None)
+def test_runners_reject_a_non_finite_run_parameter(runner, method, mode, name, value):
+    # a NaN gamma used to skip every curvature update and end as max_iters
+    g, obj = ring10(mode)
+    cfg, *schedule = config_args(runner, method, mode)
+    with pytest.raises(ValueError, match=f"requires a finite {name} > 0, got {value!r}"):
+        runner(g, obj, replace(cfg, **{name: value}), *schedule)
 
 
 def test_exchange_costs():
