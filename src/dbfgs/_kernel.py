@@ -17,13 +17,17 @@ state: its curvature, and in layout rows the (var, g) views the curvature
 was last fitted to and the node's descent contributions.
 
 Per neighborhood size, the curvature stack shares one allocation with a
-scratch stack of its shape. A round's curvature update (``bfgs_all``)
-works through the batch in cache-sized blocks of nodes: it copies a
-block's matrices from the stack into the scratch, updates them there and
-writes them back to the stack once. The descent then factors those
-matrices in the scratch, never in the stack, with one LAPACK ``dposv`` per
-node; called on its own, it copies them from the stack first. A first
-round, where every curvature is I, takes no factorization.
+factor stack of its shape, indexed alike, and each node has a flag that
+says its factor slot holds the Cholesky factor of its current curvature;
+otherwise the slot holds a copy of the curvature, to be factored. A
+round's curvature update (``bfgs_all``) tests every batch node first and
+works only on the nodes that pass, in cache-sized blocks: it updates a
+block's matrices in the factor slots, writes them back to the stack and
+clears their flags. The descent then takes one LAPACK call per node: a
+``dposv`` that factors the slot in place where the flag is clear, a
+``dpotrs`` on the kept factor where it is set. A declined node keeps its
+matrix, so its factor serves round after round. A first round, where
+every curvature is I, takes no solve.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import dposv
+from scipy.linalg.lapack import dposv, dpotrs
 
 from .netgraph import Graph
 
@@ -105,30 +109,46 @@ class RoundKernel:
     def curvature(self) -> dict:
         """Neighborhood size m -> (count, m p, m p) stack of the curvature
         matrices of the nodes of that size, by ``slot``; starts at I.
+        Read-only: ``write_matrix`` is the one way in from outside.
         Built on first use, so kernels without D-BFGS never hold it."""
-        return {msize: stack for msize, (stack, _, _) in self._state.items()}
+        out = {}
+        for msize, (stack, *_) in self._state.items():
+            out[msize] = stack.view()
+            out[msize].flags.writeable = False
+        return out
 
     @cached_property
     def _state(self) -> dict:
-        """Neighborhood size m -> (stack, scratch, term), three parts of
-        one allocation kept for the kernel's life, so no round pages in
-        fresh (g, k, k) memory: the curvature stack; a scratch stack of its
-        shape, which holds the matrices of a batch's nodes by batch
-        position and in which ``descent`` factors them; and the update
-        term of one block, whose length is the update's block size."""
+        """Neighborhood size m -> (stack, factor, kept, work, term), kept
+        for the kernel's life, so no round pages in fresh (g, k, k) memory.
+        One allocation holds the curvature stack; the factor stack of its
+        shape, indexed alike; and two blocks whose length is the update's
+        block size, to update matrices in (``work``) and to hold the update
+        term (``term``). ``kept`` flags the nodes whose factor slot holds
+        the Cholesky factor of their curvature; every other slot holds a
+        copy of its node's curvature. Every curvature starts at I, which
+        is its own factor."""
         sizes, counts = np.unique(self.m, return_counts=True)
         out = {}
         for msize, count in zip(sizes.tolist(), counts.tolist()):
             k = msize * self.p
             block = min(count, max(1, BLOCK_BYTES // (8 * k * k)))
-            buf = np.empty((2 * count + block, k, k))
-            buf[:count] = np.eye(k)
-            out[msize] = buf[:count], buf[count:2 * count], buf[2 * count:]
+            buf = np.empty((2 * count + 2 * block, k, k))
+            buf[:2 * count] = np.eye(k)
+            out[msize] = (buf[:count], buf[count:2 * count], np.ones(count, dtype=bool),
+                          buf[2 * count:2 * count + block], buf[2 * count + block:])
         return out
 
     def matrix(self, i: int) -> np.ndarray:
-        """Node i's curvature matrix (a view into its stack)."""
+        """Node i's curvature matrix (a read-only view into its stack)."""
         return self.curvature[int(self.m[i])][self.slot[i]]
+
+    def write_matrix(self, i: int, b: np.ndarray) -> None:
+        """Set node i's curvature matrix to b; its next descent factors it."""
+        stack, factor, kept, _, _ = self._state[int(self.m[i])]
+        s = self.slot[i]
+        stack[s] = factor[s] = b
+        kept[s] = False
 
     def batches(self, ids, cuts) -> list:
         """Per batch ``ids[cuts[k]:cuts[k + 1]]`` of distinct node ids, its
@@ -156,9 +176,9 @@ class RoundKernel:
                     big_gamma: float, first: bool = False, groups=None) -> np.ndarray:
         """Curvature update (not on a node's first round), descent
         contributions, then keep the views for the batch's next round.
-        The descent factors the matrices the update left in the scratch. On
-        a first round every curvature is I, which ``dposv`` solves exactly
-        for finite g, so the contributions are -(g + Gamma D g) unfactored.
+        On a first round every curvature is I, which ``dposv`` solves
+        exactly for finite g, so the contributions are -(g + Gamma D g)
+        unfactored.
 
         Returns the accept mask, one entry per batch node in batch order.
         """
@@ -169,43 +189,52 @@ class RoundKernel:
                 self.contrib[grp.rows] = -(gv + big_gamma * grp.dd.reshape(gv.shape) * gv)
         else:
             accepted = self.bfgs_all(var_views, g_views, gamma, groups)
-            self.descent(g_views, big_gamma, groups, loaded=True)
+            self.descent(g_views, big_gamma, groups)
         for grp, vv, gv in zip(groups, var_views, g_views):
             self.last[0][grp.rows] = vv
             self.last[1][grp.rows] = gv
         return accepted
 
-    def descent(self, g_views: list, big_gamma: float, groups=None, *,
-                loaded: bool = False) -> None:
+    def descent(self, g_views: list, big_gamma: float, groups=None) -> None:
         """Stacked -(B^{-1} + Gamma D) g for every batch node, into its rows
         of ``contrib``: row offsets[i] + k is node i's contribution to its
         k-th neighbor.
 
-        Each node's system takes one LAPACK ``dposv`` call, which factors B
-        by Cholesky and solves with that factor, in the per-size scratch,
-        never in the stack. The batch's matrices are copied from the stack
-        into the scratch first, unless ``loaded`` says ``bfgs_all`` has
-        just left them there. Failed factorizations, or factors with a
-        non-finite diagonal, raise ``CurvatureLost`` last."""
+        Each node's system takes one LAPACK call in its factor slot, never
+        in the stack: ``dpotrs`` with the kept factor, or ``dposv``, which
+        factors B by Cholesky and solves with that factor, where none is
+        kept. ``dposv`` is ``dpotrf`` then ``dpotrs``, so both give the same
+        bits. A factor is checked when it is made and kept only while its
+        B is unchanged: failed factorizations, or factors with a
+        non-finite diagonal, are not kept and raise ``CurvatureLost`` last.
+        """
         lost = []
         for grp, gv in zip(groups or self.groups, g_views):
-            stack, mats, _ = self._state[grp.msize]
-            mats = mats[:len(grp.ids)]
-            if not loaded:
-                np.take(stack, grp.slot, axis=0, out=mats, mode="clip")
+            stack, factor, kept, _, _ = self._state[grp.msize]
             gv = gv.reshape(len(grp.ids), -1)
             y = gv.copy()
-            # mats[j] is exactly symmetric, so its transpose is mats[j] in
-            # Fortran order: factored (lower triangle, as the per-node
-            # reference does) and solved in place; the flags are lower,
-            # overwrite_a and overwrite_b
-            info = [dposv(a, x, 1, 1, 1)[2]
-                    for a, x in zip(mats.transpose(0, 2, 1), y)]
-            # OpenBLAS's Cholesky reports no error on a NaN pivot, so the
-            # factor's diagonal is checked too
-            bad = np.not_equal(info, 0)
-            bad |= ~np.isfinite(np.diagonal(mats, axis1=1, axis2=2)).all(axis=1)
-            lost += grp.ids[bad].tolist()
+            # a slot holds B or its factor; B is exactly symmetric, so the
+            # slot's transpose is B in Fortran order: factored (lower
+            # triangle, as the per-node reference does) and solved in
+            # place; the flags are lower, overwrite_a and overwrite_b
+            lower = factor.transpose(0, 2, 1)
+            reuse = kept[grp.slot].tolist()
+            info = [dpotrs(lower[s], x, 1, 1)[1] if kept_s
+                    else dposv(lower[s], x, 1, 1, 1)[2]
+                    for s, kept_s, x in zip(grp.slot.tolist(), reuse, y)]
+            if not all(reuse):
+                # OpenBLAS's Cholesky reports no error on a NaN pivot, so
+                # the diagonals are checked too; kept factors pass again
+                k = grp.msize * self.p
+                ok = np.isfinite(factor.reshape(len(factor), k * k)[grp.slot, ::k + 1])
+                ok = ok.all(axis=1)
+                if any(info):
+                    ok &= np.equal(info, 0)
+                kept[grp.slot] = ok
+                if not ok.all():  # a failed factor's slot holds B again
+                    bad = grp.slot[~ok]
+                    factor[bad] = stack[bad]
+                    lost += grp.ids[~ok].tolist()
             e = -(y + big_gamma * grp.dd * gv)
             self.contrib[grp.rows] = e.reshape(len(y), grp.msize, self.p)
         if lost:
@@ -231,50 +260,65 @@ class RoundKernel:
         """Stacked regularized BFGS update of every batch node, from its
         kept views to these.
 
-        Works through each group in blocks of nodes small enough to stay in
-        cache: a block's matrices are copied from the stack into the
-        per-size scratch, updated there, and written back to the stack once.
-        Skipped nodes keep their matrix. The scratch then holds every batch
-        node's new matrix, in batch order, for ``descent``.
+        Tests every node of a group first, then updates the nodes that pass
+        in blocks small enough to stay in cache: a block's matrices are
+        updated in their factor slots (in the work block where the slots
+        are not one range), written back to the stack, and left in the
+        factor slots, flagged for ``descent`` to factor. Skipped nodes keep
+        their matrix and their factor.
 
         Returns the accept mask, one entry per batch node in batch order.
         """
         groups = groups or self.groups
+        # the whole network's groups hold every node of their size in slot
+        # order, so the slots of a block are a slice where they run on
+        ordered = groups is self.groups
         accepted = np.zeros(sum(len(grp.ids) for grp in groups), dtype=bool)
         for grp, vv, gv in zip(groups, var_views, g_views):
-            stack, mats, term = self._state[grp.msize]
-            mats = mats[:len(grp.ids)]
+            stack, factor, kept, work, term = self._state[grp.msize]
             k = grp.msize * self.p
-            flat = (-1, k)
-            for lo in range(0, len(grp.ids), len(term)):
+            flat = (len(grp.ids), k)
+            v = grp.dd * (vv - self.last[0][grp.rows]).reshape(flat)
+            dg = (gv - self.last[1][grp.rows]).reshape(flat)
+            r = dg - gamma * v
+            ip = (v * r).sum(axis=1)
+            # the norms as np.linalg.norm computes them
+            acc = ip > (SKIP_THRESHOLD * np.sqrt((v * v).sum(axis=1))
+                        * np.sqrt((r * r).sum(axis=1)))
+            sel, slot = np.flatnonzero(acc), grp.slot
+            if len(sel) < len(slot):
+                v, r, ip, slot = v[sel], r[sel], ip[sel], slot[sel]
+            for lo in range(0, len(sel), len(term)):
                 blk = slice(lo, lo + len(term))
-                rows, slot, b = grp.rows[blk], grp.slot[blk], mats[blk]
-                np.take(stack, slot, axis=0, out=b, mode="clip")
-                v = grp.dd[blk] * (vv[blk] - self.last[0][rows]).reshape(flat)
-                dg = (gv[blk] - self.last[1][rows]).reshape(flat)
-                r = dg - gamma * v
-                ip = (v * r).sum(axis=1)
-                # the norms as np.linalg.norm computes them
-                acc = ip > (SKIP_THRESHOLD * np.sqrt((v * v).sum(axis=1))
-                            * np.sqrt((r * r).sum(axis=1)))
-                if acc.any():
-                    bv = np.einsum("gij,gj->gi", b, v)
-                    vbv = (v * bv).sum(axis=1)
-                    acc &= vbv > 0
-                    safe_ip = np.where(acc, ip, 1.0)
-                    safe_vbv = np.where(acc, vbv, 1.0)
-                    # b + rr'/ip - bv bv'/vbv + gamma I, with the first two
-                    # terms in the update term and the third in b; every
-                    # term is exactly symmetric when b is, so the sum is too
-                    new = term[:len(slot)]
-                    np.einsum("gi,gj->gij", r, r, out=new)
-                    new /= safe_ip[:, None, None]
-                    new += b
-                    np.einsum("gi,gj->gij", bv, bv, out=b)
-                    b /= safe_vbv[:, None, None]
-                    np.subtract(new, b, out=b)
-                    b.reshape(len(slot), k * k)[:, ::k + 1] += gamma  # the diagonals
-                    b[~acc] = stack[slot[~acc]]  # skipped nodes keep their matrix
-                    stack[slot] = b
-                accepted[grp.pos[blk]] = acc
+                at = slot[blk]
+                ranged = ordered and at[-1] - at[0] == len(at) - 1
+                if ranged:  # consecutive slots: work in the factor slots
+                    at = slice(at[0], at[-1] + 1)
+                    b = factor[at]
+                    np.copyto(b, stack[at])
+                else:
+                    b = np.take(stack, at, axis=0, out=work[:len(at)], mode="clip")
+                vb, rb = v[blk], r[blk]
+                bv = np.einsum("gij,gj->gi", b, vb)
+                vbv = (vb * bv).sum(axis=1)
+                ok = vbv > 0
+                # b + rr'/ip - bv bv'/vbv + gamma I, with the first two
+                # terms in the update term and the third in b; every term
+                # is exactly symmetric when b is, so the sum is too
+                new = term[:len(b)]
+                np.einsum("gi,gj->gij", rb, rb, out=new)
+                new /= np.where(ok, ip[blk], 1.0)[:, None, None]
+                new += b
+                np.einsum("gi,gj->gij", bv, bv, out=b)
+                b /= np.where(ok, vbv, 1.0)[:, None, None]
+                np.subtract(new, b, out=b)
+                b.reshape(len(b), k * k)[:, ::k + 1] += gamma  # the diagonals
+                if not ok.all():  # a B with v'Bv <= 0 is kept
+                    b[~ok] = stack[at][~ok]
+                    acc[sel[blk][~ok]] = False
+                stack[at] = b
+                if not ranged:
+                    factor[at] = b
+                kept[at] = False
+            accepted[grp.pos] = acc
         return accepted

@@ -124,12 +124,17 @@ class LogisticInstance:
     def p(self) -> int:
         return self.features.shape[2]
 
+    @cached_property
+    def signed(self) -> np.ndarray:
+        """(n, q, p) label-signed features v_il u_il, exact as v_il = +-1."""
+        return self.features * self.labels[..., None]
+
     def local_grad(self, i, x_i: np.ndarray) -> np.ndarray:
         """Gradient of f_i at x_i; with an index array or ``...`` (every
         node), one row per node."""
-        u, v = self.features[i], self.labels[i]
-        s = _sigmoid(-np.einsum("...qp,...p->...q", u, x_i) * v)
-        return self.lam * x_i / self.n - np.einsum("...q,...qp->...p", v * s, u)
+        w = self.signed[i]
+        s = _sigmoid(-np.einsum("...qp,...p->...q", w, x_i))
+        return self.lam * x_i / self.n - np.einsum("...q,...qp->...p", s, w)
 
     def grad_all(self, x: np.ndarray) -> np.ndarray:
         return self.local_grad(..., x)
@@ -156,21 +161,26 @@ def make_logistic(
     """Gaussian class-conditional logistic data, balanced labels per node.
 
     Each node receives ceil(q/2) positive samples ~ N(mu*1, sigma_pos^2 I)
-    and floor(q/2) negative samples ~ N(-mu*1, sigma_neg^2 I).
+    and floor(q/2) negative samples ~ N(-mu*1, sigma_neg^2 I), drawn as
+    ``rng.normal`` draws them, loc + scale * z, node by node.
     """
     if q <= 0:
         raise ValueError(f"samples per node must be positive, got {q}")
     if lam < 0:
         raise ValueError(f"regularizer must be nonnegative, got {lam}")
+    if np.signbit(sigma_pos) or np.signbit(sigma_neg):
+        raise ValueError("class deviations must be nonnegative, got "
+                         f"{sigma_pos} and {sigma_neg}")
     rng = np.random.default_rng(seed)
     qpos = (q + 1) // 2
-    features = np.empty((n, q, p))
+    features = rng.standard_normal((n, q, p))
+    features[:, :qpos] *= sigma_pos
+    features[:, :qpos] += mu
+    features[:, qpos:] *= sigma_neg
+    features[:, qpos:] += -mu
     labels = np.empty((n, q))
-    for i in range(n):
-        features[i, :qpos] = rng.normal(mu, sigma_pos, size=(qpos, p))
-        features[i, qpos:] = rng.normal(-mu, sigma_neg, size=(q - qpos, p))
-        labels[i, :qpos] = 1.0
-        labels[i, qpos:] = -1.0
+    labels[:, :qpos] = 1.0
+    labels[:, qpos:] = -1.0
     return LogisticInstance(
         features=features,
         labels=labels,
@@ -330,19 +340,18 @@ def solve_consensus_optimum(instance) -> np.ndarray:
 
 def _logistic_newton(inst: LogisticInstance, tol: float = 1e-12,
                      max_iter: int = 200) -> np.ndarray:
-    u = inst.features.reshape(-1, inst.p)
-    v = inst.labels.reshape(-1)
+    u = inst.signed.reshape(-1, inst.p)
     lam = inst.lam
 
     def point(x_):
         """x_ with its margins and its objective value."""
-        z_ = -(u @ x_) * v
+        z_ = -(u @ x_)
         return x_, z_, float(0.5 * lam * x_ @ x_ + np.logaddexp(0.0, z_).sum())
 
     x, z, fx = point(np.zeros(inst.p))
     for _ in range(max_iter):
         s = _sigmoid(z)
-        g = lam * x - (v * s) @ u
+        g = lam * x - s @ u
         if np.linalg.norm(g) <= tol:
             return x
         w = s * (1.0 - s)
@@ -356,7 +365,7 @@ def _logistic_newton(inst: LogisticInstance, tol: float = 1e-12,
         # near the optimum the values cannot resolve the decrease; where the
         # search's step leaves x unchanged, take the full Newton step instead
         x, z, fx = point(x - step) if np.array_equal(trial[0], x) else trial
-    if np.linalg.norm(lam * x - (v * _sigmoid(z)) @ u) > tol:
+    if np.linalg.norm(lam * x - _sigmoid(z) @ u) > tol:
         raise RuntimeError("logistic Newton failed to reach tolerance")
     return x
 

@@ -12,6 +12,7 @@ import io
 import math
 from dataclasses import dataclass, field
 from itertools import count
+from numbers import Integral
 
 import numpy as np
 import scipy.sparse as sp
@@ -86,6 +87,12 @@ class SyncConfig:
             if val is None or not val > 0 or not math.isfinite(val):  # NaN too
                 raise ValueError(f"{self.method} requires a finite {name} > 0, "
                                  f"got {val!r}")
+        for name in ("stop_error", "stop_grad_norm"):
+            val = getattr(self, name)
+            if val is not None and not math.isfinite(val):
+                raise ValueError(f"{name} must be finite, got {val!r}")
+        if not isinstance(self.max_iters, Integral) or isinstance(self.max_iters, bool):
+            raise ValueError(f"max_iters must be an int, got {self.max_iters!r}")
         if self.max_iters < 1:
             raise ValueError("iteration budget must be at least 1")
         if self.mode not in METHOD_MODES[self.method]:

@@ -2,8 +2,9 @@
 
 Objective values (instances, runtime objective, dual function), per-node
 operations of ``DistributedObjective`` in their unscaled form, the
-unscaled penalty objective, the two-pass sigmoid and the logistic Newton
-optimum that evaluates each point several times, the consensus weight
+unscaled penalty objective, the two-pass sigmoid, the logistic gradient
+and instance generator on unsigned features node by node, the logistic
+Newton optimum that evaluates each point several times, the consensus weight
 conditions, the classical BFGS update, the round kernel's curvature
 update in its one-shot stacked form, the sum of a node's descent
 contributions and the dense global descent matrix, the time functions and
@@ -61,6 +62,32 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
     return out
+
+
+def logistic_grad(inst: LogisticInstance, i, x_i: np.ndarray) -> np.ndarray:
+    """``LogisticInstance.local_grad`` from the unsigned features: margins
+    and gradient in two einsums, each applying the labels."""
+    u, v = inst.features[i], inst.labels[i]
+    s = sigmoid(-np.einsum("...qp,...p->...q", u, x_i) * v)
+    return inst.lam * x_i / inst.n - np.einsum("...q,...qp->...p", v * s, u)
+
+
+def make_logistic_by_node(n: int, p: int, q: int, lam: float, mu: float,
+                          sigma_pos: float, sigma_neg: float,
+                          seed: int) -> LogisticInstance:
+    """``make_logistic`` with two ``rng.normal`` draws per node, positive
+    samples first."""
+    rng = np.random.default_rng(seed)
+    qpos = (q + 1) // 2
+    features = np.empty((n, q, p))
+    labels = np.empty((n, q))
+    for i in range(n):
+        features[i, :qpos] = rng.normal(mu, sigma_pos, size=(qpos, p))
+        features[i, qpos:] = rng.normal(-mu, sigma_neg, size=(q - qpos, p))
+        labels[i, :qpos] = 1.0
+        labels[i, qpos:] = -1.0
+    return LogisticInstance(features=features, labels=labels, lam=lam, mu=mu,
+                            sigma_pos=sigma_pos, sigma_neg=sigma_neg, seed=seed)
 
 
 def logistic_newton(inst: LogisticInstance, tol: float = 1e-12,
@@ -212,9 +239,9 @@ def centralized_bfgs_oracle(b: np.ndarray, v: np.ndarray, r: np.ndarray) -> np.n
 def stacked_bfgs_reference(kernel, var_views: list, g_views: list, gamma: float,
                            groups: list) -> np.ndarray:
     """``RoundKernel.bfgs_all`` in its one-shot stacked form: each group's
-    update in fresh (g, k, k) arrays, then scattered to the kernel's
-    stacks. Returns the accept mask. The blocked kernel must reproduce it
-    bit for bit."""
+    update in fresh (g, k, k) arrays, then each accepted node's matrix
+    written through ``RoundKernel.write_matrix``. Returns the accept mask.
+    The blocked kernel must reproduce it bit for bit."""
     accepted = np.zeros(sum(len(grp.ids) for grp in groups), dtype=bool)
     for grp, vv, gv in zip(groups, var_views, g_views):
         flat = (len(grp.ids), -1)
@@ -239,8 +266,8 @@ def stacked_bfgs_reference(kernel, var_views: list, g_views: list, gamma: float,
         new -= outer
         k = grp.msize * kernel.p
         new.reshape(len(grp.ids), k * k)[:, ::k + 1] += gamma
-        new[~acc] = stack[grp.slot[~acc]]
-        stack[grp.slot] = new
+        for i, mat in zip(grp.ids[acc], new[acc]):
+            kernel.write_matrix(i, mat)
         accepted[grp.pos] = acc
     return accepted
 

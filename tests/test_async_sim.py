@@ -891,16 +891,15 @@ def test_lost_curvature_in_a_window_raises_only_after_earlier_rows():
     descent = RoundKernel.descent
     fired = []  # the nodes of each poisoned call
 
-    def poisoned(kernel, g_views, big_gamma, groups=None, loaded=False):
+    def poisoned(kernel, g_views, big_gamma, groups=None):
         if any(node in grp.ids for grp in groups):
             kernel.seen = getattr(kernel, "seen", 0) + 1
             if kernel.seen == events:
                 fired.append(sorted(i for grp in groups for i in grp.ids.tolist()))
-                # the poisoned call copies the stack again, so it factors
-                # the poisoned matrix and not the one bfgs_all left
-                kernel.matrix(node)[:] = np.nan
-                loaded = False
-        return descent(kernel, g_views, big_gamma, groups, loaded=loaded)
+                # the write drops the node's kept factor, so the descent
+                # factors the poisoned matrix and not the one bfgs_all left
+                kernel.write_matrix(node, np.nan)
+        return descent(kernel, g_views, big_gamma, groups)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(RoundKernel, "descent", poisoned)

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg.lapack import dposv, dpotrf, dpotrs
 
+from dbfgs import _kernel as kernel_module
 from dbfgs._kernel import BLOCK_BYTES, CurvatureLost, RoundKernel
 from dbfgs.curvature import (
     CurvatureState,
@@ -246,7 +248,7 @@ def test_kernel_batches_match_per_node_reference():
                   for i in range(6)]
         for i, st in enumerate(states):
             st.matrix = random_spd(st.dim, rng, floor=0.5)
-            kernel.matrix(i)[:] = st.matrix
+            kernel.write_matrix(i, st.matrix)
         # a first round keeps the (x0, g0) views without touching curvature
         kernel.dbfgs_round(gather(x0, groups), gather(g0, groups), gamma,
                            big_gamma, first=True, groups=groups)
@@ -279,13 +281,13 @@ def test_kernel_descent_equals_per_node_reference_bitwise():
         for i, st in enumerate(states):
             st.matrix = random_spd(st.dim, rng, floor=0.5)
             assert np.array_equal(st.matrix, st.matrix.T)
-            kernel.matrix(i)[:] = st.matrix
+            kernel.write_matrix(i, st.matrix)
         kernel.descent(gather(g, groups), big_gamma, groups)
         for i in batch:
             e = kernel.contrib[kernel.offsets[i]:kernel.offsets[i + 1]].ravel()
             nb = list(graph.neighborhoods[i])
             assert np.array_equal(e, neighborhood_descent(states[i], g[nb]))
-            # the factorization works on scratch, not on the node's state
+            # the factorization works in the factor stack, not on the node's state
             assert np.array_equal(kernel.matrix(i), states[i].matrix)
 
 
@@ -295,13 +297,13 @@ def test_kernel_descent_names_an_indefinite_node():
     g = np.ones((6, 2))
     for bad in (np.diag([1.0, 1.0, -1.0, 1.0, 1.0, 1.0, 1.0, 1.0]),
                 np.full((8, 8), np.nan)):
-        kernel.matrix(4)[:] = bad
+        kernel.write_matrix(4, bad)
         for groups in (kernel.groups, one_batch(kernel, [4]), one_batch(kernel, [1, 4])):
             with pytest.raises(RuntimeError,
                                match="lost positive definiteness at node 4"):
                 kernel.descent(gather(g, groups), 1e-3, groups)
     # on its own after a round, descent factors the stack's current matrix,
-    # not the one the round left in the scratch; node 190 of a 200-node
+    # not the one the round left in the factor slot; node 190 of a 200-node
     # cycle is in a later block of either batch (81 nodes a block at k = 20)
     rng = np.random.default_rng(12)
     cycle = build_d_regular_cycle(200, 4)
@@ -315,11 +317,29 @@ def test_kernel_descent_names_an_indefinite_node():
                                      1e-2, 1e-3, groups=groups)
             assert acc.any()
             kept = kernel.matrix(190).copy()
-            kernel.matrix(190)[:] = bad
+            kernel.write_matrix(190, bad)
             with pytest.raises(RuntimeError,
                                match="lost positive definiteness at node 190"):
                 kernel.descent(gather(g1, groups), 1e-3, groups)
-            kernel.matrix(190)[:] = kept
+            kernel.write_matrix(190, kept)
+
+
+@pytest.mark.parametrize("k", [8, 20])
+def test_dposv_is_dpotrf_then_dpotrs_bitwise(k):
+    # the premise of the kernel's kept factors: a node solved with the factor
+    # of an earlier round gets the bits dposv would give it now
+    rng = np.random.default_rng(16)
+    for _ in range(200):
+        b = random_spd(k, rng)
+        y = rng.normal(size=k)
+        a1, a2, y1, y2 = b.copy(), b.copy(), y.copy(), y.copy()
+        # as the kernel calls them: the Fortran-order transpose, lower triangle
+        info = dposv(a1.T, y1, 1, 1, 1)[2]
+        info += dpotrf(a2.T, 1, 0, 1)[1] + dpotrs(a2.T, y2, 1, 1)[1]
+        assert info == 0
+        assert a1.tobytes() == a2.tobytes() and y1.tobytes() == y2.tobytes(), (
+            "LAPACK's dposv no longer equals dpotrf then dpotrs bit for bit: "
+            "RoundKernel.descent may not reuse a kept Cholesky factor")
 
 
 def big_irregular_graph():
@@ -350,8 +370,8 @@ def test_first_round_descent_equals_the_identity_solve_bitwise(graph):
                                       (big_irregular_graph(), 8)])
 @pytest.mark.parametrize("subset", [False, True])
 def test_blocked_update_equals_one_shot_reference(graph, p, subset):
-    # the blocked update in the scratch, its write-back and the descent on
-    # that scratch give the bits of the one-shot stacked update, with
+    # the blocked update in the factor slots, its write-back and the descent
+    # on those slots give the bits of the one-shot stacked update, with
     # accepted nodes, v'r skips and v'Bv skips in one block
     rng = np.random.default_rng(13)
     gamma, big_gamma = 1e-2, 1e-3
@@ -363,7 +383,9 @@ def test_blocked_update_equals_one_shot_reference(graph, p, subset):
     size = BLOCK_BYTES // (8 * k * k)  # nodes a block
     assert len(grp.ids) > 2 * size and len(grp.ids) % size  # a partial third block
     for i in range(graph.n):
-        kernel.matrix(i)[:] = ref.matrix(i)[:] = random_spd(graph.m[i] * p, rng, 0.5)
+        b = random_spd(graph.m[i] * p, rng, 0.5)
+        kernel.write_matrix(i, b)
+        ref.write_matrix(i, b)
     x0, x1, g0, g1 = (rng.normal(size=(graph.n, p)) for _ in range(4))
     for kern in (kernel, ref):
         kern.dbfgs_round(gather(x0, groups), gather(g0, groups), gamma,
@@ -375,11 +397,12 @@ def test_blocked_update_equals_one_shot_reference(graph, p, subset):
     vv[0][[5, 41]] = vv0[[5, 41]]
     for j, bad in ((3, -np.eye(k)), (20, np.full((k, k), np.nan))):
         gv[0][j] = gv0[j] + 2 * (vv[0][j] - vv0[j])
-        kernel.matrix(grp.ids[j])[:] = ref.matrix(grp.ids[j])[:] = bad
+        kernel.write_matrix(grp.ids[j], bad)
+        ref.write_matrix(grp.ids[j], bad)
     # dbfgs_round's two steps, which a lost curvature would cut short
     acc = kernel.bfgs_all(vv, gv, gamma, groups)
     with pytest.raises(CurvatureLost) as lost:
-        kernel.descent(gv, big_gamma, groups, loaded=True)
+        kernel.descent(gv, big_gamma, groups)
     want = stacked_bfgs_reference(ref, vv, gv, gamma, groups)
     with pytest.raises(CurvatureLost) as want_lost:
         ref.descent(gv, big_gamma, groups)
@@ -390,6 +413,85 @@ def test_blocked_update_equals_one_shot_reference(graph, p, subset):
     for msize, stack in kernel.curvature.items():
         assert stack.tobytes() == ref.curvature[msize].tobytes()
     assert kernel.contrib.tobytes() == ref.contrib.tobytes()
+
+
+def refactor_all(kernel):
+    """Drop every kept factor, through the one write path."""
+    for i in range(kernel.graph.n):
+        kernel.write_matrix(i, kernel.matrix(i))
+
+
+@pytest.mark.parametrize("graph, p", [(build_d_regular_cycle(200, 4), 4),
+                                      (big_irregular_graph(), 8)])
+@pytest.mark.parametrize("subset", [False, True])
+def test_kept_factors_give_the_bits_of_factoring_every_round(graph, p, subset,
+                                                             monkeypatch):
+    # rounds that accept every update, rounds of random pairs (about half
+    # declined) with planted v = 0 and v'r < 0, a round with v'Bv <= 0
+    # candidates and a round that declines every node: solving declined
+    # nodes with their kept factors gives the bits of factoring every node
+    rng = np.random.default_rng(15)
+    gamma, big_gamma = 1e-2, 1e-3
+    kernels = RoundKernel(graph, p), RoundKernel(graph, p)
+    ids = [i for i in range(graph.n - 1, -1, -1) if i % 10] if subset else None
+    batches = [one_batch(kern, ids) if subset else kern.groups for kern in kernels]
+    reused = []
+    monkeypatch.setattr(kernel_module, "dpotrs",
+                        lambda *args: reused.append(1) or dpotrs(*args))
+    x, g = rng.normal(size=(graph.n, p)), rng.normal(size=(graph.n, p))
+    for kern, groups in zip(kernels, batches):
+        kern.dbfgs_round(gather(x, groups), gather(g, groups), gamma, big_gamma,
+                         first=True, groups=groups)
+    kernel, ref = kernels
+    grp = batches[0][0]
+    k = grp.msize * p
+    for kind in ("all", "mixed", "all", "indefinite", "mixed", "none"):
+        x1 = x + rng.normal(size=x.shape)
+        g1 = g + (2 * (x1 - x) if kind in ("all", "indefinite")
+                  else rng.normal(size=g.shape))
+        outcomes = []
+        refactor_all(ref)
+        for kern, groups in zip(kernels, batches):
+            vv, gv = gather(x1, groups), gather(g1, groups)
+            last_v, last_g = kern.last[0][grp.rows], kern.last[1][grp.rows]
+            if kind == "none":  # v = 0 everywhere
+                vv = [kern.last[0][gr.rows] for gr in groups]
+            if kind == "mixed":  # v = 0 at 5 and 41, v'r < 0 at 7 and 30
+                vv[0][[5, 41]] = last_v[[5, 41]]
+                gv[0][[7, 30]] = last_g[[7, 30]] - (vv[0][[7, 30]] - last_v[[7, 30]])
+            if kind == "indefinite":  # v'r > 0 but v'Bv < 0 at 3 and 20
+                for j in (3, 20):
+                    kern.write_matrix(grp.ids[j], -np.eye(k))
+            try:
+                outcomes.append(kern.dbfgs_round(vv, gv, gamma, big_gamma,
+                                                 groups=groups).tolist())
+            except CurvatureLost as lost:
+                outcomes.append(lost.nodes)
+        assert outcomes[0] == outcomes[1]
+        if kind == "indefinite":
+            assert outcomes[0] == grp.ids[[3, 20]].tolist()
+            for kern in kernels:  # no round kept these views; mend the nodes
+                for j in (3, 20):
+                    kern.write_matrix(grp.ids[j], np.eye(k))
+        else:
+            assert any(outcomes[0]) == (kind != "none")
+            assert all(outcomes[0]) == (kind == "all")
+            x, g = x1, g1
+        for msize, stack in kernel.curvature.items():
+            assert stack.tobytes() == ref.curvature[msize].tobytes()
+        assert kernel.contrib.tobytes() == ref.contrib.tobytes()
+    assert len(reused) > len(grp.ids)
+    # a write drops the node's kept factor: a NaN planted in a node that
+    # declined last round, and declines again, is factored and found
+    node = grp.ids[9]
+    kernel.write_matrix(node, np.full((k, k), np.nan))
+    groups = batches[0]
+    with pytest.raises(CurvatureLost, match=f"at node {node}$") as lost:
+        kernel.dbfgs_round([kernel.last[0][gr.rows] for gr in groups],
+                           gather(g, groups), gamma, big_gamma, groups=groups)
+    assert lost.value.nodes == [node]
+    with pytest.raises(ValueError, match="read-only"):
+        kernel.matrix(node)[:] = 1.0
 
 
 @settings(max_examples=40, deadline=None, database=None)
@@ -406,7 +508,8 @@ def test_subset_batch_descent_matches_assembled_matrix(problem, data):
     states = []
     for i in batch:
         state = CurvatureState.initial(graph, i, p, 1e-2, big_gamma)
-        state.matrix = kernel.matrix(i)[:] = random_spd(state.dim, rng, floor=0.5)
+        state.matrix = random_spd(state.dim, rng, floor=0.5)
+        kernel.write_matrix(i, state.matrix)
         states.append(state)
     g = rng.normal(size=(n, p))
     groups = one_batch(kernel, batch)

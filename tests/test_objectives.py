@@ -20,7 +20,9 @@ from oracles import (
     dual_function_value,
     dual_grad_i,
     dual_lagrangian_minimizer_i,
+    logistic_grad,
     logistic_newton,
+    make_logistic_by_node,
     penalty_objective_value,
     primal_grad_i,
     sigmoid,
@@ -263,6 +265,31 @@ def test_logistic_optimum_equals_the_reference_bit_for_bit():
         if not np.array_equal(solve_consensus_optimum(inst), logistic_newton(inst)):
             moved.append((n, q, lam, mu, seed))
     assert not moved, f"optimum moved on (n, q, lam, mu, seed) = {moved}"
+
+
+@pytest.mark.parametrize("p, q, sigma_pos, sigma_neg", [
+    (4, 10, 1.0, 1.0), (4, 7, 0.3, 2.0), (4, 6, 0.0, 0.0), (4, 1, 0.0, 1.5),
+    (3, 10, 1.0, 1.0), (5, 7, 0.3, 2.0), (8, 1, 1.0, 1.0)])
+def test_logistic_on_signed_features_equals_the_unsigned_reference(p, q, sigma_pos,
+                                                                   sigma_neg):
+    # one draw for every node and the signed features reproduce the per-node
+    # draws and the two-einsum gradient bit for bit, and the optimum too
+    args = (9, p, q, 1e-2, 3.0, sigma_pos, sigma_neg, 3)
+    inst, ref = make_logistic(*args), make_logistic_by_node(*args)
+    assert inst.features.tobytes() == ref.features.tobytes()
+    assert inst.labels.tobytes() == ref.labels.tobytes()
+    x = np.random.default_rng(4).normal(size=(9, p)) * 0.3
+    for i in (4, np.array([0, 8, 3, 3]), ...):
+        assert inst.local_grad(i, x[i]).tobytes() == logistic_grad(ref, i, x[i]).tobytes()
+    assert inst.grad_all(x).tobytes() == logistic_grad(ref, ..., x).tobytes()
+    assert solve_consensus_optimum(inst).tobytes() == logistic_newton(ref).tobytes()
+
+
+def test_logistic_rejects_a_negative_class_deviation():
+    # as rng.normal did when it drew each class: -0.0 counts as negative
+    for sigmas in ((-1.0, 1.0), (1.0, -0.0)):
+        with pytest.raises(ValueError, match="class deviations must be nonnegative"):
+            make_logistic(3, 2, 4, 1e-2, 1.0, *sigmas, 0)
 
 
 def test_sigmoid_equals_the_two_branch_reference_bit_for_bit():

@@ -122,6 +122,23 @@ def test_runners_reject_a_non_finite_run_parameter(runner, method, mode, name, v
         runner(g, obj, replace(cfg, **{name: value}), *schedule)
 
 
+@pytest.mark.parametrize("name, value, message", [
+    ("stop_error", np.nan, "stop_error must be finite, got nan"),
+    ("stop_error", -np.inf, "stop_error must be finite, got -inf"),
+    ("stop_grad_norm", np.nan, "stop_grad_norm must be finite, got nan"),
+    ("stop_grad_norm", np.inf, "stop_grad_norm must be finite, got inf"),
+    ("max_iters", 2.5, "max_iters must be an int, got 2.5"),
+    ("max_iters", True, "max_iters must be an int, got True")])
+@pytest.mark.parametrize("runner, method, mode", RUNNERS, ids=RUNNER_IDS)
+def test_runners_reject_a_bad_stop_rule(runner, method, mode, name, value, message):
+    # a NaN stop_error used to run every round and end as max_iters, and
+    # max_iters = 2.5 ran 3 rounds
+    g, obj = ring10(mode)
+    cfg, *schedule = config_args(runner, method, mode)
+    with pytest.raises(ValueError, match=message):
+        runner(g, obj, replace(cfg, **{name: value}), *schedule)
+
+
 def test_exchange_costs():
     assert exchanges_per_iteration("dbfgs", "dual") == 2
     assert exchanges_per_iteration("dbfgs", "primal") == 3
