@@ -38,14 +38,15 @@ the logs once, after its trace rows.
 
 After the kernel step a window runs three phases. Apply lands each batch's
 fresh blocks and step in event order and keeps the state each row reads.
-Record computes every row's error and gradient norm at once: it refreshes
-only the error terms of the nodes whose estimate moved and the runtime
-gradient blocks within reach of a node whose var moved (one hop in primal
-mode, two in dual mode: stage 1 mixes var), and takes the norm of the whole
-gradient; at the first row every node counts as moved. Emit then goes
-through the batches in order: trace row, stop rules, lost curvature. A
-stop ends the run at its batch; what apply wrote after that batch is never
-observed, and nothing the window publishes is ever read.
+Record evaluates every row's terms at once: it refreshes only the error
+terms of the nodes whose estimate moved and the runtime gradient blocks
+within reach of a node whose var moved (one hop in primal mode, two in dual
+mode: stage 1 mixes var); at the first row every node counts as moved. It
+then yields the rows one at a time, each reduced to its error and the norm
+of the whole gradient. Emit takes them in batch order: trace row, stop
+rules, lost curvature. A stop ends the run at its batch; the rows after it
+are never reduced, what apply wrote after that batch is never observed,
+and nothing the window publishes is ever read.
 
 The virtual engine re-runs the same event sequence but applies every
 finished descent to a global variable immediately instead of through
@@ -226,8 +227,7 @@ class _AsyncEngine:
         self.kernel = kernel = RoundKernel(graph, p)
         self.dbfgs = method == "dbfgs"
         self.chunks = self.dbfgs and not virtual
-        self.trace = Trace(method=method, mode=cfg.mode, seed=cfg.seed,
-                           model_time=[], local_iter_min=[])
+        self.trace = Trace(method=method, mode=cfg.mode, seed=cfg.seed, model_time=[])
         self.queue = queue = EventQueue(schedule)  # the events in event order
         events = len(queue.time)
         # each tick's event; per tick, node * events + event: node i's events
@@ -423,16 +423,14 @@ class _AsyncEngine:
                           cfg.step_size * kernel.contrib[slots])
             elif not (self.dbfgs or init):  # DD's gradient step
                 self.var[batch] -= cfg.step_size * self.g[batch]
-        if not init:
-            errors, gnorms = self._record(states, record)
-        # phase 3, emit: the events, then each batch's row and stop check
+        rows = None if init else self._record(states, record)
+        # phase 3, emit: the events, then per batch its row, stop check, lost curvature
         self.log_block[e0:e1] = fresh[0]
         times, lmins = queue.time[eb[:-1]].tolist(), self.lmin[b0:b1].tolist()
-        for r, (t, lmin, lo, hi) in enumerate(zip(times, lmins, eb, eb[1:])):
+        for t, lmin, lo, hi in zip(times, lmins, eb, eb[1:]):
             self.logged = hi  # events count as exchanges
             if not init:
-                self.trace.append(lmin, errors[r], gnorms[r], self.logged,
-                                  model_time=t, local_iter_min=lmin)
+                self.trace.append(lmin, *next(rows), self.logged, model_time=t)
                 if _check_stop(self.trace, cfg):
                     return True
             if hit := [i for i in lost if i in queue.node[lo:hi]]:
@@ -450,12 +448,12 @@ class _AsyncEngine:
             slots = slice(self.slot_at[events.start], self.slot_at[events.stop])
             self.chunk_log[slots] = self.kernel.contrib[self.slots[slots]]
 
-    def _record(self, states: np.ndarray, record: tuple) -> tuple:
-        """Each row's error and gradient norm, as consensus_error and the norm
-        of runtime_grad give them at the row's state, from the planes each
-        row reads (row r at rows r n to (r + 1) n: var, and in dual mode aux,
-        the estimate) and the plan's key sets: evaluated for the whole window
-        at once, then written in row by row."""
+    def _record(self, states: np.ndarray, record: tuple):
+        """Yield each row's error and gradient norm, as consensus_error and
+        the norm of runtime_grad give them at the row's state, from the
+        planes each row reads (row r at rows r n to (r + 1) n: var, and in
+        dual mode aux, the estimate) and the plan's key sets: evaluated for
+        the whole window at once, then written in and reduced row by row."""
         n = len(self.err_terms)
         (enodes, ebounds, _, ekeys), (gnodes, gbounds, *_) = record[0], record[-1]
         diff = states[-1][ekeys] - self.obj.xstar  # aux in dual mode, else var
@@ -469,14 +467,11 @@ class _AsyncEngine:
                 self.runtime_aux[nodes[lo:hi]] = aux[lo:hi]
                 aux_plane[r * n:(r + 1) * n] = self.runtime_aux
         grad = self._stage(record[-1], self.obj.stage2_block, states[0], aux_plane)
-        errors, gnorms = [], []
         for lo, hi, glo, ghi in zip(ebounds, ebounds[1:], gbounds, gbounds[1:]):
             self.err_terms[enodes[lo:hi]] = terms[lo:hi]
-            # np.mean's sum and division
-            errors.append(self.err_terms.sum() / n / self.denom)
             self.runtime_grad[gnodes[glo:ghi]] = grad[glo:ghi]
-            gnorms.append(np.linalg.norm(self.runtime_grad))
-        return errors, gnorms
+            # np.mean's sum and division
+            yield self.err_terms.sum() / n / self.denom, np.linalg.norm(self.runtime_grad)
 
     def _stage(self, keys: tuple, stage, *planes) -> np.ndarray:
         """``stage`` at a key set, from its neighborhood views of the given

@@ -3,7 +3,8 @@
 An ExperimentConfig checks itself strictly when it is built, from TOML text
 (read with the standard library's ``tomllib``) or in code; a fault raises
 ConfigError with its key's full path. Every run writes one CSV trace named
-after its method, seed, and a hash of the canonical config serialization.
+after its method, seed, and a hash of the canonical config serialization,
+in the format ``sync_runtime`` writes and reads (its reader is re-exported).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from .async_sim import AsyncConfig, gen_clock_schedule, run_dbfgs_async, run_dd_async
 from .netgraph import Graph, build_d_regular_cycle, build_weight_matrix
 from .objectives import DistributedObjective, make_logistic, make_quadratic
-from .sync_runtime import (METHOD_MODES, SYNC_CSV_HEADER, SyncConfig, Trace, run_admm,
+from .sync_runtime import (METHOD_MODES, SyncConfig, Trace, read_trace_csv, run_admm,
                            run_dbfgs_sync, run_dd, run_dgd)
 
 __all__ = [
@@ -376,36 +377,6 @@ def histogram_exchanges(traces, threshold: float) -> HistogramResult:
         else:
             out.counts.setdefault(trace.method, []).append(exch)
     return out
-
-
-def read_trace_csv(path: str) -> Trace:
-    """A trace as ``Trace.to_csv`` writes it; ValueError, naming the file,
-    if the header lacks a trace column, and ``path:line`` if a row does not
-    have the header's fields or a number does not parse."""
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        missing = [c for c in SYNC_CSV_HEADER.split(",") if c not in header]
-        if missing:
-            raise ValueError(f"{path}: not a trace CSV (lacks {', '.join(missing)})")
-        is_async = "model_time" in header
-        trace = Trace(method="?", mode="?", seed=0,
-                      model_time=[] if is_async else None,
-                      local_iter_min=[] if is_async else None)
-        for lineno, line in enumerate(fh, 2):
-            parts = line.strip().split(",")
-            try:
-                if len(parts) != len(header):
-                    raise ValueError(f"{len(parts)} fields, the header has {len(header)}")
-                row = dict(zip(header, parts))
-                trace.method, trace.mode = row["method"], row["mode"]
-                trace.seed = int(row["seed"])
-                trace.append(int(row["iter"]), float(row["error"]),
-                             float(row["grad_norm"]), int(row["exchanges"]),
-                             float(row.get("model_time", "nan")),
-                             int(row.get("local_iter_min", 0)))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-    return trace
 
 
 # ---------------------------------------------------------------------------

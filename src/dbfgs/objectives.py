@@ -84,6 +84,8 @@ def make_quadratic(n: int, p: int, eta: float, seed: int) -> QuadraticInstance:
     """
     if p % 2 != 0:
         raise ValueError(f"dimension p must be even, got {p}")
+    if not np.isfinite(eta):
+        raise ValueError(f"condition parameter eta must be finite, got {eta}")
     if eta < 0:
         raise ValueError(f"condition parameter eta must be nonnegative, got {eta}")
     rng = np.random.default_rng(seed)
@@ -166,6 +168,10 @@ def make_logistic(
     """
     if q <= 0:
         raise ValueError(f"samples per node must be positive, got {q}")
+    for name, val in (("lam", lam), ("mu", mu), ("sigma_pos", sigma_pos),
+                      ("sigma_neg", sigma_neg)):
+        if not np.isfinite(val):
+            raise ValueError(f"{name} must be finite, got {val}")
     if lam < 0:
         raise ValueError(f"regularizer must be nonnegative, got {lam}")
     if np.signbit(sigma_pos) or np.signbit(sigma_neg):
@@ -220,8 +226,9 @@ class DistributedObjective:
         if mode not in ("primal", "dual"):
             raise ValueError(f"mode must be 'primal' or 'dual', got {mode!r}")
         if mode == "primal":
-            if alpha is None or alpha <= 0:
-                raise ValueError("primal mode requires a positive penalty alpha")
+            if alpha is None or not 0 < alpha < np.inf:  # NaN too
+                raise ValueError("primal mode requires a finite positive penalty "
+                                 f"alpha, got {alpha!r}")
         if mode == "dual" and not isinstance(instance, QuadraticInstance):
             raise ValueError("dual mode requires a quadratic instance")
         if weights.shape != (graph.n, graph.n):
@@ -234,6 +241,10 @@ class DistributedObjective:
         # rows; the given array, dense or sparse, may hold nothing else
         lay = graph.layout
         given = sp.csr_array(weights, dtype=float)
+        entries = given.tocoo()
+        if not np.isfinite(entries.data).all():
+            k = np.flatnonzero(~np.isfinite(entries.data))[0]
+            raise ValueError(f"weight ({entries.row[k]}, {entries.col[k]}) is not finite")
         self.weights = sp.csr_array((given[lay.rows, lay.cols], lay.cols, lay.indptr),
                                     shape=given.shape)
         stray = (given - self.weights).tocoo()
@@ -365,7 +376,7 @@ def _logistic_newton(inst: LogisticInstance, tol: float = 1e-12,
         # near the optimum the values cannot resolve the decrease; where the
         # search's step leaves x unchanged, take the full Newton step instead
         x, z, fx = point(x - step) if np.array_equal(trial[0], x) else trial
-    if np.linalg.norm(lam * x - _sigmoid(z) @ u) > tol:
+    if not np.linalg.norm(lam * x - _sigmoid(z) @ u) <= tol:  # NaN too
         raise RuntimeError("logistic Newton failed to reach tolerance")
     return x
 

@@ -1,17 +1,17 @@
-"""Synchronous round-based executors: D-BFGS, DGD, DD, and consensus ADMM.
+"""Synchronous round-based executors: D-BFGS, DGD, DD, and consensus ADMM,
+and the Trace every run emits, with its CSV writer and reader.
 
-Every runner consumes the same objective abstraction and emits a Trace.
-Exchange accounting is fixed per method: D-BFGS costs 2 exchanges per
-iteration in dual mode and 3 in primal mode; the first-order baselines
-cost 1.
+Every runner consumes the same objective abstraction and emits its rounds
+through one run loop. Exchange accounting is fixed per method: D-BFGS
+costs 2 exchanges per iteration in dual mode and 3 in primal mode; the
+first-order baselines cost 1.
 """
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
-from itertools import count
+from itertools import repeat
 from numbers import Integral
 
 import numpy as np
@@ -24,6 +24,7 @@ from .objectives import DistributedObjective, consensus_error
 __all__ = [
     "SyncConfig",
     "Trace",
+    "read_trace_csv",
     "DbfgsSyncEngine",
     "run_dbfgs_sync",
     "run_dgd",
@@ -40,8 +41,11 @@ DIVERGENCE_LIMIT = 1e12
 METHOD_MODES = {"dbfgs": ("primal", "dual"), "dgd": ("primal",),
                 "dd": ("dual",), "admm": ("dual",)}
 
-SYNC_CSV_HEADER = "iter,error,grad_norm,exchanges,method,mode,seed"
-ASYNC_CSV_HEADER = SYNC_CSV_HEADER + ",model_time,local_iter_min"
+# the trace CSV's columns in the order written, each with the type its field
+# reads back as; an async trace writes all, a sync trace all but the last two
+CSV_COLUMNS = {"iter": int, "error": float, "grad_norm": float, "exchanges": int,
+               "method": str, "mode": str, "seed": int,
+               "model_time": float, "local_iter_min": int}
 
 
 def exchanges_per_iteration(method: str, mode: str) -> int:
@@ -115,7 +119,6 @@ class Trace:
     grad_norm: list = field(default_factory=list)
     exchanges: list = field(default_factory=list)
     model_time: list | None = None
-    local_iter_min: list | None = None
     status: str = "max_iters"
     event_log: tuple | None = None  # async runs: an async_sim.EventLog
 
@@ -123,34 +126,69 @@ class Trace:
     def is_async(self) -> bool:
         return self.model_time is not None
 
-    def append(self, it, err, gnorm, exch, model_time=None, local_iter_min=None):
+    @property
+    def local_iter_min(self) -> list | None:
+        """Async: each row's least local iteration, its iter; sync: None."""
+        return self.iters if self.is_async else None
+
+    def append(self, it, err, gnorm, exch, model_time=None):
         self.iters.append(int(it))
         self.error.append(float(err))
         self.grad_norm.append(float(gnorm))
         self.exchanges.append(int(exch))
         if self.is_async:
             self.model_time.append(float(model_time))
-            self.local_iter_min.append(int(local_iter_min))
 
     def error_at(self, iteration: int) -> float:
         """Error at the given iteration (async: minimum local iteration)."""
-        axis = self.local_iter_min if self.is_async else self.iters
-        arr = np.asarray(axis)
-        hits = np.nonzero(arr >= iteration)[0]
+        hits = np.nonzero(np.asarray(self.iters) >= iteration)[0]
         if len(hits) == 0:
             raise ValueError(f"trace never reaches iteration {iteration}")
         return self.error[hits[0]]
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write((ASYNC_CSV_HEADER if self.is_async else SYNC_CSV_HEADER) + "\n")
-        for k in range(len(self.iters)):
-            row = (f"{self.iters[k]},{self.error[k]!r},{self.grad_norm[k]!r},"
-                   f"{self.exchanges[k]},{self.method},{self.mode},{self.seed}")
-            if self.is_async:
-                row += f",{self.model_time[k]!r},{self.local_iter_min[k]}"
-            buf.write(row + "\n")
-        return buf.getvalue()
+        """The header and one line per row, a column per ``CSV_COLUMNS``
+        entry it has (str of a float is its repr)."""
+        cols = (self.iters, self.error, self.grad_norm, self.exchanges,
+                *map(repeat, (self.method, self.mode, self.seed)),
+                *((self.model_time, self.iters) if self.is_async else ()))
+        return "".join(",".join(map(str, row)) + "\n"
+                       for row in (list(CSV_COLUMNS)[:len(cols)], *zip(*cols)))
+
+
+def read_trace_csv(path: str) -> Trace:
+    """A trace as ``Trace.to_csv`` writes it; ValueError, naming the file,
+    if the header lacks a trace column, and ``path:line`` if a row does not
+    have the header's fields, a field does not parse, its method, mode or
+    seed differs from the rows before it, or an async row's local_iter_min
+    differs from its iter."""
+    with open(path) as fh:
+        header = fh.readline().strip().split(",")
+        is_async = "model_time" in header
+        missing = [c for c in list(CSV_COLUMNS)[:None if is_async else -2]
+                   if c not in header]
+        if missing:
+            raise ValueError(f"{path}: not a trace CSV (lacks {', '.join(missing)})")
+        trace = Trace(method="?", mode="?", seed=0, model_time=[] if is_async else None)
+        for lineno, line in enumerate(fh, 2):
+            parts = line.strip().split(",")
+            try:
+                if len(parts) != len(header):
+                    raise ValueError(f"{len(parts)} fields, the header has {len(header)}")
+                row = {c: CSV_COLUMNS.get(c, str)(v) for c, v in zip(header, parts)}
+                for c in ("method", "mode", "seed"):
+                    if trace.iters and row[c] != getattr(trace, c):
+                        raise ValueError(f"{c} {row[c]!r} differs from the rows "
+                                         f"before it ({getattr(trace, c)!r})")
+                    setattr(trace, c, row[c])
+                if row.get("local_iter_min", row["iter"]) != row["iter"]:
+                    raise ValueError(f"local_iter_min {row['local_iter_min']} "
+                                     f"differs from iter {row['iter']}")
+                trace.append(row["iter"], row["error"], row["grad_norm"],
+                             row["exchanges"], row.get("model_time"))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+    return trace
 
 
 def _check_stop(trace: Trace, cfg: SyncConfig) -> bool:
@@ -165,10 +203,23 @@ def _check_stop(trace: Trace, cfg: SyncConfig) -> bool:
     if cfg.stop_grad_norm is not None and gnorm <= cfg.stop_grad_norm:
         trace.status = "grad_stop"
         return True
-    if trace.iters[-1] >= cfg.max_iters:
-        trace.status = "max_iters"
-        return True
-    return False
+    return trace.iters[-1] >= cfg.max_iters  # the status stays max_iters
+
+
+def _run(graph: Graph, objective: DistributedObjective, cfg: SyncConfig,
+         method: str, rounds) -> Trace:
+    """Check cfg, start from zeros or a float copy of var0, and append a row
+    per (error, gradient norm) that ``rounds(var)`` yields until a stop."""
+    cfg.validate(graph, objective, method)
+    var = (np.zeros((graph.n, objective.p)) if cfg.var0 is None
+           else np.array(cfg.var0, dtype=float))
+    cost = exchanges_per_iteration(method, cfg.mode)
+    trace = Trace(method=method, mode=cfg.mode, seed=cfg.seed)
+    for t, (err, gnorm) in enumerate(rounds(var), 1):
+        trace.append(t, err, gnorm, t * cost)
+        if _check_stop(trace, cfg):
+            break
+    return trace
 
 
 # ---------------------------------------------------------------------------
@@ -214,19 +265,14 @@ def run_dbfgs_sync(graph: Graph, objective: DistributedObjective,
                    cfg: SyncConfig) -> Trace:
     """Synchronous D-BFGS; in dual mode the iterated variable is nu and the
     machinery descends -psi, so the update ascends the dual function."""
-    cfg.validate(graph, objective, "dbfgs")
-    engine = DbfgsSyncEngine(graph, objective, cfg.gamma, cfg.big_gamma,
-                             cfg.step_size, cfg.var0)
-    cost = exchanges_per_iteration("dbfgs", cfg.mode)
-    trace = Trace(method="dbfgs", mode=cfg.mode, seed=cfg.seed)
-    for t in count(1):
-        engine.step()
-        # the round's stage 1: the Lagrangian minimizers, or var in primal mode
-        err = consensus_error(engine.aux, objective.xstar)
-        trace.append(t, err, np.linalg.norm(engine.g), t * cost)
-        if _check_stop(trace, cfg):
-            break
-    return trace
+    def rounds(var):
+        engine = DbfgsSyncEngine(graph, objective, cfg.gamma, cfg.big_gamma,
+                                 cfg.step_size, var)
+        while True:
+            engine.step()
+            # the round's stage 1: the Lagrangian minimizers, or var in primal mode
+            yield consensus_error(engine.aux, objective.xstar), np.linalg.norm(engine.g)
+    return _run(graph, objective, cfg, "dbfgs", rounds)
 
 
 # ---------------------------------------------------------------------------
@@ -234,40 +280,28 @@ def run_dbfgs_sync(graph: Graph, objective: DistributedObjective,
 # ---------------------------------------------------------------------------
 
 
-def run_dgd(graph: Graph, objective: DistributedObjective,
-            cfg: SyncConfig) -> Trace:
+def run_dgd(graph: Graph, objective: DistributedObjective, cfg: SyncConfig) -> Trace:
     """Decentralized gradient descent on the scaled penalty objective."""
-    cfg.validate(graph, objective, "dgd")
-    x = (np.zeros((graph.n, objective.p)) if cfg.var0 is None
-         else np.array(cfg.var0, dtype=float))
-    g = objective.runtime_grad(x)
-    trace = Trace(method="dgd", mode=cfg.mode, seed=cfg.seed)
-    for t in count(1):
-        x = x - cfg.step_size * g
+    def rounds(x):
         g = objective.runtime_grad(x)
-        trace.append(t, consensus_error(x, objective.xstar), np.linalg.norm(g), t)
-        if _check_stop(trace, cfg):
-            break
-    return trace
+        while True:
+            x = x - cfg.step_size * g
+            g = objective.runtime_grad(x)
+            yield consensus_error(x, objective.xstar), np.linalg.norm(g)
+    return _run(graph, objective, cfg, "dgd", rounds)
 
 
-def run_dd(graph: Graph, objective: DistributedObjective,
-           cfg: SyncConfig) -> Trace:
+def run_dd(graph: Graph, objective: DistributedObjective, cfg: SyncConfig) -> Trace:
     """Dual decomposition: gradient ascent on psi through the Lagrangian
     minimizers. Trace rows carry the state the round computed with (the
     event simulator's rows align with these)."""
-    cfg.validate(graph, objective, "dd")
-    nu = (np.zeros((graph.n, objective.p)) if cfg.var0 is None
-          else np.array(cfg.var0, dtype=float))
-    trace = Trace(method="dd", mode=cfg.mode, seed=cfg.seed)
-    for t in count(1):
-        aux = objective.stage1_full(nu)
-        g = objective.stage2_full(nu, aux)
-        trace.append(t, consensus_error(aux, objective.xstar), np.linalg.norm(g), t)
-        nu = nu - cfg.step_size * g
-        if _check_stop(trace, cfg):
-            break
-    return trace
+    def rounds(nu):
+        while True:
+            aux = objective.stage1_full(nu)
+            g = objective.stage2_full(nu, aux)
+            yield consensus_error(aux, objective.xstar), np.linalg.norm(g)
+            nu = nu - cfg.step_size * g
+    return _run(graph, objective, cfg, "dd", rounds)
 
 
 def run_admm(graph: Graph, objective: DistributedObjective, cfg: SyncConfig,
@@ -278,24 +312,17 @@ def run_admm(graph: Graph, objective: DistributedObjective, cfg: SyncConfig,
     accumulated multiplier of its incident edges; both updates touch only
     neighbor variables. Quadratic instances only.
     """
-    cfg.validate(graph, objective, "admm")
-    inst = objective.instance
-    n, p = graph.n, objective.p
-    rho = cfg.step_size
-    # the neighbor sum as CSR: the layout rows without each node's own slot
-    lay = graph.layout
-    adj = sp.csr_array((np.ones(len(lay.cols) - n), np.delete(lay.cols, lay.own),
-                        lay.indptr - np.arange(n + 1)), shape=(n, n))
-    deg = np.asarray(graph.m, dtype=float)[:, None] - 1.0
-    x = (np.zeros((n, p)) if cfg.var0 is None else np.array(cfg.var0, dtype=float))
-    mult = (np.zeros((n, p)) if initial_multipliers is None
-            else np.array(initial_multipliers, dtype=float))
-    trace = Trace(method="admm", mode=cfg.mode, seed=cfg.seed)
-    for t in count(1):
-        x = (rho * (deg * x + adj @ x) - mult - inst.b) / (inst.a + 2.0 * rho * deg)
-        resid = deg * x - adj @ x
-        mult = mult + rho * resid
-        trace.append(t, consensus_error(x, objective.xstar), np.linalg.norm(resid), t)
-        if _check_stop(trace, cfg):
-            break
-    return trace
+    def rounds(x):
+        inst, n, rho, lay = objective.instance, graph.n, cfg.step_size, graph.layout
+        # the neighbor sum as CSR: the layout rows without each node's own slot
+        adj = sp.csr_array((np.ones(len(lay.cols) - n), np.delete(lay.cols, lay.own),
+                            lay.indptr - np.arange(n + 1)), shape=(n, n))
+        deg = np.asarray(graph.m, dtype=float)[:, None] - 1.0
+        mult = (np.zeros(x.shape) if initial_multipliers is None
+                else np.array(initial_multipliers, dtype=float))
+        while True:
+            x = (rho * (deg * x + adj @ x) - mult - inst.b) / (inst.a + 2.0 * rho * deg)
+            resid = deg * x - adj @ x
+            mult = mult + rho * resid
+            yield consensus_error(x, objective.xstar), np.linalg.norm(resid)
+    return _run(graph, objective, cfg, "admm", rounds)

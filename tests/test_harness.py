@@ -369,13 +369,23 @@ def test_run_experiment_solves_each_optimum_once(tmp_path, monkeypatch):
     assert solved == [0, 1]  # two methods share each seed's objective
 
 
-def test_csv_round_trip(tmp_path):
-    cfg = parse_config(BASE_CONFIG)
-    res = run_experiment(cfg, str(tmp_path))
-    again = read_trace_csv(res[0].csv_path)
-    assert again.method == res[0].trace.method
-    assert again.error == res[0].trace.error
-    assert again.exchanges == res[0].trace.exchanges
+ASYNC_CONFIG = BASE_CONFIG.replace("dd = 0.002", "dd = 0.002\n\n[async]\n"
+                                   "mu_clk = 1.0\nsigma_clk = 0.2\nhorizon = 12.0")
+
+
+@pytest.mark.parametrize("text, columns", [(BASE_CONFIG, 7), (ASYNC_CONFIG, 9)],
+                         ids=["sync", "async"])
+def test_csv_round_trip(tmp_path, text, columns):
+    # to_csv -> read_trace_csv -> to_csv gives back every byte and field
+    for r in run_experiment(parse_config(text), str(tmp_path)):
+        with open(r.csv_path) as fh:
+            written = fh.read()
+        assert written.count(",") == (columns - 1) * (len(r.trace.iters) + 1)
+        again = read_trace_csv(r.csv_path)
+        assert again.to_csv() == written == r.trace.to_csv()
+        for name in ("method", "mode", "seed", "iters", "error", "grad_norm",
+                     "exchanges", "model_time", "local_iter_min"):
+            assert getattr(again, name) == getattr(r.trace, name)
 
 
 def test_csv_row_count_equals_iterations(tmp_path):
@@ -464,15 +474,27 @@ def test_cli_histogram_of_a_non_trace_csv_is_usage_error(tmp_path, capsys):
     assert str(bad) in err and "not a trace CSV" in err
 
 
-@pytest.mark.parametrize("row, message", [
-    ("1,0.5,1.0,2,dbfgs", "5 fields, the header has 7"),
-    ("1,x,1.0,2,dbfgs,dual,0", "could not convert string to float: 'x'"),
-], ids=["short-row", "non-numeric"])
-def test_cli_histogram_of_a_bad_trace_row_names_its_line(tmp_path, capsys, row,
+SYNC_ROW = ("iter,error,grad_norm,exchanges,method,mode,seed",
+            "1,0.5,1.0,2,dbfgs,dual,0")
+ASYNC_ROW = (SYNC_ROW[0] + ",model_time,local_iter_min", SYNC_ROW[1] + ",1.0,1")
+
+
+@pytest.mark.parametrize("first, row, message", [
+    (SYNC_ROW, "1,0.5,1.0,2,dbfgs", "5 fields, the header has 7"),
+    (SYNC_ROW, "1,x,1.0,2,dbfgs,dual,0", "could not convert string to float: 'x'"),
+    (SYNC_ROW, "2,0.5,1.0,3,dd,dual,0",
+     "method 'dd' differs from the rows before it ('dbfgs')"),
+    (SYNC_ROW, "2,0.5,1.0,3,dbfgs,primal,0",
+     "mode 'primal' differs from the rows before it ('dual')"),
+    (SYNC_ROW, "2,0.5,1.0,3,dbfgs,dual,1",
+     "seed 1 differs from the rows before it (0)"),
+    (ASYNC_ROW, "2,0.5,1.0,3,dbfgs,dual,0,2.0,1", "local_iter_min 1 differs from iter 2"),
+], ids=["short-row", "non-numeric", "mixed-method", "mixed-mode", "mixed-seed",
+        "async-iter"])
+def test_cli_histogram_of_a_bad_trace_row_names_its_line(tmp_path, capsys, first, row,
                                                          message):
     bad = tmp_path / "bad.csv"
-    bad.write_text("iter,error,grad_norm,exchanges,method,mode,seed\n"
-                   f"1,0.5,1.0,2,dbfgs,dual,0\n{row}\n")
+    bad.write_text("\n".join((*first, row)) + "\n")
     rc = cli_main(["histogram", str(bad), "--threshold", "0.1"])
     assert rc == 2
     assert f"{bad}:3: {message}" in capsys.readouterr().err

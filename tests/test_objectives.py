@@ -292,6 +292,38 @@ def test_logistic_rejects_a_negative_class_deviation():
             make_logistic(3, 2, 4, 1e-2, 1.0, *sigmas, 0)
 
 
+def nan_feature_logistic():
+    """A logistic instance whose data holds a NaN: its optimum is NaN."""
+    inst = make_logistic(3, 2, 4, 1e-2, 1.0, 1.0, 1.0, 0)
+    inst.features[0, 0, 0] = np.nan
+    return LogisticInstance(features=inst.features, labels=inst.labels, lam=inst.lam,
+                            mu=inst.mu, sigma_pos=inst.sigma_pos,
+                            sigma_neg=inst.sigma_neg, seed=inst.seed)
+
+
+@pytest.mark.parametrize("build, error, match", [
+    (lambda: make_logistic(3, 2, 4, np.nan, 1.0, 1.0, 1.0, 0), ValueError,
+     "lam must be finite"),
+    (lambda: make_logistic(3, 2, 4, np.inf, 1.0, 1.0, 1.0, 0), ValueError,
+     "lam must be finite"),
+    (lambda: make_logistic(3, 2, 4, 1e-2, np.nan, 1.0, 1.0, 0), ValueError,
+     "mu must be finite"),
+    (lambda: make_logistic(3, 2, 4, 1e-2, -np.inf, 1.0, 1.0, 0), ValueError,
+     "mu must be finite"),
+    (lambda: make_logistic(3, 2, 4, 1e-2, 1.0, np.nan, 1.0, 0), ValueError,
+     "sigma_pos must be finite"),
+    (lambda: make_logistic(3, 2, 4, 1e-2, 1.0, 1.0, np.inf, 0), ValueError,
+     "sigma_neg must be finite"),
+    (lambda: make_quadratic(4, 4, np.nan, 0), ValueError, "eta must be finite"),
+    (lambda: make_quadratic(4, 4, np.inf, 0), ValueError, "eta must be finite"),
+    (nan_feature_logistic, RuntimeError, "failed to reach tolerance"),
+], ids=["lam-nan", "lam-inf", "mu-nan", "mu-neg-inf", "sigma_pos-nan",
+        "sigma_neg-inf", "eta-nan", "eta-inf", "newton-nan"])
+def test_a_non_finite_instance_parameter_is_rejected(build, error, match):
+    with pytest.raises(error, match=match), np.errstate(invalid="ignore"):
+        solve_consensus_optimum(build())
+
+
 def test_sigmoid_equals_the_two_branch_reference_bit_for_bit():
     special = np.array([0.0, -0.0, 1e-300, -1e-300, 36.0, -36.0, 709.8, -709.8,
                         745.0, -745.0, np.inf, -np.inf, np.nan, -np.nan])
@@ -438,6 +470,23 @@ def test_weights_outside_closed_neighborhoods_are_rejected(form):
     inst = make_quadratic(6, 4, 1.0, 0)
     with pytest.raises(ValueError, match=r"weight \(0, 3\) lies outside"):
         DistributedObjective(inst, g, form(w), "dual")
+
+
+@pytest.mark.parametrize("alpha", [np.nan, np.inf])
+def test_a_non_finite_alpha_is_rejected(alpha):
+    g = build_d_regular_cycle(6, 2)
+    with pytest.raises(ValueError, match="finite positive penalty alpha"):
+        DistributedObjective(make_quadratic(6, 4, 1.0, 0), g, build_weight_matrix(g, 2),
+                             "primal", alpha=alpha)
+
+
+@pytest.mark.parametrize("form", [np.asarray, sp.csr_array])
+def test_a_nan_weight_is_reported_as_not_finite(form):
+    g = build_d_regular_cycle(6, 2)
+    w = build_weight_matrix(g, 2).toarray()
+    w[1, 2] = np.nan
+    with pytest.raises(ValueError, match=r"weight \(1, 2\) is not finite"):
+        DistributedObjective(make_quadratic(6, 4, 1.0, 0), g, form(w), "dual")
 
 
 def test_weight_setup_allocates_no_dense_matrix():
