@@ -147,13 +147,14 @@ class Trace:
         return self.error[hits[0]]
 
     def to_csv(self) -> str:
-        """The header and one line per row, a column per ``CSV_COLUMNS``
-        entry it has (str of a float is its repr)."""
+        """The header and one line per row, a field per ``CSV_COLUMNS``
+        column the trace has."""
         cols = (self.iters, self.error, self.grad_norm, self.exchanges,
                 *map(repeat, (self.method, self.mode, self.seed)),
                 *((self.model_time, self.iters) if self.is_async else ()))
-        return "".join(",".join(map(str, row)) + "\n"
-                       for row in (list(CSV_COLUMNS)[:len(cols)], *zip(*cols)))
+        fmt = ",".join(["%s"] * len(cols)) + "\n"  # %s of a float is its repr
+        rows = map(fmt.__mod__, zip(*cols))
+        return fmt % tuple(CSV_COLUMNS)[:len(cols)] + "".join(rows)
 
 
 def read_trace_csv(path: str) -> Trace:
