@@ -19,8 +19,9 @@ reproduces the synchronous runtime bit for bit.
 The schedule and the graph fix every index a run uses, so the engine plans
 them apart from the float work, as inspector-executor schemes do for
 irregular loops (Saltz, Mirchandaney and Crowley, IEEE Trans. Computers,
-1991): once per run the windows, each event's slots and log reads and each
-row's local_iter_min; per slice of windows the kernel groups and record keys.
+1991): once per run each event's slots and log reads, the window bounds from
+the same lookups and one pass over the batches, and each row's
+local_iter_min; per slice of windows the kernel groups and record keys.
 
 Messages live in two dated logs that every event writes once, as Time
 Warp keeps its message logs (Jefferson, "Virtual Time", 1985). Every event
@@ -36,8 +37,8 @@ order. A window's readers are pairwise non-adjacent, so no message of the
 window reaches a reader of it, and the window writes its own messages to
 the logs once, after its trace rows.
 
-After the kernel step a window runs three phases. Apply lands each batch's
-fresh blocks and step in event order and keeps the state each row reads.
+After the kernel step a window runs three phases. Apply writes every row's
+state window-wide; only the virtual engine's descents land row by row.
 Record evaluates every row's terms at once: it refreshes only the error
 terms of the nodes whose estimate moved and the runtime gradient blocks
 within reach of a node whose var moved (one hop in primal mode, two in dual
@@ -56,6 +57,7 @@ physical engine at every node's availability events.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -151,21 +153,6 @@ class EventQueue:
         for lo, hi in zip(cuts, cuts[1:]):
             yield times[lo], nodes[lo:hi]
 
-    def windows(self, layout):
-        """Yield maximal runs of consecutive batches in which no batch holds
-        a node of another or a neighbor of one: such batches commute."""
-        cols, bounds = layout.cols.tolist(), layout.indptr.tolist()
-        around = [cols[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-        blocked, window = set(), []
-        for t, batch in self.batches():
-            if window and not blocked.isdisjoint(batch):
-                yield window
-                blocked, window = set(), []
-            window.append((t, batch))
-            for i in batch:
-                blocked.update(around[i])
-        yield window
-
 
 @dataclass
 class AsyncConfig(SyncConfig):
@@ -176,9 +163,10 @@ class AsyncConfig(SyncConfig):
     def validate(self, graph: Graph, objective: DistributedObjective,
                  method: str) -> None:
         super().validate(graph, objective, method)
-        # a negative delay would read the package of an event yet to run
-        if not self.delta_msg >= 0:  # NaN too
-            raise ValueError(f"message delay must be >= 0, got {self.delta_msg!r}")
+        # a negative delay would read packages yet to be sent, an infinite none
+        if not 0 <= self.delta_msg < math.inf:  # NaN too
+            raise ValueError("message delay must be >= 0 and finite, got "
+                             f"{self.delta_msg!r}")
 
 
 class EventLog(NamedTuple):
@@ -242,9 +230,6 @@ class _AsyncEngine:
         kth = self.batch[event[first[:-1, None]
                                + np.arange(1, np.diff(first).min())]].max(0)
         self.lmin = np.searchsorted(kth, np.arange(len(queue.cuts) - 1), side="right")
-        # each window's first batch and first event, then the ends
-        self.wb = np.cumsum([0] + [len(w) for w in queue.windows(graph.layout)])
-        self.we = queue.cuts[self.wb]
         # (var, aux, g) of the packages by tick after a zero row per node (row
         # first[i] + i + c holds node i's c-th package, the zero row stands
         # for none), then of every node's current block (node i's at row
@@ -270,6 +255,17 @@ class _AsyncEngine:
         lo, hi = np.searchsorted(keys, cols * events
                                  + queue.cuts[self.batch[sender] + [[0], [1]]])
         self.read = np.where(hi > lo, events + n + cols, tick + cols)
+        # each window's first batch and first event, then the ends: a batch
+        # opens a window when its closed neighborhoods hold a node of a batch
+        # of the open one (per slot: the batch of its column's tick before lo)
+        last = np.where(lo > first[cols], self.batch[event[lo - 1]], -1)
+        wb = [0]
+        for b, prior in enumerate(np.maximum.reduceat(
+                last, self.slot_at[queue.cuts[:-1]]).tolist()):
+            if prior >= wb[-1]:
+                wb.append(b)
+        self.wb = np.array(wb + [len(queue.cuts) - 1])
+        self.we = queue.cuts[self.wb]
         self.chunk_log = np.empty((len(self.slots) if self.chunks else 0, p))
         # the chunks each event reads, from inbox_at[k]: readers and rows. A
         # node's inbox lists the chunks sent to it by (arrival, send), at once
@@ -372,15 +368,17 @@ class _AsyncEngine:
 
     def _process_window(self, w: int, groups: list, record: tuple,
                         init: bool) -> bool:
-        """Run window w from its kernel groups and record key sets (the
-        window's batches are its trace rows; in the run's first window,
-        none); True when a stop rule ends the run."""
+        """Run window w from its kernel groups and record key sets: its
+        batches are its trace rows (none in the run's first window), their
+        states built in whole-window writes. True when a stop ends the run."""
         cfg, kernel, queue = self.cfg, self.kernel, self.queue
         b0, b1 = self.wb[w], self.wb[w + 1]
         eb = queue.cuts[b0:b1 + 1].tolist()  # each batch's first event, then the end
         e0, e1 = eb[0], eb[-1]
         ids = queue.node[e0:e1]
-        before = self.var[ids], self.aux[ids]
+        # each row's state (var, and aux in dual mode), from the entry state
+        n, planes = len(self.err_terms), 2 if self.obj.mode == "dual" else 1
+        states = self.packages[:planes, None, -n:].repeat(b1 - b0, axis=1)
         # phase 1: every event reads its chunks; ufunc.at adds a node's
         # chunks one by one, in order
         if self.chunks:
@@ -406,26 +404,27 @@ class _AsyncEngine:
                                    cfg.gamma, cfg.big_gamma, init, groups)
             except CurvatureLost as exc:
                 lost = exc.nodes
-        # phase 3, apply: the fresh blocks go back and each batch's step
-        # lands, batch by batch, so each row's state (var, and aux in dual
-        # mode, at rows r n to (r + 1) n) is the one event order gives it
-        fresh = self.var[ids], self.aux[ids]
-        self.var[ids], self.aux[ids] = before
-        n, planes = len(self.err_terms), 2 if self.obj.mode == "dual" else 1
-        states = np.empty((planes, (b1 - b0) * n, self.var.shape[1]))
-        for r, (lo, hi) in enumerate(zip(eb, eb[1:])):
-            batch, new = queue.node[lo:hi], slice(lo - e0, hi - e0)
-            self.var[batch], self.aux[batch] = fresh[0][new], fresh[1][new]
-            states[:, r * n:(r + 1) * n] = self.packages[:planes, -n:]
-            if self.virtual:  # every finished descent lands at once, in order
-                slots = self.slots[self.slot_at[lo]:self.slot_at[hi]]
-                np.add.at(self.var, kernel.cols[slots],
-                          cfg.step_size * kernel.contrib[slots])
-            elif not (self.dbfgs or init):  # DD's gradient step
-                self.var[batch] -= cfg.step_size * self.g[batch]
+        # phase 3, apply: a batch's fresh blocks land on the states from its
+        # row on, DD's step from the next row on (the window's ids are distinct)
+        fresh = self.var[ids]
+        at = self.batch[e0:e1] - b0  # each event's row
+        r, e = (at <= np.arange(b1 - b0)[:, None]).nonzero()
+        states[:, r, ids[e]] = self.packages[:planes, -n:][:, ids[e]]
+        if self.virtual:  # each descent lands at once, on the rows after its own
+            cut = self.slot_at[eb] - self.slot_at[e0]
+            slots = self.slots[self.slot_at[e0]:self.slot_at[e1]]
+            cols, steps = kernel.cols[slots], cfg.step_size * kernel.contrib[slots]
+            for row, (lo, hi) in enumerate(zip(cut[:-2], cut[1:-1])):
+                np.add.at(states[0], (slice(row + 1, None), cols[lo:hi]), steps[lo:hi])
+            np.add.at(self.var, cols, steps)
+        elif not (self.dbfgs or init):  # DD's gradient step
+            self.var[ids] -= cfg.step_size * self.g[ids]
+            r, e = (at < np.arange(b1 - b0)[:, None]).nonzero()
+            states[0, r, ids[e]] = self.var[ids[e]]
+        states = states.reshape(planes, -1, self.var.shape[1])
         rows = None if init else self._record(states, record)
         # phase 3, emit: the events, then per batch its row, stop check, lost curvature
-        self.log_block[e0:e1] = fresh[0]
+        self.log_block[e0:e1] = fresh
         times, lmins = queue.time[eb[:-1]].tolist(), self.lmin[b0:b1].tolist()
         for t, lmin, lo, hi in zip(times, lmins, eb, eb[1:]):
             self.logged = hi  # events count as exchanges
@@ -436,7 +435,7 @@ class _AsyncEngine:
             if hit := [i for i in lost if i in queue.node[lo:hi]]:
                 raise CurvatureLost(hit)
         # sends: D-BFGS publishes its pre-descent var, DD its stepped one
-        published = fresh[0] if self.dbfgs else self.var[ids]
+        published = fresh if self.dbfgs else self.var[ids]
         self._send(slice(e0, e1), np.array((published, self.aux[ids], self.g[ids])))
         return False
 
@@ -467,11 +466,12 @@ class _AsyncEngine:
                 self.runtime_aux[nodes[lo:hi]] = aux[lo:hi]
                 aux_plane[r * n:(r + 1) * n] = self.runtime_aux
         grad = self._stage(record[-1], self.obj.stage2_block, states[0], aux_plane)
+        flat = self.runtime_grad.ravel()  # a view; np.linalg.norm's reduction
         for lo, hi, glo, ghi in zip(ebounds, ebounds[1:], gbounds, gbounds[1:]):
             self.err_terms[enodes[lo:hi]] = terms[lo:hi]
             self.runtime_grad[gnodes[glo:ghi]] = grad[glo:ghi]
             # np.mean's sum and division
-            yield self.err_terms.sum() / n / self.denom, np.linalg.norm(self.runtime_grad)
+            yield self.err_terms.sum() / n / self.denom, math.sqrt(flat.dot(flat))
 
     def _stage(self, keys: tuple, stage, *planes) -> np.ndarray:
         """``stage`` at a key set, from its neighborhood views of the given

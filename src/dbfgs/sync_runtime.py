@@ -321,6 +321,9 @@ def run_admm(graph: Graph, objective: DistributedObjective, cfg: SyncConfig,
         deg = np.asarray(graph.m, dtype=float)[:, None] - 1.0
         mult = (np.zeros(x.shape) if initial_multipliers is None
                 else np.array(initial_multipliers, dtype=float))
+        if mult.shape != x.shape:
+            raise ValueError(f"initial_multipliers has shape {mult.shape}, not (n, p) = "
+                             f"{x.shape}")
         while True:
             x = (rho * (deg * x + adj @ x) - mult - inst.b) / (inst.a + 2.0 * rho * deg)
             resid = deg * x - adj @ x

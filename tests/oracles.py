@@ -8,8 +8,8 @@ Newton optimum that evaluates each point several times, the consensus weight
 conditions, the classical BFGS update, the round kernel's curvature
 update in its one-shot stacked form, the sum of a node's descent
 contributions and the dense global descent matrix, the time functions and
-staleness bound of a clock schedule, a per-message inbox, and random
-Metropolis problems. The runtimes never call these; they evaluate the
+staleness bound of a clock schedule, the greedy window scan of an event
+queue, a per-message inbox, and random Metropolis problems. The runtimes never call these; they evaluate the
 staged, scaled forms and keep their messages in dated logs.
 """
 
@@ -352,6 +352,23 @@ def measure_asynchronicity(schedule, horizon: float | None = None) -> float:
             pi_ij = _last_before(schedule.times[j], pi_i)
             worst = max(worst, float(np.max(grid - pi_ij)))
     return worst
+
+
+def greedy_windows(queue, layout):
+    """Yield maximal runs of consecutive batches of an ``EventQueue`` in
+    which no batch holds a node of another or a neighbor of one (closed
+    neighborhoods from ``layout``): such batches commute."""
+    cols, bounds = layout.cols.tolist(), layout.indptr.tolist()
+    around = [cols[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    blocked, window = set(), []
+    for t, batch in queue.batches():
+        if window and not blocked.isdisjoint(batch):
+            yield window
+            blocked, window = set(), []
+        window.append((t, batch))
+        for i in batch:
+            blocked.update(around[i])
+    yield window
 
 
 def metropolis_weights(graph: Graph) -> np.ndarray:

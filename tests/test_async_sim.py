@@ -28,8 +28,8 @@ from dbfgs.objectives import (
     make_quadratic,
 )
 from dbfgs.sync_runtime import SyncConfig, run_dbfgs_sync, run_dd
-from oracles import (Mailbox, measure_asynchronicity, metropolis_dual,
-                     metropolis_weights, time_functions)
+from oracles import (Mailbox, greedy_windows, measure_asynchronicity,
+                     metropolis_dual, metropolis_weights, time_functions)
 
 
 def ring_dual(n, d, eta, seed):
@@ -540,9 +540,10 @@ def test_schedule_rejects_non_finite_clock_parameters(mu, sigma, horizon):
         gen_clock_schedule(1, mu, sigma, horizon, 0)
 
 
-@pytest.mark.parametrize("delta", [-0.5, np.nan])
+@pytest.mark.parametrize("delta", [-0.5, np.nan, np.inf])
 @pytest.mark.parametrize("runner", [run_dbfgs_async, virtual_replay, run_dd_async])
 def test_async_config_rejects_negative_or_nan_delay(runner, delta):
+    # an infinite delay would deliver no package at all
     g, obj = ring_dual(10, 2, 1.0, 0)
     cfg = dbfgs_cfg(delta_msg=delta)
     if runner is run_dd_async:
@@ -594,11 +595,17 @@ def conflicts(graph, nodes, batch):
     return any(j in graph.neighborhoods[i] for i in nodes for j in batch)
 
 
+def engine_windows(eng):
+    """The engine's windows, from its bounds, as lists of (time, batch)."""
+    batches, bounds = list(eng.queue.batches()), eng.wb.tolist()
+    return [batches[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
 @PROPERTY
 @given(metropolis_dual(max_n=12), st.sampled_from([0.0, 0.1, 0.3]),
        st.integers(0, 2**16))
 def test_schedule_and_window_invariants(problem, sigma, seed):
-    g, _ = problem
+    g, obj = problem
     sched = gen_clock_schedule(g.n, 1.0, sigma, 9.0, seed)
     again = gen_clock_schedule(g.n, 1.0, sigma, 9.0, seed)
     for ticks, same in zip(sched.times, again.times):
@@ -607,10 +614,11 @@ def test_schedule_and_window_invariants(problem, sigma, seed):
         # accumulated addition rounds tick gaps by ~eps * t
         assert np.all(np.diff(ticks) >= CLOCK_INCREMENT_FLOOR - 1e-12)
         assert ticks.tobytes() == same.tobytes()
-    queue = EventQueue(sched)
-    windows = list(queue.windows(g.layout))
+    eng = _AsyncEngine(g, obj, dbfgs_cfg(), sched, "dbfgs")
+    windows = engine_windows(eng)
     # the windows partition the batches in event order
-    assert [b for w in windows for b in w] == list(queue.batches())
+    assert [b for w in windows for b in w] == list(eng.queue.batches())
+    assert eng.we.tolist() == eng.queue.cuts[eng.wb].tolist()
     for w, following in zip(windows, windows[1:] + [None]):
         nodes = []
         for _, batch in w:
@@ -623,9 +631,14 @@ def test_schedule_and_window_invariants(problem, sigma, seed):
 
 def one_batch_per_window(runner, *args):
     """The run with every batch as its own window, in event order."""
+    init = _AsyncEngine.__init__
+
+    def per_batch(eng, *a, **kw):
+        init(eng, *a, **kw)
+        eng.wb, eng.we = np.arange(len(eng.queue.cuts)), eng.queue.cuts
+
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(EventQueue, "windows",
-                      lambda self, layout: ([batch] for batch in self.batches()))
+        patch.setattr(_AsyncEngine, "__init__", per_batch)
         return runner(*args)
 
 
@@ -680,6 +693,21 @@ def test_windows_equal_per_batch_runs_bytewise(problem, engine, sigma, grid,
     assert run_bytes(runner(*args)) == run_bytes(one_batch_per_window(runner, *args))
 
 
+@PROPERTY
+@given(st.one_of(metropolis_dual(max_n=12),
+                 st.builds(ring_dual, st.integers(5, 40), st.just(4), st.just(1.0),
+                           st.integers(0, 99))),
+       st.sampled_from([0.0, 0.1, 0.3]), st.sampled_from([None, 0.5]),
+       st.integers(0, 2**16))
+def test_window_bounds_equal_the_greedy_scan(problem, sigma, grid, seed):
+    # continuous clocks, a time grid with ties and zero drift (every batch
+    # holds every node), on the ring and on irregular graphs
+    g, obj = problem
+    sched = drifting_schedule(g.n, sigma, grid, seed)
+    eng = _AsyncEngine(g, obj, dbfgs_cfg(), sched, "dbfgs")
+    assert engine_windows(eng) == list(greedy_windows(eng.queue, g.layout))
+
+
 def post_init_ticks(ticks, t):
     """A node's ticks after the first, up to time t."""
     return int(np.sum((ticks > 0) & (ticks <= t)))
@@ -728,7 +756,7 @@ def test_plan_matches_brute_force_and_slices_move_no_bit(problem, engine, sigma,
 
 @pytest.mark.parametrize("engine", sorted(ENGINES))
 def test_run_scans_no_windows_and_groups_once_a_slice(engine):
-    # the engine starts the window scan when it is built; run() consumes it
+    # the engine fixes the window bounds when it is built; run() keeps them
     # and builds the kernel groups once per slice of the plan, not per window
     g, obj = ring_dual(30, 4, 1.0, 23)
     sched = gen_clock_schedule(30, 1.0, 0.1, 40.0, 4)
@@ -742,17 +770,15 @@ def test_run_scans_no_windows_and_groups_once_a_slice(engine):
         slices.append(len(cuts) - 1)
         return batches(kernel, ids, cuts)
 
-    def rescan(queue, layout):
-        raise AssertionError("run() scanned the windows again")
-
+    bounds = eng.wb.copy()
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(EventQueue, "windows", rescan)
         patch.setattr(RoundKernel, "batches", counted)
         tr = eng.run()
     assert run_bytes(tr) == run_bytes(runner(*args))
-    events, windows = len(eng.queue.time), list(eng.queue.windows(g.layout))
-    assert len(slices) == -(-events // async_sim.PLAN_EVENTS) == 3
-    assert sum(slices) == len(windows) > 300
+    assert eng.wb.tobytes() == bounds.tobytes()
+    windows = list(greedy_windows(eng.queue, g.layout))
+    assert len(slices) == -(-len(eng.queue.time) // async_sim.PLAN_EVENTS) == 3
+    assert sum(slices) == len(windows) == len(bounds) - 1 > 300
 
 
 def row_states(runner, args):
@@ -841,7 +867,7 @@ def rows_closing_a_window(g, sched):
     """Per trace row (every batch but the first): whether its batch is the
     last of its window."""
     last = []
-    for window in EventQueue(sched).windows(g.layout):
+    for window in greedy_windows(EventQueue(sched), g.layout):
         last += [False] * (len(window) - 1) + [True]
     return last[1:]
 
@@ -881,7 +907,7 @@ def test_lost_curvature_in_a_window_raises_only_after_earlier_rows():
     runner, args = engine_run("physical", g, obj, sched)
     err = runner(*args).error
     row = 0  # the row of each window's first batch
-    for window in list(EventQueue(sched).windows(g.layout))[1:]:
+    for window in list(greedy_windows(EventQueue(sched), g.layout))[1:]:
         if len(window) > 1 and err[row] < min(err[:row], default=np.inf):
             break
         row += len(window)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -340,6 +342,26 @@ def test_dposv_is_dpotrf_then_dpotrs_bitwise(k):
         assert a1.tobytes() == a2.tobytes() and y1.tobytes() == y2.tobytes(), (
             "LAPACK's dposv no longer equals dpotrf then dpotrs bit for bit: "
             "RoundKernel.descent may not reuse a kept Cholesky factor")
+
+
+@pytest.mark.parametrize("shape", [(7, 3), (50, 4), (400, 4)])
+def test_sqrt_of_the_flat_dot_is_np_linalg_norm_bitwise(shape):
+    # the premise of the simulator's record: a row's gradient norm taken as
+    # sqrt(flat . flat) on a flat view has np.linalg.norm's bits
+    rng = np.random.default_rng(20)
+    cases = [rng.normal(size=shape) * 10.0 ** rng.uniform(-160, 160, size=(shape[0], 1))
+             for _ in range(100)]
+    subnormal = rng.normal(size=shape) * 1e-310
+    overflow = rng.normal(size=shape) * 1e160  # squares beyond the float range
+    nan, inf = rng.normal(size=(2,) + shape)
+    nan[-1, 1], inf[0, 0] = np.nan, -np.inf
+    for x in cases + [np.zeros(shape), np.full(shape, 5e-324), subnormal, overflow,
+                      nan, inf]:
+        flat = x.ravel()
+        with np.errstate(over="ignore"):
+            want = np.linalg.norm(x).tobytes()
+            assert np.float64(math.sqrt(flat.dot(flat))).tobytes() == want, (
+                "np.linalg.norm no longer takes sqrt(dot)")
 
 
 def big_irregular_graph():

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -305,6 +306,16 @@ def test_admm_stationary_at_consensus_optimum():
                      var0=x0)
     tr = run_admm(g, obj, cfg, initial_multipliers=multipliers)
     assert max(tr.error) <= 1e-24
+
+
+@pytest.mark.parametrize("shape", [(4,), (3, 4), (4, 8), (8, 4, 1)])
+def test_admm_rejects_multipliers_that_are_not_n_by_p(shape):
+    # a (p,) vector would broadcast to every node as its multiplier
+    g, obj = ring_objective(8, 2, 4, 1.0, 9, "dual")
+    cfg = SyncConfig(method="admm", mode="dual", step_size=0.5, max_iters=5)
+    with pytest.raises(ValueError, match=re.escape(
+            f"initial_multipliers has shape {shape}, not (n, p) = (8, 4)")):
+        run_admm(g, obj, cfg, initial_multipliers=np.ones(shape))
 
 
 def test_admm_converges_to_consensus_optimum():
