@@ -37,7 +37,6 @@ from dbfgs.curvature import (
     bfgs_update,
     modified_variations,
 )
-from dbfgs.harness import PROFILES
 from dbfgs.netgraph import build_d_regular_cycle, build_weight_matrix
 from dbfgs.objectives import DistributedObjective, make_quadratic
 from dbfgs.sync_runtime import DbfgsSyncEngine, SyncConfig, run_dbfgs_sync
@@ -51,24 +50,16 @@ from oracles import (
     runtime_value,
 )
 
-SEEDS = tuple(range(20))
-
 
 def check(name: str, ok: bool, detail: str) -> None:
     print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
     assert ok, f"{name}: {detail}"
 
 
-@pytest.fixture(scope="module")
-def profile_results():
-    cache = {}
-
-    def run(name):
-        if name not in cache:
-            cache[name] = {r.name: r for r in PROFILES[name](SEEDS, None)}
-        return cache[name]
-
-    return run
+@pytest.fixture
+def profile_results(profile_runs):
+    """A profile's criteria by name, from the session's one run of it."""
+    return lambda name: profile_runs(name)[1]
 
 
 def criterion(profile_run, key):

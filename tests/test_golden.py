@@ -20,6 +20,11 @@ mid-run, and with an iteration cap. A run on a 0.5 time grid with delay
 at the same time. Every synchronous method runs on both graphs too, and
 synchronous primal D-BFGS and DGD also run a logistic instance in fig7's
 regime, whose error pins the Newton optimum's bits.
+
+Every run of the six reproduction profiles at 20 seeds is hashed too,
+keyed by the CSV name ``run_experiment`` gives it. The session fixture
+``profile_runs`` (``conftest.py``) runs each profile once, for these
+hashes and for the acceptance criteria alike.
 """
 
 from __future__ import annotations
@@ -30,7 +35,10 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 import scipy
+
+from dbfgs import harness
 
 from dbfgs.async_sim import (AsyncConfig, ClockSchedule, gen_clock_schedule,
                              run_dbfgs_async, run_dd_async, virtual_replay)
@@ -43,6 +51,7 @@ from oracles import metropolis_weights
 GOLDEN = Path(__file__).with_name("golden.json")
 COMMAND = "PYTHONPATH=src python tests/test_golden.py"
 HORIZON = 12.0
+PROFILE_SEEDS = tuple(range(20))
 
 # engine -> (runner, method, mode, step size, problem)
 ASYNC_ENGINES = {
@@ -182,7 +191,28 @@ def current() -> dict:
             for tag, trace in runs}
 
 
-def test_golden_traces():
+def run_profile(name: str, seeds=PROFILE_SEEDS) -> tuple:
+    """Run profile ``name``; return the digest of every run, keyed by the
+    CSV name ``run_experiment`` gives it, and the criteria by name. Each
+    run is hashed as it is produced, so no trace outlives the profile."""
+    digests = {}
+    run = harness.run_experiment
+
+    def hashed(cfg, outdir=None):
+        results = run(cfg, outdir)
+        tag = cfg.config_hash()
+        for r in results:
+            digests[f"{r.method}_{cfg.mode}_s{r.seed}_{tag}"] = digest(r.trace)
+        return results
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "run_experiment", hashed)
+        criteria = harness.PROFILES[name](seeds, None)
+    return digests, {c.name: c for c in criteria}
+
+
+def recorded() -> dict:
+    """golden.json, once its machine record matches this machine's."""
     golden = json.loads(GOLDEN.read_text())
     here = machine()
     differ = sorted(k for k in golden["machine"].keys() | here.keys()
@@ -191,13 +221,27 @@ def test_golden_traces():
                         "differing fields: " + ", ".join(
                             f"{k} (recorded {golden['machine'].get(k)!r}, "
                             f"here {here.get(k)!r})" for k in differ))
-    runs = current()
-    assert sorted(runs) == sorted(golden["runs"])
-    moved = [tag for tag in golden["runs"] if runs[tag] != golden["runs"][tag]]
+    return golden
+
+
+def assert_unmoved(runs: dict, golden: dict) -> None:
+    assert sorted(runs) == sorted(golden)
+    moved = [tag for tag in golden if runs[tag] != golden[tag]]
     assert not moved, f"{len(moved)} of {len(runs)} runs moved, first: {moved[:5]}"
 
 
+def test_golden_traces():
+    assert_unmoved(current(), recorded()["runs"])
+
+
+@pytest.mark.parametrize("name", sorted(harness.PROFILES))
+def test_golden_profiles(profile_runs, name):
+    assert_unmoved(profile_runs(name)[0], recorded()["profiles"][name])
+
+
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps({"command": COMMAND, "machine": machine(),
-                                  "runs": current()}, indent=1) + "\n")
+    GOLDEN.write_text(json.dumps({
+        "command": COMMAND, "machine": machine(), "runs": current(),
+        "profiles": {name: run_profile(name)[0] for name in sorted(harness.PROFILES)},
+    }, indent=1) + "\n")
     print(f"wrote {GOLDEN}", file=sys.stderr)
