@@ -12,9 +12,12 @@ Per-node arrays follow the graph's flat neighborhood layout
 (``Graph.layout``, the one the consensus weights are stored in): row
 offsets[i] + k belongs to node i's k-th neighbor.
 Neighborhood views enter the kernel as one (g, m, p) array per group;
-the caller gathers them. The kernel also keeps every node's D-BFGS
-state: its curvature, and in layout rows the (var, g) views the curvature
-was last fitted to and the node's descent contributions.
+the caller gathers them. A batch lists keys row * n + node, so the event
+simulator's record groups the nodes of several rows of (rows n, p) planes
+with the same builder; a node id is its own key in row 0. The kernel also
+keeps every node's D-BFGS state: its curvature, and in layout rows the
+(var, g) views the curvature was last fitted to and the node's descent
+contributions.
 
 Per neighborhood size, the curvature stack shares one allocation with a
 factor stack of its shape, indexed alike, and each node has a flag that
@@ -56,29 +59,14 @@ class CurvatureLost(RuntimeError):
         self.nodes = nodes
 
 
-def by_size(m: np.ndarray, ids: np.ndarray, cuts):
-    """Per neighborhood size m[i] of the nodes ``ids``, ascending, yield the
-    size, the positions in ``ids`` of its nodes part by part (part k is
-    ``ids[cuts[k]:cuts[k + 1]]``) and in order within a part, their parts,
-    and where each part starts among them, then their count."""
-    sizes = m[ids]
-    part = np.repeat(np.arange(len(cuts) - 1), np.diff(cuts))
-    order = np.lexsort((sizes, part))
-    for msize in np.unique(sizes).tolist():
-        sel = order[sizes[order] == msize]
-        yield msize, sel, part[sel], np.searchsorted(part[sel], np.arange(len(cuts)))
-
-
 class Group(NamedTuple):
-    """Batch nodes sharing one neighborhood size m."""
+    """Batch nodes sharing one neighborhood size m, as indices."""
 
     msize: int
     ids: np.ndarray  # (g,) node ids, in batch order
-    pos: np.ndarray  # (g,) positions of ids in the batch
+    pos: np.ndarray  # (g,) positions of their keys in the batch
     slot: np.ndarray  # (g,) positions of ids in the size-m curvature stack
-    nb: np.ndarray  # (g, m) neighborhoods
-    dd: np.ndarray  # (g, m p) diagonal of D over each neighborhood
-    ch: np.ndarray  # (g, m) layout rows holding each neighbor's contribution to the node
+    nb: np.ndarray  # (g, m) keys of each node's neighbors in its key's row
     rows: np.ndarray  # (g, m) the node's own layout rows
 
 
@@ -92,8 +80,8 @@ class RoundKernel:
         lay = graph.layout
         self.offsets, self.cols, self.mirror = lay.indptr, lay.cols, lay.mirror
         self.total_blocks = int(self.offsets[-1])
-        # D's diagonal block 1/m_j for every layout row
-        self.dd = np.repeat(1.0 / self.m[self.cols], p).reshape(-1, p)
+        # D's diagonal 1/m_j for every layout row, one column broadcast over p
+        self.dd = (1.0 / self.m[self.cols])[:, None]
         # each node's position among the nodes of its neighborhood size
         self.slot = np.empty(graph.n, dtype=np.intp)
         for msize in set(graph.m):
@@ -150,17 +138,23 @@ class RoundKernel:
         stack[s] = factor[s] = b
         kept[s] = False
 
-    def batches(self, ids, cuts) -> list:
-        """Per batch ``ids[cuts[k]:cuts[k + 1]]`` of distinct node ids, its
-        groups by neighborhood size, ascending, each in batch order."""
-        ids, cuts = np.asarray(ids, dtype=np.intp), np.asarray(cuts)
+    def batches(self, keys, cuts) -> list:
+        """Per batch ``keys[cuts[k]:cuts[k + 1]]`` of distinct keys row * n +
+        node (a node id is its own key at row 0), its groups by neighborhood
+        size, ascending, each in batch order."""
+        keys, cuts = np.asarray(keys, dtype=np.intp), np.asarray(cuts)
+        ids = keys % len(self.m)
+        sizes = self.m[ids]
+        part = np.repeat(np.arange(len(cuts) - 1), np.diff(cuts))
+        order = np.lexsort((sizes, part))
         out = [[] for _ in cuts[1:]]
-        for msize, sel, part, bounds in by_size(self.m, ids, cuts):
+        for msize in np.unique(sizes).tolist():
+            sel = order[sizes[order] == msize]
             nodes = ids[sel]
             rows = self.offsets[nodes, None] + np.arange(msize)
-            fields = (nodes, sel - cuts[part], self.slot[nodes], self.cols[rows],
-                      self.dd[rows].reshape(len(sel), -1), self.mirror[rows], rows)
-            bounds = bounds.tolist()
+            fields = (nodes, sel - cuts[part[sel]], self.slot[nodes],
+                      (keys[sel] - nodes)[:, None] + self.cols[rows], rows)
+            bounds = np.searchsorted(part[sel], np.arange(len(cuts))).tolist()
             for groups, lo, hi in zip(out, bounds, bounds[1:]):
                 if hi > lo:
                     groups.append(Group(msize, *[f[lo:hi] for f in fields]))
@@ -186,7 +180,7 @@ class RoundKernel:
         if first:
             accepted = np.zeros(sum(len(grp.ids) for grp in groups), dtype=bool)
             for grp, gv in zip(groups, g_views):
-                self.contrib[grp.rows] = -(gv + big_gamma * grp.dd.reshape(gv.shape) * gv)
+                self.contrib[grp.rows] = -(gv + big_gamma * self.dd[grp.rows] * gv)
         else:
             accepted = self.bfgs_all(var_views, g_views, gamma, groups)
             self.descent(g_views, big_gamma, groups)
@@ -211,8 +205,7 @@ class RoundKernel:
         lost = []
         for grp, gv in zip(groups or self.groups, g_views):
             stack, factor, kept, _, _ = self._state[grp.msize]
-            gv = gv.reshape(len(grp.ids), -1)
-            y = gv.copy()
+            y = gv.reshape(len(grp.ids), -1).copy()
             # a slot holds B or its factor; B is exactly symmetric, so the
             # slot's transpose is B in Fortran order: factored (lower
             # triangle, as the per-node reference does) and solved in
@@ -235,8 +228,8 @@ class RoundKernel:
                     bad = grp.slot[~ok]
                     factor[bad] = stack[bad]
                     lost += grp.ids[~ok].tolist()
-            e = -(y + big_gamma * grp.dd * gv)
-            self.contrib[grp.rows] = e.reshape(len(y), grp.msize, self.p)
+            self.contrib[grp.rows] = -(y.reshape(gv.shape)
+                                       + big_gamma * self.dd[grp.rows] * gv)
         if lost:
             raise CurvatureLost(lost)
 
@@ -249,7 +242,7 @@ class RoundKernel:
         group's rows of var are read once and written once.
         """
         for grp in self.groups:
-            steps = eps * self.contrib[grp.ch]  # (g, msize, p)
+            steps = eps * self.contrib[self.mirror[grp.rows]]  # (g, msize, p)
             x = var[grp.ids]
             for k in range(grp.msize):
                 x += steps[:, k]
@@ -278,7 +271,7 @@ class RoundKernel:
             stack, factor, kept, work, term = self._state[grp.msize]
             k = grp.msize * self.p
             flat = (len(grp.ids), k)
-            v = grp.dd * (vv - self.last[0][grp.rows]).reshape(flat)
+            v = (self.dd[grp.rows] * (vv - self.last[0][grp.rows])).reshape(flat)
             dg = (gv - self.last[1][grp.rows]).reshape(flat)
             r = dg - gamma * v
             ip = (v * r).sum(axis=1)

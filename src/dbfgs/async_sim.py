@@ -63,7 +63,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._kernel import CurvatureLost, RoundKernel, by_size
+from ._kernel import CurvatureLost, RoundKernel
 from .netgraph import Graph
 from .objectives import DistributedObjective
 from .sync_runtime import SyncConfig, Trace, _check_stop
@@ -318,25 +318,18 @@ class _AsyncEngine:
 
     def _key_sets(self, keys: np.ndarray, wb: np.ndarray, hoods: bool) -> list:
         """Per window (first batches ``wb``), the ascending ``keys`` in its rows
-        as (nodes, each row's first and one past the last position, groups,
-        keys from its first row). With ``hoods``, a group per neighborhood size:
-        positions, nodes and each node's neighborhood keys, in layout order."""
-        kernel, n = self.kernel, len(self.err_terms)
+        as (nodes, each row's first and one past the last position, kernel
+        groups of its keys from its first row with ``hoods``, those keys)."""
+        n = len(self.err_terms)
         nodes = keys % n
         bounds = np.searchsorted(keys, np.arange(wb[-1] + 1) * n)  # by row
         wk = bounds[wb]  # each window's first key
         keys = keys - np.repeat(wb[:-1] * n, np.diff(wk))
         rows, starts, batches = bounds.tolist(), wk.tolist(), wb.tolist()
-        out = [(nodes[lo:hi], [r - lo for r in rows[b0:b1 + 1]], [], keys[lo:hi])
-               for lo, hi, b0, b1 in zip(starts, starts[1:], batches, batches[1:])]
-        for msize, sel, part, cuts in by_size(kernel.m, nodes, wk) if hoods else ():
-            ids, pos, cuts = nodes[sel], sel - wk[part], cuts.tolist()
-            around = ((keys[sel] - ids)[:, None]
-                      + kernel.cols[kernel.offsets[ids, None] + np.arange(msize)])
-            for (*_, groups, _), lo, hi in zip(out, cuts, cuts[1:]):
-                if hi > lo:
-                    groups.append((pos[lo:hi], ids[lo:hi], around[lo:hi]))
-        return out
+        groups = self.kernel.batches(keys, wk) if hoods else [None] * len(batches)
+        return [(nodes[lo:hi], [r - lo for r in rows[b0:b1 + 1]], grp, keys[lo:hi])
+                for lo, hi, b0, b1, grp in zip(starts, starts[1:], batches, batches[1:],
+                                                groups)]
 
     def _plan(self, wl: int) -> list:
         """Per window of the slice from window ``wl`` (at least ``PLAN_EVENTS``
@@ -477,8 +470,8 @@ class _AsyncEngine:
         """``stage`` at a key set, from its neighborhood views of the given
         (rows n, p) planes."""
         out = np.empty((len(keys[0]), self.var.shape[1]))
-        for pos, ids, around in keys[2]:
-            out[pos] = stage(ids, *(plane[around] for plane in planes))
+        for grp in keys[2]:
+            out[grp.pos] = stage(grp.ids, *(plane[grp.nb] for plane in planes))
         return out
 
     def run(self) -> Trace:

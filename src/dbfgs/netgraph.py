@@ -38,14 +38,12 @@ class Layout(NamedTuple):
 
 @dataclass(frozen=True)
 class Graph:
-    """Undirected topology with closed neighborhoods.
+    """Undirected topology, stored as its closed neighborhoods.
 
     Attributes
     ----------
     n : int
         Number of nodes.
-    edges : frozenset
-        Unordered pairs stored as (min, max) tuples.
     neighborhoods : tuple of tuple of int
         For each node i, the sorted closed neighborhood (i included).
     m : tuple of int
@@ -53,7 +51,6 @@ class Graph:
     """
 
     n: int
-    edges: frozenset
     neighborhoods: tuple
     m: tuple
 
@@ -66,43 +63,35 @@ class Graph:
         """
         if n < 1:
             raise ValueError(f"node count must be positive, got {n}")
-        norm = set()
+        nbhd = [{i} for i in range(n)]
         for i, j in edges:
             if i == j:
                 raise ValueError(f"self-loop on node {i}")
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"edge ({i},{j}) out of range for n={n}")
-            norm.add((min(i, j), max(i, j)))
-        nbhd = [{i} for i in range(n)]
-        for i, j in norm:
             nbhd[i].add(j)
             nbhd[j].add(i)
         neighborhoods = tuple(tuple(sorted(s)) for s in nbhd)
-        g = cls(
-            n=n,
-            edges=frozenset(norm),
-            neighborhoods=neighborhoods,
-            m=tuple(len(s) for s in neighborhoods),
-        )
-        if n > 1 and not g.is_connected():
-            raise ValueError("graph is not connected")
+        g = cls(n=n, neighborhoods=neighborhoods, m=tuple(map(len, neighborhoods)))
+        if n > 1:
+            # imported here: it is slow to import and only built graphs need it
+            from scipy.sparse.csgraph import connected_components
+            lay = g.layout
+            adj = sp.csr_array((np.ones(len(lay.cols)), lay.cols, lay.indptr), shape=(n, n))
+            if connected_components(adj, directed=False, return_labels=False) > 1:
+                raise ValueError("graph is not connected")
         return g
+
+    @cached_property
+    def edges(self) -> frozenset:
+        """Unordered pairs as (min, max) tuples."""
+        return frozenset((i, j) for i, nb in enumerate(self.neighborhoods)
+                         for j in nb if i < j)
 
     def is_regular(self):
         """Common degree if the graph is regular, else None."""
         degs = {mi - 1 for mi in self.m}
         return degs.pop() if len(degs) == 1 else None
-
-    def is_connected(self) -> bool:
-        seen = {0}
-        stack = [0]
-        while stack:
-            i = stack.pop()
-            for j in self.neighborhoods[i]:
-                if j not in seen:
-                    seen.add(j)
-                    stack.append(j)
-        return len(seen) == self.n
 
     @cached_property
     def layout(self) -> Layout:
@@ -130,15 +119,10 @@ def build_d_regular_cycle(n: int, d: int) -> Graph:
         raise ValueError(f"connectivity d must be a positive even integer, got {d}")
     if d >= n:
         raise ValueError(f"connectivity d={d} must be smaller than n={n}")
-    # d < n, so the offsets -d/2..d/2 reach d + 1 distinct nodes and the
-    # d/2 forward edges of each node are distinct; the ring connects them
-    i = np.arange(n)[:, None]
-    ahead = (i + np.arange(1, d // 2 + 1)) % n
-    edges = zip(np.minimum(i, ahead).ravel().tolist(),
-                np.maximum(i, ahead).ravel().tolist())
-    nbhd = np.sort((i + np.arange(-(d // 2), d // 2 + 1)) % n, axis=1)
-    return Graph(n=n, edges=frozenset(edges),
-                 neighborhoods=tuple(map(tuple, nbhd.tolist())), m=(d + 1,) * n)
+    # d < n, so the offsets -d/2..d/2 reach d + 1 distinct nodes; the ring
+    # connects them
+    nbhd = np.sort((np.arange(n)[:, None] + np.arange(-(d // 2), d // 2 + 1)) % n, axis=1)
+    return Graph(n=n, neighborhoods=tuple(map(tuple, nbhd.tolist())), m=(d + 1,) * n)
 
 
 def build_weight_matrix(graph: Graph, d: int) -> sp.csr_array:

@@ -9,7 +9,8 @@ conditions, the classical BFGS update, the round kernel's curvature
 update in its one-shot stacked form, the sum of a node's descent
 contributions and the dense global descent matrix, the time functions and
 staleness bound of a clock schedule, the greedy window scan of an event
-queue, a per-message inbox, and random Metropolis problems. The runtimes never call these; they evaluate the
+queue, a per-message inbox, graph connectivity by breadth-first search,
+and random Metropolis problems. The runtimes never call these; they evaluate the
 staged, scaled forms and keep their messages in dated logs.
 """
 
@@ -245,7 +246,7 @@ def stacked_bfgs_reference(kernel, var_views: list, g_views: list, gamma: float,
     accepted = np.zeros(sum(len(grp.ids) for grp in groups), dtype=bool)
     for grp, vv, gv in zip(groups, var_views, g_views):
         flat = (len(grp.ids), -1)
-        v = grp.dd * (vv - kernel.last[0][grp.rows]).reshape(flat)
+        v = (kernel.dd[grp.rows] * (vv - kernel.last[0][grp.rows])).reshape(flat)
         dg = (gv - kernel.last[1][grp.rows]).reshape(flat)
         r = dg - gamma * v
         ip = (v * r).sum(axis=1)
@@ -369,6 +370,19 @@ def greedy_windows(queue, layout):
         for i in batch:
             blocked.update(around[i])
     yield window
+
+
+def is_connected(n: int, edges) -> bool:
+    """Breadth-first search from node 0 over an edge list reaches all n."""
+    adj = [[] for _ in range(n)]
+    for i, j in edges:
+        adj[i].append(j)
+        adj[j].append(i)
+    seen, frontier = {0}, [0]
+    while frontier:
+        frontier = [j for i in frontier for j in adj[i] if j not in seen]
+        seen.update(frontier)
+    return len(seen) == n
 
 
 def metropolis_weights(graph: Graph) -> np.ndarray:

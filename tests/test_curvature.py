@@ -371,6 +371,32 @@ def big_irregular_graph():
     return Graph.from_edges(200, [(i, (i + 1) % 200) for i in range(200)] + chords)
 
 
+@settings(max_examples=40, deadline=None)
+@given(graph=st.sampled_from([build_d_regular_cycle(9, 4), big_irregular_graph()]),
+       data=st.data())
+def test_kernel_batches_of_row_keys_shift_only_the_neighbor_keys(graph, data):
+    # keys row * n + node group like their node ids: the same ids, pos, slot
+    # and rows per part, with each neighbor key shifted by row * n
+    n, rows = graph.n, data.draw(st.integers(1, 4))
+    keys = np.array(sorted(data.draw(st.sets(st.integers(0, rows * n - 1), min_size=1,
+                                              max_size=40))), dtype=np.intp)
+    inner = data.draw(st.sets(st.integers(1, len(keys) - 1), max_size=3)
+                      if len(keys) > 1 else st.just(set()))
+    cuts = [0, *sorted(inner), len(keys)]
+    kernel = RoundKernel(graph, 2)
+    by_key, by_node = kernel.batches(keys, cuts), kernel.batches(keys % n, cuts)
+    assert len(by_key) == len(by_node) == len(cuts) - 1
+    for lo, key_groups, node_groups in zip(cuts, by_key, by_node):
+        assert len(key_groups) == len(node_groups) > 0
+        for kg, ng in zip(key_groups, node_groups):
+            assert kg.msize == ng.msize
+            for field in ("ids", "pos", "slot", "rows"):
+                assert np.array_equal(getattr(kg, field), getattr(ng, field))
+            shift = (keys[lo + kg.pos] - kg.ids)[:, None]
+            assert np.array_equal(kg.nb, ng.nb + shift)
+            assert np.array_equal(ng.nb, kernel.cols[ng.rows])
+
+
 @pytest.mark.parametrize("graph", [build_d_regular_cycle(40, 4), big_irregular_graph()])
 def test_first_round_descent_equals_the_identity_solve_bitwise(graph):
     # every curvature starts at I, which dposv solves exactly for finite g:

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dbfgs.netgraph import (
     Graph,
     build_d_regular_cycle,
     build_weight_matrix,
 )
-from oracles import validate_weight_matrix
+from oracles import is_connected, validate_weight_matrix
 
 
 def test_cycle_n4_d2_structure():
@@ -59,6 +61,21 @@ def test_from_edges_rejects_disconnected_and_bad_edges():
         Graph.from_edges(3, [(0, 0), (0, 1), (1, 2)])
     with pytest.raises(ValueError, match="out of range"):
         Graph.from_edges(3, [(0, 5)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_from_edges_accepts_exactly_the_connected_edge_lists(data):
+    n = data.draw(st.integers(1, 8))
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    edges = data.draw(st.lists(st.sampled_from(pairs), max_size=2 * n) if pairs
+                      else st.just([]))
+    if is_connected(n, edges):
+        g = Graph.from_edges(n, edges)
+        assert g.edges == frozenset((min(e), max(e)) for e in edges)
+    else:
+        with pytest.raises(ValueError, match="not connected"):
+            Graph.from_edges(n, edges)
 
 
 def test_weight_matrix_reference_values_d4():

@@ -377,7 +377,7 @@ def test_descent_block_conservation():
         # the descent step() applies: each node's neighbor contributions
         descent = np.zeros_like(eng.var)
         for grp in eng.kernel.groups:
-            descent[grp.ids] = eng.kernel.contrib[grp.ch].sum(axis=1)
+            descent[grp.ids] = eng.kernel.contrib[eng.kernel.mirror[grp.rows]].sum(axis=1)
         eng.step()
         big = assemble_global_descent_matrix(
             [type(st)(nodes=st.nodes, matrix=mat, gamma=st.gamma,
