@@ -362,8 +362,14 @@ class HistogramResult:
         return tuple(float(np.quantile(vals, q)) for q in qs)
 
     def median(self, method: str):
-        q = self.quantiles(method, (0.5,))
-        return None if q is None else q[0]
+        """Median over all the method's runs, censored ones ranked above every
+        reached value; None when a middle order statistic is censored."""
+        vals = sorted(self.counts.get(method, []))
+        total = len(vals) + self.censored.get(method, 0)
+        if len(vals) <= total // 2:
+            return None
+        mid = vals[(total - 1) // 2:total // 2 + 1]
+        return sum(mid) / len(mid)
 
 
 def histogram_exchanges(traces, threshold: float) -> HistogramResult:
@@ -422,28 +428,37 @@ def _ratio_criteria(fig, mode, threshold, fast, slow, budgets, cases, seeds,
                     outdir, alpha=None):
     """One criterion per (eta, label, need, note) case: the slow/fast ratio
     of median exchanges to the threshold is at least ``need``. Each method
-    runs alone with its own (iterations, step) budget."""
+    runs alone with its own (iterations, step) budget. Medians count the
+    censored runs; a censored fast median fails, and a censored slow median
+    is bounded below by counting each censored run at its last exchange
+    count, its budget unless it stopped early."""
     results = []
     for eta, label, need, note in cases:
-        runs = []
+        traces = {}
         for name in (fast, slow):
             iters, step = budgets[name]
             cfg = _quad_config(
                 50 if mode == "dual" else 100, eta, mode, [(name, step)],
                 iters, seeds, alpha=alpha, error_threshold=threshold,
                 stop_error=threshold)
-            runs += run_experiment(cfg, outdir)
-        hist = histogram_exchanges([r.trace for r in runs], threshold)
-        med_fast, med_slow = hist.median(fast), hist.median(slow)
-        if med_fast is None or med_slow is None:
-            results.append(CriterionResult(
-                f"{fig}.ratio_{label}", False,
-                f"censored runs prevent the ratio (censored: {hist.censored})"))
+            traces[name] = [r.trace for r in run_experiment(cfg, outdir)]
+        hist = histogram_exchanges(traces[fast] + traces[slow], threshold)
+        reached = ", ".join(f"{m} reached {len(hist.counts.get(m, []))} of "
+                            f"{len(traces[m])}" for m in (fast, slow))
+        med_fast, med_slow, bound = hist.median(fast), hist.median(slow), ""
+        if med_slow is None:  # a censored run needs more than its last count
+            hits = [_exchanges_to_threshold(t, threshold) for t in traces[slow]]
+            med_slow = float(np.median([t.exchanges[-1] if hit is None else hit
+                                        for t, hit in zip(traces[slow], hits)]))
+            bound = ">= "
+        if med_fast is None:
+            passed, detail = False, f"{fast} median censored, no ratio"
         else:
             ratio = med_slow / med_fast
-            results.append(CriterionResult(
-                f"{fig}.ratio_{label}", ratio >= need,
-                f"{slow}/{fast} median exchange ratio {ratio:.2f} ({note})"))
+            passed, detail = ratio >= need, (f"{slow}/{fast} median exchange ratio "
+                                             f"{bound}{ratio:.2f}")
+        results.append(CriterionResult(f"{fig}.ratio_{label}", passed,
+                                       f"{detail} ({reached}; {note})"))
     return results
 
 

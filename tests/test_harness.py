@@ -418,6 +418,47 @@ def test_histogram_counts_and_censoring():
     assert hist.median("dd") is None
 
 
+@pytest.mark.parametrize("reached,censored,median", [
+    ([10, 20, 30], 1, 25.0),  # fewer than half censored: counted above 30
+    ([10, 20, 30], 2, 30.0),
+    ([10, 20], 2, None),  # exactly half: a censored run is a middle one
+    ([10], 2, None),  # more than half
+    ([], 3, None),
+])
+def test_histogram_median_ranks_censored_runs_last(reached, censored, median):
+    hist = harness.HistogramResult(threshold=0.1, counts={"dbfgs": reached},
+                                   censored={"dbfgs": censored})
+    assert hist.median("dbfgs") == median
+
+
+def test_ratio_criteria_bound_a_censored_slow_median(monkeypatch):
+    # dbfgs reaches at 100 exchanges in every run; admm reaches at 100 in one
+    # of three and runs out its 1000-exchange budget in two, so its median
+    # is censored and the ratio is at least 1000 / 100; dd never reaches
+    runs = {"dbfgs": [[1.0, 1e-3]] * 3, "admm": [[1e-3]] + [[1.0] * 10] * 2,
+            "dd": [[1.0] * 10] * 3}
+    cost = {"dbfgs": 50, "admm": 100, "dd": 100}
+
+    def fake_run(cfg, outdir=None):
+        (method, _), = cfg.methods
+        return [harness.RunResult(method, s, fake_trace(method, s, errs, cost[method]),
+                                  None) for s, errs in enumerate(runs[method])]
+
+    monkeypatch.setattr(harness, "run_experiment", fake_run)
+    budgets = {m: (10, 0.01) for m in runs}
+    cases = ((0.0, "low", 5.0, "need >= 5"), (0.0, "high", 20.0, "need >= 20"))
+    low, high = harness._ratio_criteria("figX", "dual", 1e-2, "dbfgs", "admm",
+                                        budgets, cases, range(3), None)
+    assert (low.passed, high.passed) == (True, False)
+    assert low.detail == ("admm/dbfgs median exchange ratio >= 10.00 (dbfgs reached "
+                          "3 of 3, admm reached 1 of 3; need >= 5)")
+    (fails,) = harness._ratio_criteria("figX", "dual", 1e-2, "dd", "dbfgs", budgets,
+                                       cases[:1], range(3), None)
+    assert not fails.passed
+    assert fails.detail == ("dd median censored, no ratio (dd reached 0 of 3, "
+                            "dbfgs reached 3 of 3; need >= 5)")
+
+
 def test_histogram_order_independence():
     rng = np.random.default_rng(0)
     traces = [fake_trace("dbfgs", s, list(np.sort(rng.uniform(0, 1, 50))[::-1]), 2)
