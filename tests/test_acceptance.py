@@ -7,17 +7,23 @@ Six quantitative sub-criteria are xfail with a shared blocking analysis:
 with every ingredient pinned (instance construction, absolute error
 metric, zero initialization, the published stepsizes and regularizers,
 identity B(0), the update's feasibility rule), the absolute convergence
-levels reported for the quasi-Newton method are not reachable. Two effects
-bound it: an ideal preconditioner obeying the assembled-spectrum bounds
-contracts squared error by at most ~exp(-2 eps T) at the published
-stepsizes, and the feasibility rule rejects secant pairs whose effective
-curvature falls below gamma, so directions carrying most of the initial
-error (consensus directions under the scaled penalty, slow ring modes in
-the dual) never get curvature-corrected. Both were verified by parameter
-sweeps over (gamma, Gamma, eps, B(0) scale) and objective scalings. The
-relative claims (orderings, exchange ratios, drift insensitivity) all hold
-and are asserted. If an xfailed criterion starts passing, the strict
-marker turns it into a suite failure so the expectation gets revisited.
+levels reported for the quasi-Newton method are not reached. The
+feasibility rule rejects secant pairs whose effective curvature falls
+below gamma, so directions carrying most of the initial error (consensus
+directions under the scaled penalty, slow ring modes in the dual) never get
+curvature-corrected at the published stepsizes: at fig2 the median error
+after 200 rounds is 9.5e-2 against a 1e-2 target. This was checked by
+parameter sweeps over (gamma, Gamma, eps, B(0) scale) and objective
+scalings.
+
+These relative claims hold and are asserted: fig2's ordering, fig4's DGD
+error band, fig5's exchange ratios, fig6's D-BFGS-against-DD gap and drift
+insensitivity, and fig7's ordering. fig3's exchange ratios fail, for the
+same reason: within its budget D-BFGS reaches 1e-2 in 15 of 20 seeds at
+condition 1 and 3 of 20 at condition 100, and its median, counting every
+run, does not beat ADMM's; they are two of the six xfails. If an xfailed
+criterion starts passing, the strict marker turns it into a suite failure
+so the expectation gets revisited.
 """
 
 import time
