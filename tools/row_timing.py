@@ -23,9 +23,9 @@ schedules built outside the timed call:
 A worker times each (case, seed) ``--repeats`` times with
 ``time.process_time`` and keeps the fastest; its value for a case is the
 median over the seeds of that time over the trace's row count, in us.
-The last line of standard output is a JSON object: per case and checkout
-the per-round values, their median and quartiles, and the number of
-rounds in which CHANGE was faster.
+Standard output is one JSON object: per case and checkout the per-round
+values, their median and quartiles, and the number of rounds in which
+CHANGE was faster. Each round's values go to standard error as it ends.
 """
 
 from __future__ import annotations
@@ -109,6 +109,8 @@ def main(argv=None) -> int:
     ap.add_argument("--repeats", type=int, default=3)
     ap.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
+    if args.repeats < 1:
+        ap.error("--repeats must be at least 1")
     if args.worker:
         print(json.dumps(worker(args.repeats)))
         return 0
