@@ -39,7 +39,6 @@ import pytest
 import scipy
 
 from dbfgs import harness
-
 from dbfgs.async_sim import (AsyncConfig, ClockSchedule, gen_clock_schedule,
                              run_dbfgs_async, run_dd_async, virtual_replay)
 from dbfgs.netgraph import Graph, build_d_regular_cycle, build_weight_matrix
@@ -191,8 +190,8 @@ def current() -> dict:
             for tag, trace in runs}
 
 
-def run_profile(name: str, seeds=PROFILE_SEEDS) -> tuple:
-    """Run profile ``name``; return the digest of every run, keyed by the
+def run_profile(name: str) -> tuple:
+    """Run profile ``name`` at ``PROFILE_SEEDS``; return the digest of every run, keyed by the
     CSV name ``run_experiment`` gives it, and the criteria by name. Each
     run is hashed as it is produced, so no trace outlives the profile."""
     digests = {}
@@ -207,7 +206,7 @@ def run_profile(name: str, seeds=PROFILE_SEEDS) -> tuple:
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(harness, "run_experiment", hashed)
-        criteria = harness.PROFILES[name](seeds, None)
+        criteria = harness.PROFILES[name](PROFILE_SEEDS, None)
     return digests, {c.name: c for c in criteria}
 
 
