@@ -349,11 +349,13 @@ def _exchanges_to_threshold(trace: Trace, threshold: float):
 
 @dataclass
 class HistogramResult:
-    """Exchanges-to-threshold per method: reached values and censored count."""
+    """Exchanges-to-threshold per method: reached values, censored count
+    and each censored run's last exchange count."""
 
     threshold: float
     counts: dict = field(default_factory=dict)  # method -> list of int
     censored: dict = field(default_factory=dict)  # method -> int
+    censored_last: dict = field(default_factory=dict)  # method -> list of int
 
     def quantiles(self, method: str, qs=(0.25, 0.5, 0.75)):
         vals = self.counts.get(method, [])
@@ -380,6 +382,8 @@ def histogram_exchanges(traces, threshold: float) -> HistogramResult:
         exch = _exchanges_to_threshold(trace, threshold)
         if exch is None:
             out.censored[trace.method] = out.censored.get(trace.method, 0) + 1
+            out.censored_last.setdefault(trace.method, []).append(
+                int(trace.exchanges[-1]))
         else:
             out.counts.setdefault(trace.method, []).append(exch)
     return out
@@ -447,9 +451,8 @@ def _ratio_criteria(fig, mode, threshold, fast, slow, budgets, cases, seeds,
                             f"{len(traces[m])}" for m in (fast, slow))
         med_fast, med_slow, bound = hist.median(fast), hist.median(slow), ""
         if med_slow is None:  # a censored run needs more than its last count
-            hits = [_exchanges_to_threshold(t, threshold) for t in traces[slow]]
-            med_slow = float(np.median([t.exchanges[-1] if hit is None else hit
-                                        for t, hit in zip(traces[slow], hits)]))
+            med_slow = float(np.median(hist.counts.get(slow, [])
+                                       + hist.censored_last[slow]))
             bound = ">= "
         if med_fast is None:
             passed, detail = False, f"{fast} median censored, no ratio"

@@ -414,6 +414,7 @@ def test_histogram_counts_and_censoring():
     hist = histogram_exchanges(traces, 0.05)
     assert sorted(hist.counts["dbfgs"]) == [4, 6]
     assert hist.censored == {"dd": 1}
+    assert hist.censored_last == {"dd": [4]}  # its last exchange count
     assert hist.median("dbfgs") == 5.0
     assert hist.median("dd") is None
 

@@ -2,7 +2,7 @@
 
 Usage, from anywhere:
 
-    python tools/row_timing.py PARENT CHANGE [--rounds 8] [--repeats 3]
+    python tools/row_timing.py PARENT CHANGE [--rounds 8]
 
 PARENT and CHANGE are checkout roots; each one's ``dbfgs`` is imported from
 its ``src``. Every round runs one worker process per checkout, parent first
@@ -20,7 +20,7 @@ schedules built outside the timed call:
   eta 0, step 0.01, gamma 1e-2, Gamma 1e-3, stop at error 1e-2, at most
   3000 rounds).
 
-A worker times each (case, seed) ``--repeats`` times with
+A worker times each (case, seed) ``REPEATS`` times with
 ``time.process_time`` and keeps the fastest; its value for a case is the
 median over the seeds of that time over the trace's row count, in us.
 Standard output is one JSON object: per case and checkout the per-round
@@ -39,10 +39,11 @@ import sys
 import time
 
 SEEDS = (0, 1, 2)
+REPEATS = 3
 CASES = ("fig6-dbfgs", "fig6-dd", "fig3-dbfgs-sync")
 
 
-def worker(repeats: int) -> dict:
+def worker() -> dict:
     """Per case, the median over seeds of the fastest us per row."""
     from dbfgs.async_sim import (AsyncConfig, gen_clock_schedule, run_dbfgs_async,
                                  run_dd_async)
@@ -79,7 +80,7 @@ def worker(repeats: int) -> dict:
         for seed in SEEDS:
             call = cases[name](seed)
             best = float("inf")
-            for _ in range(repeats):
+            for _ in range(REPEATS):
                 t0 = time.process_time()
                 trace = call()
                 best = min(best, (time.process_time() - t0) / len(trace.error))
@@ -88,11 +89,11 @@ def worker(repeats: int) -> dict:
     return out
 
 
-def measure(checkout: str, repeats: int) -> dict:
+def measure(checkout: str) -> dict:
     env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"),
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    proc = subprocess.run([sys.executable, __file__, "--worker", "--repeats", str(repeats)],
-                          env=env, capture_output=True, text=True, check=True)
+    proc = subprocess.run([sys.executable, __file__, "--worker"], env=env,
+                          capture_output=True, text=True, check=True)
     return json.loads(proc.stdout.splitlines()[-1])
 
 
@@ -106,13 +107,10 @@ def main(argv=None) -> int:
     ap.add_argument("parent", nargs="?")
     ap.add_argument("change", nargs="?")
     ap.add_argument("--rounds", type=int, default=8)
-    ap.add_argument("--repeats", type=int, default=3)
     ap.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
-    if args.repeats < 1:
-        ap.error("--repeats must be at least 1")
     if args.worker:
-        print(json.dumps(worker(args.repeats)))
+        print(json.dumps(worker()))
         return 0
     if args.parent is None or args.change is None or args.rounds < 2:
         ap.error("give two checkouts and at least 2 rounds")
@@ -120,10 +118,10 @@ def main(argv=None) -> int:
     for rnd in range(args.rounds):
         order = ("parent", "change") if rnd % 2 == 0 else ("change", "parent")
         for side in order:
-            runs[side].append(measure(getattr(args, side), args.repeats))
+            runs[side].append(measure(getattr(args, side)))
         print(f"round {rnd}: " + json.dumps({s: runs[s][-1] for s in order}),
               file=sys.stderr)
-    out = {"unit": "us/row", "rounds": args.rounds, "repeats": args.repeats,
+    out = {"unit": "us/row", "rounds": args.rounds, "repeats": REPEATS,
            "seeds": list(SEEDS), "cases": {}}
     for name in CASES:
         parent = [r[name] for r in runs["parent"]]
