@@ -471,7 +471,7 @@ class _AsyncEngine:
         (rows n, p) planes."""
         out = np.empty((len(keys[0]), self.var.shape[1]))
         for grp in keys[2]:
-            out[grp.pos] = stage(grp.ids, *(plane[grp.nb] for plane in planes))
+            out[grp.pos] = stage(grp.ids, *(plane.take(grp.nb, 0) for plane in planes))
         return out
 
     def run(self) -> Trace:
