@@ -80,9 +80,8 @@ class RoundKernel:
         lay = graph.layout
         self.offsets, self.cols, self.mirror = lay.indptr, lay.cols, lay.mirror
         self.total_blocks = int(self.offsets[-1])
-        # D's diagonal block 1/m_j for every layout row; the rounds gather
-        # rows of it, of last and of contrib with take, which at n = 1000 is
-        # about ten times faster than indexing
+        # D's diagonal block 1/m_j for every layout row; rounds gather layout
+        # rows with take, about ten times faster than indexing at n = 1000
         self.dd = np.repeat(1.0 / self.m[self.cols], p).reshape(-1, p)
         # each node's position among the nodes of its neighborhood size
         self.slot = np.empty(graph.n, dtype=np.intp)

@@ -414,9 +414,17 @@ def test_histogram_counts_and_censoring():
     hist = histogram_exchanges(traces, 0.05)
     assert sorted(hist.counts["dbfgs"]) == [4, 6]
     assert hist.censored == {"dd": 1}
-    assert hist.censored_last == {"dd": [4]}  # its last exchange count
     assert hist.median("dbfgs") == 5.0
     assert hist.median("dd") is None
+
+
+def test_histogram_keeps_each_censored_runs_last_exchange_count():
+    traces = [fake_trace("dd", 0, [1.0, 0.9, 0.8, 0.7], 1),
+              fake_trace("dd", 1, [1.0, 0.01], 1),
+              fake_trace("dd", 2, [1.0, 0.9], 3)]
+    hist = histogram_exchanges(traces, 0.05)
+    assert (hist.counts, hist.censored) == ({"dd": [2]}, {"dd": 2})
+    assert hist.censored_last == {"dd": [4, 6]}
 
 
 @pytest.mark.parametrize("reached,censored,median", [
