@@ -165,7 +165,7 @@ class RoundKernel:
 
     def gather_views(self, arr: np.ndarray) -> list:
         """Per-group (g, m, p) neighborhood views of a (n, p) array."""
-        return [arr[grp.nb] for grp in self.groups]
+        return [arr.take(grp.nb, 0) for grp in self.groups]
 
     # -- one D-BFGS round -------------------------------------------------------
 

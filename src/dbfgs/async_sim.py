@@ -382,19 +382,20 @@ class _AsyncEngine:
         # (g, m) ``packages`` rows its slots read
         reads = [self.read[self.slot_at[e0 + grp.pos, None] + np.arange(grp.msize)]
                  for grp in groups]
-        var_views = [self.packages[0][rows] for rows in reads]
+        var_views = [self.packages[0].take(rows, 0) for rows in reads]
         for grp, vv in zip(groups, var_views):
             self.aux[grp.ids] = self.obj.stage1_block(grp.ids, vv)
-        aux_views = [self.packages[1][rows] for rows in reads]
+        aux_views = [self.packages[1].take(rows, 0) for rows in reads]
         for grp, vv, av in zip(groups, var_views, aux_views):
             self.g[grp.ids] = self.obj.stage2_block(grp.ids, vv, av)
         # D-BFGS's step; a lost curvature ends the run at the first batch
         # holding one, and nothing the window does after that is observed
         lost = []
         if self.dbfgs:
+            g_views = [self.packages[2].take(rows, 0) for rows in reads]
             try:
-                kernel.dbfgs_round(var_views, [self.packages[2][rows] for rows in reads],
-                                   cfg.gamma, cfg.big_gamma, init, groups)
+                kernel.dbfgs_round(var_views, g_views, cfg.gamma, cfg.big_gamma, init,
+                                   groups)
             except CurvatureLost as exc:
                 lost = exc.nodes
         # phase 3, apply: a batch's fresh blocks land on the states from its

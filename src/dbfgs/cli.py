@@ -71,15 +71,12 @@ def _cmd_histogram(args) -> int:
         return 2
     hist = histogram_exchanges(traces, args.threshold)
     print(f"threshold {args.threshold}")
-    for method in sorted(set(hist.counts) | set(hist.censored)):
-        qs = hist.quantiles(method)
-        reached = len(hist.counts.get(method, []))
-        cens = hist.censored.get(method, 0)
-        if qs is None:
-            print(f"{method}: reached=0 censored={cens}")
-        else:
-            print(f"{method}: reached={reached} censored={cens} "
-                  f"q25={qs[0]:.0f} median={qs[1]:.0f} q75={qs[2]:.0f}")
+    for method, runs in sorted(hist.runs.items()):
+        reached = sum(ok for _, ok in runs)
+        quartiles = (hist.quantile(method, q) for q in (0.25, 0.5, 0.75))
+        q25, med, q75 = ("censored" if v is None else f"{v:.0f}" for v in quartiles)
+        print(f"{method}: reached={reached} censored={len(runs) - reached} "
+              f"q25={q25} median={med} q75={q75}")
     return 0
 
 

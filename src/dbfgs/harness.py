@@ -328,8 +328,8 @@ def summarize_runs(cfg: ExperimentConfig, results) -> str:
         line = (f"{r.method} seed={r.seed} status={r.trace.status} "
                 f"final_error={final:.6e}")
         if cfg.error_threshold is not None:
-            exch = _exchanges_to_threshold(r.trace, cfg.error_threshold)
-            line += f" exchanges_to_threshold={'censored' if exch is None else exch}"
+            exch, reached = _exchanges_to_threshold(r.trace, cfg.error_threshold)
+            line += f" exchanges_to_threshold={exch if reached else 'censored'}"
         lines.append(line)
     return "\n".join(lines) + "\n"
 
@@ -340,52 +340,44 @@ def summarize_runs(cfg: ExperimentConfig, results) -> str:
 
 
 def _exchanges_to_threshold(trace: Trace, threshold: float):
-    err = np.asarray(trace.error)
-    hits = np.nonzero(err <= threshold)[0]
-    if len(hits) == 0:
-        return None
-    return int(trace.exchanges[hits[0]])
+    """(exchanges, reached): the first cumulative exchange count at which the
+    trace's error is at most the threshold, reached True; for a run that
+    never reaches it (a censored run), its last exchange count (0 with no
+    rows), reached False."""
+    hits = np.nonzero(np.asarray(trace.error) <= threshold)[0]
+    if len(hits):
+        return int(trace.exchanges[hits[0]]), True
+    return (int(trace.exchanges[-1]) if trace.exchanges else 0), False
 
 
 @dataclass
 class HistogramResult:
-    """Exchanges-to-threshold per method: reached values, censored count
-    and each censored run's last exchange count."""
+    """Exchanges-to-threshold per method: one (exchanges, reached) pair per
+    run, in trace order."""
 
     threshold: float
-    counts: dict = field(default_factory=dict)  # method -> list of int
-    censored: dict = field(default_factory=dict)  # method -> int
-    censored_last: dict = field(default_factory=dict)  # method -> list of int
+    runs: dict = field(default_factory=dict)  # method -> list of (int, bool)
 
-    def quantiles(self, method: str, qs=(0.25, 0.5, 0.75)):
-        vals = self.counts.get(method, [])
-        if not vals:
+    def quantile(self, method: str, q: float):
+        """np.quantile's linear rule over all the method's runs, censored ones
+        ranked above every reached value; None when the result needs a
+        censored run."""
+        runs = self.runs.get(method, [])
+        reached = sorted(exch for exch, ok in runs if ok)
+        if not reached or math.ceil(q * (len(runs) - 1)) >= len(reached):
             return None
-        return tuple(float(np.quantile(vals, q)) for q in qs)
-
-    def median(self, method: str):
-        """Median over all the method's runs, censored ones ranked above every
-        reached value; None when a middle order statistic is censored."""
-        vals = sorted(self.counts.get(method, []))
-        total = len(vals) + self.censored.get(method, 0)
-        if len(vals) <= total // 2:
-            return None
-        mid = vals[(total - 1) // 2:total // 2 + 1]
-        return sum(mid) / len(mid)
+        # np.quantile reads no rank past the reached values, so each censored
+        # run may stand in as the largest of them
+        return float(np.quantile(reached + reached[-1:] * (len(runs) - len(reached)), q))
 
 
 def histogram_exchanges(traces, threshold: float) -> HistogramResult:
-    """First cumulative exchange count at which each trace reaches the
-    threshold error; runs that never reach it are censored."""
+    """Each trace's (exchanges, reached) pair for the threshold error, grouped
+    by method."""
     out = HistogramResult(threshold=threshold)
     for trace in traces:
-        exch = _exchanges_to_threshold(trace, threshold)
-        if exch is None:
-            out.censored[trace.method] = out.censored.get(trace.method, 0) + 1
-            out.censored_last.setdefault(trace.method, []).append(
-                int(trace.exchanges[-1]))
-        else:
-            out.counts.setdefault(trace.method, []).append(exch)
+        out.runs.setdefault(trace.method, []).append(
+            _exchanges_to_threshold(trace, threshold))
     return out
 
 
@@ -447,12 +439,12 @@ def _ratio_criteria(fig, mode, threshold, fast, slow, budgets, cases, seeds,
                 stop_error=threshold)
             traces[name] = [r.trace for r in run_experiment(cfg, outdir)]
         hist = histogram_exchanges(traces[fast] + traces[slow], threshold)
-        reached = ", ".join(f"{m} reached {len(hist.counts.get(m, []))} of "
-                            f"{len(traces[m])}" for m in (fast, slow))
-        med_fast, med_slow, bound = hist.median(fast), hist.median(slow), ""
+        reached = ", ".join(f"{m} reached {sum(ok for _, ok in hist.runs[m])} of "
+                            f"{len(hist.runs[m])}" for m in (fast, slow))
+        med_fast, med_slow = hist.quantile(fast, 0.5), hist.quantile(slow, 0.5)
+        bound = ""
         if med_slow is None:  # a censored run needs more than its last count
-            med_slow = float(np.median(hist.counts.get(slow, [])
-                                       + hist.censored_last[slow]))
+            med_slow = float(np.median([exch for exch, _ in hist.runs[slow]]))
             bound = ">= "
         if med_fast is None:
             passed, detail = False, f"{fast} median censored, no ratio"

@@ -540,6 +540,29 @@ def test_schedule_rejects_non_finite_clock_parameters(mu, sigma, horizon):
         gen_clock_schedule(1, mu, sigma, horizon, 0)
 
 
+def zero_optimum_run():
+    """D-BFGS on a ring whose every b_i is zero, so x* = 0."""
+    g = build_d_regular_cycle(6, 2)
+    inst = QuadraticInstance(a=np.ones((6, 4)), b=np.zeros((6, 4)), eta=0.0, seed=0)
+    obj = DistributedObjective(inst, g, build_weight_matrix(g, 2), "dual")
+    run_dbfgs_async(g, obj, dbfgs_cfg(), gen_clock_schedule(6, 1.0, 0.1, 5.0, 0))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: gen_clock_schedule(2, 0.0, 0.1, 5.0, 0),
+     "mean clock increment must be positive"),
+    (lambda: gen_clock_schedule(2, 1.0, -0.1, 5.0, 0),
+     "clock standard deviation must be nonnegative"),
+    (lambda: run_dbfgs_async(*ring_dual(6, 2, 1.0, 0), dbfgs_cfg(),
+                             gen_clock_schedule(5, 1.0, 0.1, 5.0, 0)),
+     "schedule and graph disagree on node count"),
+    (zero_optimum_run, "consensus error is undefined for a zero optimum"),
+], ids=["zero-mu", "negative-sigma", "node-count", "zero-optimum"])
+def test_async_input_checks(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 @pytest.mark.parametrize("delta", [-0.5, np.nan, np.inf])
 @pytest.mark.parametrize("runner", [run_dbfgs_async, virtual_replay, run_dd_async])
 def test_async_config_rejects_negative_or_nan_delay(runner, delta):

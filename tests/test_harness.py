@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dbfgs.harness as harness
+from dbfgs.async_sim import gen_clock_schedule
 from dbfgs.cli import main as cli_main
 from dbfgs.harness import (
     DEFAULT_SEEDS,
@@ -20,6 +21,7 @@ from dbfgs.harness import (
     reproduce_paper_suite,
     run_experiment,
 )
+from dbfgs.netgraph import build_d_regular_cycle, build_weight_matrix
 from dbfgs.sync_runtime import METHOD_MODES, Trace
 
 BASE_CONFIG = """
@@ -239,6 +241,12 @@ def test_parse_async_section():
      "run.error_threshold: must be finite"),
     (("seeds = [0, 1]", "seeds = [-1]"), "run.seeds: .* non-negative"),
     (("seeds = [0, 1]", "seeds = [0, 0]"), "run.seeds: .*distinct"),
+    # a text without a [methods] section, an unknown mode, a clock without
+    # its deviation
+    (("[methods]\ndbfgs = 0.05\ndd = 0.002", ""), r"^\[methods\]: no method given$"),
+    (('kind = "dual"', 'kind = "diagonal"'), "^mode.kind: unknown mode 'diagonal'$"),
+    (("dd = 0.002", "dd = 0.002\n[async]\nmu_clk = 1.0"),
+     "^async.sigma_clk: missing required key$"),
 ])
 def test_parse_rejections(mutation, match):
     old, new = mutation
@@ -373,6 +381,17 @@ ASYNC_CONFIG = BASE_CONFIG.replace("dd = 0.002", "dd = 0.002\n\n[async]\n"
                                    "mu_clk = 1.0\nsigma_clk = 0.2\nhorizon = 12.0")
 
 
+def test_async_horizon_defaults_to_thirty_clock_means_past_the_budget():
+    cfg = parse_config(ASYNC_CONFIG.replace("\nhorizon = 12.0", ""))
+    assert cfg.horizon is None
+    graph = build_d_regular_cycle(cfg.n, cfg.d)
+    _, schedule = harness._setup(cfg, 1, graph, build_weight_matrix(graph, cfg.d))
+    want = gen_clock_schedule(cfg.n, cfg.mu_clk, cfg.sigma_clk,
+                              cfg.mu_clk * (cfg.iterations + 30), 1)
+    assert len(schedule.times) == len(want.times) == cfg.n
+    assert all(np.array_equal(got, ticks) for got, ticks in zip(schedule.times, want.times))
+
+
 @pytest.mark.parametrize("text, columns", [(BASE_CONFIG, 7), (ASYNC_CONFIG, 9)],
                          ids=["sync", "async"])
 def test_csv_round_trip(tmp_path, text, columns):
@@ -412,19 +431,19 @@ def test_histogram_counts_and_censoring():
         fake_trace("dd", 0, [1.0, 0.9, 0.8, 0.7], 1),
     ]
     hist = histogram_exchanges(traces, 0.05)
-    assert sorted(hist.counts["dbfgs"]) == [4, 6]
-    assert hist.censored == {"dd": 1}
-    assert hist.median("dbfgs") == 5.0
-    assert hist.median("dd") is None
+    assert hist.runs == {"dbfgs": [(6, True), (4, True)], "dd": [(4, False)]}
+    assert hist.quantile("dbfgs", 0.5) == 5.0
+    assert hist.quantile("dd", 0.5) is None
 
 
 def test_histogram_keeps_each_censored_runs_last_exchange_count():
+    # a trace with no rows is censored at 0 exchanges
     traces = [fake_trace("dd", 0, [1.0, 0.9, 0.8, 0.7], 1),
               fake_trace("dd", 1, [1.0, 0.01], 1),
-              fake_trace("dd", 2, [1.0, 0.9], 3)]
+              fake_trace("dd", 2, [1.0, 0.9], 3),
+              fake_trace("dd", 3, [], 1)]
     hist = histogram_exchanges(traces, 0.05)
-    assert (hist.counts, hist.censored) == ({"dd": [2]}, {"dd": 2})
-    assert hist.censored_last == {"dd": [4, 6]}
+    assert hist.runs == {"dd": [(4, False), (2, True), (6, False), (0, False)]}
 
 
 @pytest.mark.parametrize("reached,censored,median", [
@@ -435,9 +454,25 @@ def test_histogram_keeps_each_censored_runs_last_exchange_count():
     ([], 3, None),
 ])
 def test_histogram_median_ranks_censored_runs_last(reached, censored, median):
-    hist = harness.HistogramResult(threshold=0.1, counts={"dbfgs": reached},
-                                   censored={"dbfgs": censored})
-    assert hist.median("dbfgs") == median
+    # a censored run's count, here below every reached one, does not rank it
+    runs = [(5, False)] * censored + [(exch, True) for exch in reached]
+    hist = harness.HistogramResult(threshold=0.1, runs={"dbfgs": runs})
+    assert hist.quantile("dbfgs", 0.5) == median
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(reached=st.lists(st.integers(0, 10**4), max_size=12), censored=st.integers(0, 12),
+       q=st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]))
+def test_histogram_quantile_is_numpys_with_censored_runs_ranked_last(reached, censored,
+                                                                     q):
+    # a censored run counted as 10**9, above every reached count: at these q
+    # a quantile that reads one exceeds them all, and is None
+    runs = [(exch, True) for exch in reached] + [(0, False)] * censored
+    hist = harness.HistogramResult(threshold=0.1, runs={"dbfgs": runs})
+    padded = reached + [10**9] * censored
+    want = float(np.quantile(padded, q)) if padded else None
+    assert hist.quantile("dbfgs", q) == (want if want is not None and want <= 10**4
+                                         else None)
 
 
 def test_ratio_criteria_bound_a_censored_slow_median(monkeypatch):
@@ -472,8 +507,8 @@ def test_histogram_order_independence():
     rng = np.random.default_rng(0)
     traces = [fake_trace("dbfgs", s, list(np.sort(rng.uniform(0, 1, 50))[::-1]), 2)
               for s in range(9)]
-    forward = histogram_exchanges(traces, 0.2).median("dbfgs")
-    backward = histogram_exchanges(traces[::-1], 0.2).median("dbfgs")
+    forward = histogram_exchanges(traces, 0.2).quantile("dbfgs", 0.5)
+    backward = histogram_exchanges(traces[::-1], 0.2).quantile("dbfgs", 0.5)
     assert forward == backward
 
 
@@ -507,6 +542,67 @@ def test_cli_run_and_histogram(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "threshold 0.5" in out
+
+
+def test_cli_histogram_prints_censoring_aware_quartiles(tmp_path, capsys):
+    # dbfgs reaches at 4, 8 and 12 exchanges, and one run is censored at 4:
+    # ranked last, it is the q75's upper neighbor (rank 2.25 of 0..3)
+    traces = [fake_trace("dbfgs", s, [1.0] * s + [0.01], 4) for s in range(3)]
+    traces += [fake_trace("dbfgs", 3, [1.0], 4), fake_trace("dd", 0, [1.0, 0.9], 1)]
+    for k, trace in enumerate(traces):
+        (tmp_path / f"t{k}.csv").write_text(trace.to_csv())
+    assert cli_main(["histogram", str(tmp_path / "*.csv"), "-t", "0.05"]) == 0
+    assert capsys.readouterr().out == (
+        "threshold 0.05\n"
+        "dbfgs: reached=3 censored=1 q25=7 median=10 q75=censored\n"
+        "dd: reached=0 censored=1 q25=censored median=censored q75=censored\n")
+
+
+def test_cli_histogram_of_runs_that_end_before_their_first_row(tmp_path, capsys):
+    # a horizon before any node's second tick ends each async run with no
+    # row; its CSV is a header alone, which names no method, so the reader
+    # gives the trace the method "?", and the run counts as censored
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(BASE_CONFIG.replace("n = 8", "n = 6").replace(
+        "dd = 0.002", "dd = 0.002\n\n[async]\nmu_clk = 1.0\nsigma_clk = 0.1\n"
+        "horizon = 0.005"))
+    outdir = tmp_path / "out"
+    assert cli_main(["run", str(cfg_path), "--outdir", str(outdir)]) == 0
+    csvs = sorted(outdir.glob("*.csv"))
+    assert len(csvs) == 4 and all(len(p.read_text().splitlines()) == 1 for p in csvs)
+    assert cli_main(["histogram", str(outdir / "*.csv"), "-t", "0.5"]) == 0
+    assert capsys.readouterr().out.endswith(
+        "?: reached=0 censored=4 q25=censored median=censored q75=censored\n")
+
+
+def test_cli_run_without_outdir_writes_to_the_environment_outdir(monkeypatch, tmp_path,
+                                                                  capsys):
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(BASE_CONFIG)
+    envdir = tmp_path / "env"
+    monkeypatch.setenv("DBFGS_OUTDIR", str(envdir))
+    monkeypatch.chdir(tmp_path)
+    assert cli_main(["run", str(cfg_path)]) == 0
+    assert len(list(envdir.glob("*.csv"))) == 4
+    assert not (tmp_path / "runs").exists()
+    assert f"wrote 4 trace(s) to {envdir} " in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("second, code", [(True, 0), (False, 1)], ids=["pass", "fail"])
+def test_cli_reproduce_prints_each_criterion_and_exits_on_the_verdict(monkeypatch, capsys,
+                                                                      second, code):
+    calls = []
+
+    def profile(seeds, outdir):
+        calls.append((seeds, outdir))
+        return [harness.CriterionResult("figX.first", True, "one"),
+                harness.CriterionResult("figX.second", second, "two")]
+
+    monkeypatch.setitem(harness.PROFILES, "figX", profile)
+    assert cli_main(["reproduce", "figX", "--seeds", "3"]) == code
+    assert capsys.readouterr().out == ("PASS figX.first: one\n"
+                                       f"{'PASS' if second else 'FAIL'} figX.second: two\n")
+    assert calls == [((0, 1, 2), None)]
 
 
 def test_cli_histogram_no_match_is_usage_error(tmp_path):

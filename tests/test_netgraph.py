@@ -63,6 +63,12 @@ def test_from_edges_rejects_disconnected_and_bad_edges():
         Graph.from_edges(3, [(0, 5)])
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_from_edges_rejects_a_node_count_below_one(n):
+    with pytest.raises(ValueError, match=f"node count must be positive, got {n}"):
+        Graph.from_edges(n, [])
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_from_edges_accepts_exactly_the_connected_edge_lists(data):

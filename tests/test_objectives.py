@@ -324,6 +324,35 @@ def test_a_non_finite_instance_parameter_is_rejected(build, error, match):
         solve_consensus_optimum(build())
 
 
+def ring_objective(instance, mode="dual", weights=None):
+    g = build_d_regular_cycle(4, 2)
+    w = build_weight_matrix(g, 2) if weights is None else weights
+    return DistributedObjective(instance, g, w, mode, alpha=1e-2)
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: make_quadratic(4, 4, -0.5, 0), ValueError,
+     "condition parameter eta must be nonnegative, got -0.5"),
+    (lambda: make_logistic(3, 2, 0, 1e-2, 1.0, 1.0, 1.0, 0), ValueError,
+     "samples per node must be positive, got 0"),
+    (lambda: make_logistic(3, 2, 4, -1e-2, 1.0, 1.0, 1.0, 0), ValueError,
+     "regularizer must be nonnegative, got -0.01"),
+    (lambda: ring_objective(make_quadratic(4, 4, 1.0, 0), mode="penalty"), ValueError,
+     "mode must be 'primal' or 'dual', got 'penalty'"),
+    (lambda: ring_objective(make_quadratic(4, 4, 1.0, 0), weights=np.eye(3)), ValueError,
+     "weight matrix shape does not match graph"),
+    # a zero aggregate curvature with a nonzero aggregate slope
+    (lambda: solve_consensus_optimum(QuadraticInstance(
+        a=np.array([[0.0, 1.0]]), b=np.array([[1.0, 1.0]]), eta=0.0, seed=0)),
+     ValueError, "aggregate quadratic is unbounded below"),
+    (lambda: solve_consensus_optimum(np.ones(2)), TypeError, "unsupported instance type"),
+], ids=["negative-eta", "zero-q", "negative-lam", "mode", "weights-shape", "unbounded",
+        "instance-type"])
+def test_objective_input_checks(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
 def test_sigmoid_equals_the_two_branch_reference_bit_for_bit():
     special = np.array([0.0, -0.0, 1e-300, -1e-300, 36.0, -36.0, 709.8, -709.8,
                         745.0, -745.0, np.inf, -np.inf, np.nan, -np.nan])

@@ -55,6 +55,31 @@ def test_config_validation_errors():
                    max_iters=5).validate(g, obj, "newton")
 
 
+def validate(**fields):
+    """Check a D-BFGS dual config, with ``fields`` changed, on a ring."""
+    g, obj = ring_objective(6, 2, 2, 1.0, 0, "dual")
+    cfg = SyncConfig(method="dbfgs", mode="dual", step_size=0.1, max_iters=5,
+                     gamma=1e-2, big_gamma=1e-3)
+    replace(cfg, **fields).validate(g, obj, "dbfgs")
+
+
+def short_trace_error_at():
+    trace = dbfgs.Trace(method="dd", mode="dual", seed=0)
+    trace.append(1, 0.5, 1.0, 1)
+    trace.error_at(2)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: exchanges_per_iteration("newton", "dual"), "unknown method 'newton'"),
+    (lambda: validate(mode="diagonal"), "unknown mode 'diagonal'"),
+    (lambda: validate(max_iters=0), "iteration budget must be at least 1"),
+    (short_trace_error_at, "trace never reaches iteration 2"),
+], ids=["exchanges-method", "mode", "zero-budget", "error-at"])
+def test_sync_input_checks(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 RUNNERS = [(run_dbfgs_sync, "dbfgs", "dual"), (run_dgd, "dgd", "primal"),
            (run_dd, "dd", "dual"), (run_admm, "admm", "dual"),
            (run_dbfgs_async, "dbfgs", "dual"), (virtual_replay, "dbfgs", "dual"),
