@@ -1,10 +1,11 @@
 """Stacked per-neighborhood round primitives and the D-BFGS node state.
 
 Every operation works on a batch of nodes: the synchronous engine's batch
-is the whole network, the event simulator's is the nodes of one window
-of commuting events. Nodes are grouped by neighborhood size so stacked linear
-algebra applies on regular and irregular graphs alike, and each node's
-result depends on its own rows only. One node therefore sees the same float
+is the whole network, the event simulator's is the nodes of one level of
+events that read nothing the level writes. Nodes are grouped by
+neighborhood size so stacked linear algebra applies on regular and
+irregular graphs alike, and each node's result depends on its own rows
+only. One node therefore sees the same float
 operations whatever batch it is in, which is what makes lockstep execution
 of the simulator reproduce the synchronous runtime exactly.
 

@@ -6,53 +6,34 @@ packages and the descent contributions sent to it), applies the pending
 descents, recomputes its gradient from its dated view, takes its method's
 local step, and publishes fresh values for its neighbors. D-BFGS updates
 its curvature and computes descent contributions for its neighborhood;
-dual decomposition steps along its own gradient block.
+dual decomposition steps along its own gradient block. Events sharing an
+exact wall time form a batch, a synchronized sub-round: tied nodes see
+each other's fresh values. Every batch after the first is one trace row.
 
-Events sharing an exact wall time form a batch processed as a synchronized
-sub-round: tied nodes see each other's fresh values. An event touches only
-its node's neighborhood, so a maximal run of batches with pairwise
-non-adjacent nodes commutes: it runs as one window through the round kernel
-the synchronous engine uses, with one trace row per batch in event order.
-Every batch takes this path, so a zero-drift schedule (a window per batch)
-reproduces the synchronous runtime bit for bit.
+Messages live in two dated logs that every event writes once, as Time Warp
+keeps its message logs (Jefferson, "Virtual Time", 1985): one (var, aux, g)
+package per event, arriving at its time plus the message delay, and in
+D-BFGS one descent chunk per neighborhood slot, arriving at once at its own
+node and after the delay at the others (the virtual engine's at once
+everywhere). A view reads a neighbor's latest package that arrived before
+the event, or its current block when it ticks in the event's batch; the
+chunks a reader has not read land on its var one by one in (arrival, send)
+order.
 
 The schedule and the graph fix every index a run uses, so the engine plans
 them apart from the float work, as inspector-executor schemes do for
 irregular loops (Saltz, Mirchandaney and Crowley, IEEE Trans. Computers,
-1991): once per run each event's slots and log reads, the window bounds from
-the same lookups and one pass over the batches, and each row's
-local_iter_min; per slice of windows the kernel groups and record keys.
-
-Messages live in two dated logs that every event writes once, as Time
-Warp keeps its message logs (Jefferson, "Virtual Time", 1985). Every event
-publishes one (var, aux, g) package, arriving at its time plus the message
-delay; in physical D-BFGS it also files one descent chunk per neighborhood
-slot, arriving at once at its own node and after the delay at the others.
-The package log ends with every node's current (var, aux, g) block, so a
-view gathers each slot straight from it: the neighbor's latest package
-that arrived before the event, or its current block when it ticks in the
-event's batch. A window reads the chunk log once: the chunks that arrived
-since a reader's last read land on its var one by one in (arrival, send)
-order. A window's readers are pairwise non-adjacent, so no message of the
-window reaches a reader of it, and the window writes its own messages to
-the logs once, after its trace rows.
-
-After the kernel step a window runs three phases. Apply writes every row's
-state window-wide; only the virtual engine's descents land row by row.
-Record evaluates every row's terms at once: it refreshes only the error
-terms of the nodes whose estimate moved and the runtime gradient blocks
-within reach of a node whose var moved (one hop in primal mode, two in dual
-mode: stage 1 mixes var); at the first row every node counts as moved. It
-then yields the rows one at a time, each reduced to its error and the norm
-of the whole gradient. Emit takes them in batch order: trace row, stop
-rules, lost curvature. A stop ends the run at its batch; the rows after it
-are never reduced, what apply wrote after that batch is never observed,
-and nothing the window publishes is ever read.
-
-The virtual engine re-runs the same event sequence but applies every
-finished descent to a global variable immediately instead of through
-messages; with zero message delay its trajectory coincides with the
-physical engine at every node's availability events.
+1991). A batch depends on the batches that wrote what its events read and
+on its nodes' previous ones; in its slice of batches its level is one more
+than the highest it depends on. A slice runs a level at a time through the
+round kernel the synchronous engine uses, a wavefront of events no message
+can precede (Chandy and Misra, IEEE TSE, 1979). Without clock drift each
+batch is a level and reproduces a synchronous round bit for bit. The record
+replays the slice's rows in event order from the logs, refreshing only the
+error terms of the nodes whose estimate moved and the runtime gradient
+blocks within reach of a node whose var moved (one hop in primal mode, two
+in dual mode: stage 1 mixes var). A stop, or a lost curvature, ends the
+run at its row; what the events after it wrote is never observed.
 """
 
 from __future__ import annotations
@@ -66,7 +47,7 @@ import numpy as np
 from ._kernel import CurvatureLost, RoundKernel
 from .netgraph import Graph
 from .objectives import DistributedObjective
-from .sync_runtime import SyncConfig, Trace, _check_stop
+from .sync_runtime import SyncConfig, Trace, _stop_rules
 
 __all__ = [
     "ClockSchedule",
@@ -188,14 +169,11 @@ class EventLog(NamedTuple):
 class _AsyncEngine:
     """One event loop for asynchronous D-BFGS (physical and virtual) and DD.
 
-    Built, the engine computes the flat indices the schedule fixes for the
-    whole run (windows, event slots, the ``packages`` rows they read, each
-    event's inbox chunks), O(events m) like the logs, which have room for
-    every event; ``_plan`` builds each window's kernel groups and record key
-    sets a slice of at least ``PLAN_EVENTS`` events at a time, so a run that
-    stops early builds at most one slice past its stop; ``_process_window``
-    does a window's float work on its slices of the run-wide arrays.
-    """
+    Built, it computes the flat indices the schedule fixes (event slots, the
+    ``packages`` rows they read, inbox chunks, the batch each slot depends
+    on), O(events m) like the logs. ``run`` takes a slice of at least
+    ``PLAN_EVENTS`` events at a time: ``_execute`` runs its levels, then
+    ``_record`` replays and emits its rows."""
 
     def __init__(self, graph: Graph, objective: DistributedObjective,
                  cfg: AsyncConfig, schedule: ClockSchedule, method: str,
@@ -214,7 +192,6 @@ class _AsyncEngine:
         n, p = graph.n, objective.p
         self.kernel = kernel = RoundKernel(graph, p)
         self.dbfgs = method == "dbfgs"
-        self.chunks = self.dbfgs and not virtual
         self.trace = Trace(method=method, mode=cfg.mode, seed=cfg.seed, model_time=[])
         self.queue = queue = EventQueue(schedule)  # the events in event order
         events = len(queue.time)
@@ -240,67 +217,63 @@ class _AsyncEngine:
         if cfg.var0 is not None:
             self.var[:] = cfg.var0
         # every event's layout slots, from slot_at[k] for event k: its chunks'
-        # rows of ``chunk_log``, and the ``packages`` row its view reads. A
-        # slot whose neighbor ticks in the event's batch (its own node too)
-        # reads the neighbor's current block; any other its latest package
-        # that arrived strictly before the event (its last tick among the
-        # first ``arrived`` events, one key lookup), or with none the zero row.
-        self.slots, sender = self._slots(queue.node)
+        # rows of ``chunk_log``, and the ``packages`` row its view reads: a
+        # neighbor's current block if it ticks in the event's batch (as its
+        # own node does), else its latest package that arrived strictly
+        # before the event (one key lookup), or with none the zero row.
+        self.slots, sender = self._ranges(kernel.offsets, queue.node)
         self.slot_at = np.cumsum(np.append(0, kernel.m[queue.node]))
         cols = kernel.cols[self.slots]
         own = cols == graph.layout.rows[self.slots]
         arrival = queue.time + cfg.delta_msg  # of each event's messages
-        arrived = np.searchsorted(arrival, queue.time)
-        tick = np.searchsorted(keys, cols * events + arrived[sender] * ~own)
+        now = queue.cuts[self.batch]  # the events before each one's time
+        limit = np.where(own, now[sender], np.searchsorted(arrival, queue.time)[sender])
+        tick = np.searchsorted(keys, cols * events + limit)
         lo, hi = np.searchsorted(keys, cols * events
                                  + queue.cuts[self.batch[sender] + [[0], [1]]])
         self.read = np.where(hi > lo, events + n + cols, tick + cols)
-        # each window's first batch and first event, then the ends: a batch
-        # opens a window when its closed neighborhoods hold a node of a batch
-        # of the open one (per slot: the batch of its column's tick before lo)
-        last = np.where(lo > first[cols], self.batch[event[lo - 1]], -1)
-        wb = [0]
-        for b, prior in enumerate(np.maximum.reduceat(
-                last, self.slot_at[queue.cuts[:-1]]).tolist()):
-            if prior >= wb[-1]:
-                wb.append(b)
-        self.wb = np.array(wb + [len(queue.cuts) - 1])
-        self.we = queue.cuts[self.wb]
-        self.chunk_log = np.empty((len(self.slots) if self.chunks else 0, p))
+        # per slot, its column's ticks whose chunk (D-BFGS; the virtual
+        # engine's arrive at once) or package (DD) the event has; the event
+        # depends on the last one's batch (its node's previous one on its
+        # own slot), or on none: -1
+        seen = np.searchsorted(keys, cols * events + now[sender]) if virtual else tick
+        self.dep = np.where(seen > first[cols], self.batch[event[seen - 1]], -1)
+        self.chunk_log = np.empty((len(self.slots) if self.dbfgs else 0, p))
         # the chunks each event reads, from inbox_at[k]: readers and rows. A
         # node's inbox lists the chunks sent to it by (arrival, send), at once
         # from itself and after the delay from its neighbors; an event reads
         # those its node has by then and did not have at its previous event.
         new = np.zeros(events, dtype=np.intp)
-        self.inbox = (new[:0], new[:0])
-        if self.chunks:
-            inbox = np.lexsort((sender, np.where(own, queue.time[sender],
+        self.inbox = new[:0], new[:0]
+        if self.dbfgs:
+            inbox = np.lexsort((sender, np.where(own | virtual, queue.time[sender],
                                                  arrival[sender]), cols))
-            total = np.add.reduceat(tick - first[cols], self.slot_at[:-1]) + self.rank
+            total = np.add.reduceat(seen - first[cols], self.slot_at[:-1])
             new = total - np.where(self.rank > 0, total[event[queue.order - 1]], 0)
             start = np.searchsorted(cols[inbox], queue.node) + total - np.cumsum(new)
             self.inbox = (np.repeat(queue.node, new),
                           inbox[np.repeat(start, new) + np.arange(new.sum())])
         self.inbox_at = np.cumsum(np.append(0, new))
-        # the event log's blocks; ``logged`` events so far
-        self.log_block = np.empty((events, p))
-        self.logged = 0
-        # the record at the last row: consensus_error's term per node, and
-        # the runtime objective's stage-1 and gradient blocks; the next row
-        # refreshes those its events can have moved
+        # the event log's blocks, and the events logged so far
+        self.log_block, self.logged = np.empty((events, p)), 0
+        # the record at the last row: its var, consensus_error's term per
+        # node, and the runtime objective's stage-1 and gradient blocks; the
+        # next rows refresh those their events can have moved
         self.denom = float(objective.xstar @ objective.xstar)
         if self.denom == 0.0:
             raise ValueError("consensus error is undefined for a zero optimum")
+        self.runtime_var = self.var.copy()
         self.err_terms = np.zeros(n)
         self.runtime_aux, self.runtime_grad = np.zeros((n, p)), np.zeros((n, p))
 
-    def _slots(self, nodes: np.ndarray) -> tuple:
-        """The layout rows of ``nodes``, node after node, and the position
-        in ``nodes`` of each row's node."""
-        sizes = self.kernel.m[nodes]
-        at = np.repeat(np.arange(len(nodes)), sizes)
-        start = self.kernel.offsets[nodes] - np.cumsum(sizes) + sizes
-        return start[at] + np.arange(len(at)), at
+    @staticmethod
+    def _ranges(at: np.ndarray, items: np.ndarray) -> tuple:
+        """The positions at[k] to at[k + 1] of each k of ``items``, item
+        after item, and the position in ``items`` of each one's item."""
+        sizes = at[items + 1] - at[items]
+        owner = np.repeat(np.arange(len(items)), sizes)
+        starts = at[items] - np.cumsum(sizes) + sizes
+        return starts[owner] + np.arange(len(owner)), owner
 
     def _reach(self, seeds: np.ndarray, size: int, hops: int) -> list:
         """Per h = 0 to ``hops``, the distinct keys below ``size`` within h
@@ -309,78 +282,79 @@ class _AsyncEngine:
         for hop in range(hops + 1):
             if hop:
                 nodes = out[-1] % len(self.err_terms)
-                slots, at = self._slots(nodes)
+                slots, at = self._ranges(self.kernel.offsets, nodes)
                 seeds = (out[-1] - nodes)[at] + self.kernel.cols[slots]
             seen = np.zeros(size, dtype=bool)
             seen[seeds] = True
             out.append(seen.nonzero()[0])
         return out
 
-    def _key_sets(self, keys: np.ndarray, wb: np.ndarray, hoods: bool) -> list:
-        """Per window (first batches ``wb``), the ascending ``keys`` in its rows
-        as (nodes, each row's first and one past the last position, kernel
-        groups of its keys from its first row with ``hoods``, those keys)."""
+    def _key_sets(self, keys: np.ndarray, starts: np.ndarray, hoods: bool) -> list:
+        """Per range of rows (from each of ``starts`` to the next), the sorted
+        ``keys`` in it as (nodes, each row's first and one past the last
+        position, kernel groups of its keys from its first row with
+        ``hoods``, those keys)."""
         n = len(self.err_terms)
         nodes = keys % n
-        bounds = np.searchsorted(keys, np.arange(wb[-1] + 1) * n)  # by row
-        wk = bounds[wb]  # each window's first key
-        keys = keys - np.repeat(wb[:-1] * n, np.diff(wk))
-        rows, starts, batches = bounds.tolist(), wk.tolist(), wb.tolist()
-        groups = self.kernel.batches(keys, wk) if hoods else [None] * len(batches)
-        return [(nodes[lo:hi], [r - lo for r in rows[b0:b1 + 1]], grp, keys[lo:hi])
-                for lo, hi, b0, b1, grp in zip(starts, starts[1:], batches, batches[1:],
-                                                groups)]
+        bounds = np.searchsorted(keys, np.arange(starts[-1] + 1) * n)  # by row
+        rk = bounds[starts]  # each range's first key
+        keys = keys - np.repeat(starts[:-1] * n, np.diff(rk))
+        rows, at, firsts = bounds.tolist(), rk.tolist(), starts.tolist()
+        groups = self.kernel.batches(keys, rk) if hoods else [None] * len(firsts)
+        return [(nodes[lo:hi], [r - lo for r in rows[r0:r1 + 1]], grp, keys[lo:hi])
+                for lo, hi, r0, r1, grp in zip(at, at[1:], firsts, firsts[1:], groups)]
 
-    def _plan(self, wl: int) -> list:
-        """Per window of the slice from window ``wl`` (at least ``PLAN_EVENTS``
-        events unless the schedule ends first), its kernel groups and record
-        key sets; the rest of its plan is the run's."""
-        queue, n, we = self.queue, len(self.err_terms), self.we
-        wh = min(np.searchsorted(we, we[wl] + PLAN_EVENTS), len(we) - 1)
-        bl, bh, eh = self.wb[wl], self.wb[wh], we[wh]
-        wb = self.wb[wl:wh + 1] - bl  # each window's first batch, from bl
-        groups = self.kernel.batches(queue.node[we[wl]:eh], we[wl:wh + 1] - we[wl])
-        # the record keys of the rows (the batches after the first): the nodes
-        # whose var moved (at the first row all; then a batch's own in physical
-        # D-BFGS, the batch before's in DD and their neighbors in the virtual
-        # engine) and those whose estimate moved (dual mode: a batch's own)
-        size, row0 = (bh - bl) * n, max(bl, 1)  # the first batch with a row
-        lo = queue.cuts[row0 - 1]  # and the batch before it
-        own = (self.batch[lo:eh] - bl) * n + queue.node[lo:eh]
-        own, after = own[own >= (row0 - bl) * n], own + n
-        after = after[after < size]
-        every = np.arange(n) + (1 - bl) * n if bl <= 1 < bh else after[:0]
-        moved = (own if self.chunks else after if not self.dbfgs
-                 else self._reach(after, size, 1)[1])
-        dual = self.obj.mode == "dual"
-        reach = self._reach(np.concatenate((moved, every)), size, 1 + dual)
-        err = self._reach(np.concatenate((own, every)), size, 0)[0] if dual else reach[0]
-        record = [self._key_sets(keys, wb, hoods) for keys, hoods
-                  in zip((err, *reach[1:]), (False, True, True))]
-        return list(zip(groups, zip(*record)))
+    def _level(self, bl: int, bh: int) -> list:
+        """Each batch's level in the slice of batches bl to bh: one more than
+        the highest level it depends on in the slice, or 0."""
+        s0, s1 = self.slot_at[self.queue.cuts[[bl, bh]]]
+        deps = np.maximum(self.dep[s0:s1] - bl + 1, 0).tolist()  # 0: none
+        bounds = (self.slot_at[self.queue.cuts[bl:bh + 1]] - s0).tolist()
+        level = [-1]
+        for lo, hi in zip(bounds, bounds[1:]):
+            level.append(1 + max(map(level.__getitem__, deps[lo:hi])))
+        return level[1:]
 
-    def _process_window(self, w: int, groups: list, record: tuple,
-                        init: bool) -> bool:
-        """Run window w from its kernel groups and record key sets: its
-        batches are its trace rows (none in the run's first window), their
-        states built in whole-window writes. True when a stop ends the run."""
-        cfg, kernel, queue = self.cfg, self.kernel, self.queue
-        b0, b1 = self.wb[w], self.wb[w + 1]
-        eb = queue.cuts[b0:b1 + 1].tolist()  # each batch's first event, then the end
-        e0, e1 = eb[0], eb[-1]
-        ids = queue.node[e0:e1]
-        # each row's state (var, and aux in dual mode), from the entry state
-        n, planes = len(self.err_terms), 2 if self.obj.mode == "dual" else 1
-        states = self.packages[:planes, None, -n:].repeat(b1 - b0, axis=1)
-        # phase 1: every event reads its chunks; ufunc.at adds a node's
-        # chunks one by one, in order
-        if self.chunks:
-            readers, chunks = (col[self.inbox_at[e0]:self.inbox_at[e1]]
-                               for col in self.inbox)
-            np.add.at(self.var, readers, cfg.step_size * self.chunk_log[chunks])
-        # phase 2: gradients from fresh and dated views, per group the
-        # (g, m) ``packages`` rows its slots read
-        reads = [self.read[self.slot_at[e0 + grp.pos, None] + np.arange(grp.msize)]
+    def _levels(self, events: np.ndarray, levels: np.ndarray) -> list:
+        """Per level of the ``events`` (``levels``, one each), ascending: its
+        events in event order, kernel groups and ``inbox`` positions."""
+        order = np.lexsort((events, levels))
+        ev = events[order]
+        cuts = np.flatnonzero(np.r_[1, np.diff(levels[order]), 1])
+        groups = self.kernel.batches(self.queue.node[ev], cuts)
+        inbox, owner = self._ranges(self.inbox_at, ev)
+        at, cuts = np.searchsorted(owner, cuts).tolist(), cuts.tolist()
+        return [(ev[lo:hi], grp, inbox[a:b])
+                for lo, hi, a, b, grp in zip(cuts, cuts[1:], at, at[1:], groups)]
+
+    def _execute(self, bl: int, bh: int):
+        """Run batches bl to bh level by level; the first batch whose curvature
+        is lost and its lost nodes, or None. No level runs a batch after it."""
+        queue = self.queue
+        events = np.arange(queue.cuts[bl], queue.cuts[bh])
+        levels = np.repeat(self._level(bl, bh), np.diff(queue.cuts[bl:bh + 1]))
+        plan, lost = self._levels(events, levels)[::-1], None
+        while plan:
+            ev, groups, inbox = plan.pop()
+            nodes = self._run_level(ev, groups, inbox, init=ev[0] == 0)
+            if nodes:  # the levels left run only the batches before this one
+                at = self.batch[ev[np.isin(queue.node[ev], nodes)]].min()
+                lost = at, [i for i in nodes if i in queue.node[queue.cuts[at]:
+                                                                 queue.cuts[at + 1]]]
+                left = (levels > levels[ev[0] - events[0]]) & (self.batch[events] < at)
+                plan = self._levels(events[left], levels[left])[::-1] if any(left) else []
+        return lost
+
+    def _run_level(self, ev: np.ndarray, groups: list, inbox: np.ndarray,
+                   init: bool) -> list:
+        """Run the events ``ev`` of one level from their kernel groups and
+        inbox positions; returns the nodes whose curvature was lost."""
+        cfg, ids = self.cfg, self.queue.node[ev]
+        if self.dbfgs:  # ufunc.at adds a node's chunks one by one, in order
+            readers, rows = (col[inbox] for col in self.inbox)
+            np.add.at(self.var, readers, cfg.step_size * self.chunk_log[rows])
+        # gradients from fresh and dated views: per group its slots' rows
+        reads = [self.read[self.slot_at[ev[grp.pos], None] + np.arange(grp.msize)]
                  for grp in groups]
         var_views = [self.packages[0].take(rows, 0) for rows in reads]
         for grp, vv in zip(groups, var_views):
@@ -388,101 +362,152 @@ class _AsyncEngine:
         aux_views = [self.packages[1].take(rows, 0) for rows in reads]
         for grp, vv, av in zip(groups, var_views, aux_views):
             self.g[grp.ids] = self.obj.stage2_block(grp.ids, vv, av)
-        # D-BFGS's step; a lost curvature ends the run at the first batch
-        # holding one, and nothing the window does after that is observed
         lost = []
         if self.dbfgs:
             g_views = [self.packages[2].take(rows, 0) for rows in reads]
             try:
-                kernel.dbfgs_round(var_views, g_views, cfg.gamma, cfg.big_gamma, init,
-                                   groups)
+                self.kernel.dbfgs_round(var_views, g_views, cfg.gamma, cfg.big_gamma,
+                                        init, groups)
             except CurvatureLost as exc:
                 lost = exc.nodes
-        # phase 3, apply: a batch's fresh blocks land on the states from its
-        # row on, DD's step from the next row on (the window's ids are distinct)
-        fresh = self.var[ids]
-        at = self.batch[e0:e1] - b0  # each event's row
-        r, e = (at <= np.arange(b1 - b0)[:, None]).nonzero()
-        states[:, r, ids[e]] = self.packages[:planes, -n:][:, ids[e]]
-        if self.virtual:  # each descent lands at once, on the rows after its own
-            cut = self.slot_at[eb] - self.slot_at[e0]
-            slots = self.slots[self.slot_at[e0]:self.slot_at[e1]]
-            cols, steps = kernel.cols[slots], cfg.step_size * kernel.contrib[slots]
-            for row, (lo, hi) in enumerate(zip(cut[:-2], cut[1:-1])):
-                np.add.at(states[0], (slice(row + 1, None), cols[lo:hi]), steps[lo:hi])
-            np.add.at(self.var, cols, steps)
-        elif not (self.dbfgs or init):  # DD's gradient step
+        self.log_block[ev] = self.var[ids]
+        if not (self.dbfgs or init):  # DD's gradient step
             self.var[ids] -= cfg.step_size * self.g[ids]
-            r, e = (at < np.arange(b1 - b0)[:, None]).nonzero()
-            states[0, r, ids[e]] = self.var[ids[e]]
-        states = states.reshape(planes, -1, self.var.shape[1])
-        rows = None if init else self._record(states, record)
-        # phase 3, emit: the events, then per batch its row, stop check, lost curvature
-        self.log_block[e0:e1] = fresh
-        times, lmins = queue.time[eb[:-1]].tolist(), self.lmin[b0:b1].tolist()
-        for t, lmin, lo, hi in zip(times, lmins, eb, eb[1:]):
-            self.logged = hi  # events count as exchanges
-            if not init:
-                self.trace.append(lmin, *next(rows), self.logged, model_time=t)
-                if _check_stop(self.trace, cfg):
-                    return True
-            if hit := [i for i in lost if i in queue.node[lo:hi]]:
-                raise CurvatureLost(hit)
-        # sends: D-BFGS publishes its pre-descent var, DD its stepped one
-        published = fresh if self.dbfgs else self.var[ids]
-        self._send(slice(e0, e1), np.array((published, self.aux[ids], self.g[ids])))
-        return False
+        # D-BFGS publishes its pre-descent var, DD its stepped one
+        self._send(ev, (self.var[ids], self.aux[ids], self.g[ids]))
+        return lost
 
-    def _send(self, events: slice, packages: np.ndarray) -> None:
-        """File the (3, k, p) packages of the k ``events`` and, in physical
-        D-BFGS, their chunks: the kernel's ``contrib`` at their slots."""
-        self.packages[:, self.package_row[events]] = packages
-        if self.chunks:
-            slots = slice(self.slot_at[events.start], self.slot_at[events.stop])
+    def _send(self, ev: np.ndarray, packages) -> None:
+        """File the (3, k, p) packages of the k events ``ev`` and, in D-BFGS,
+        their chunks: the kernel's ``contrib`` at their slots."""
+        self.packages[:, self.package_row[ev]] = packages
+        if self.dbfgs:
+            slots = self._ranges(self.slot_at, ev)[0]
             self.chunk_log[slots] = self.kernel.contrib[self.slots[slots]]
 
-    def _record(self, states: np.ndarray, record: tuple):
-        """Yield each row's error and gradient norm, as consensus_error and
-        the norm of runtime_grad give them at the row's state, from the
-        planes each row reads (row r at rows r n to (r + 1) n: var, and in
-        dual mode aux, the estimate) and the plan's key sets: evaluated for
-        the whole window at once, then written in and reduced row by row."""
-        n = len(self.err_terms)
-        (enodes, ebounds, _, ekeys), (gnodes, gbounds, *_) = record[0], record[-1]
-        diff = states[-1][ekeys] - self.obj.xstar  # aux in dual mode, else var
-        terms = np.sum(diff * diff, axis=1)
-        aux_plane = states[0]  # primal mode's stage 1 is var itself
-        if self.obj.mode == "dual":
-            nodes, bounds, *_ = record[1]
-            aux = self._stage(record[1], self.obj.stage1_block, states[0])
-            aux_plane = np.empty_like(states[0])
-            for r, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-                self.runtime_aux[nodes[lo:hi]] = aux[lo:hi]
-                aux_plane[r * n:(r + 1) * n] = self.runtime_aux
-        grad = self._stage(record[-1], self.obj.stage2_block, states[0], aux_plane)
-        flat = self.runtime_grad.ravel()  # a view; np.linalg.norm's reduction
-        for lo, hi, glo, ghi in zip(ebounds, ebounds[1:], gbounds, gbounds[1:]):
-            self.err_terms[enodes[lo:hi]] = terms[lo:hi]
-            self.runtime_grad[gnodes[glo:ghi]] = grad[glo:ghi]
-            # np.mean's sum and division
-            yield self.err_terms.sum() / n / self.denom, math.sqrt(flat.dot(flat))
+    def _record(self, lo: int, hi: int) -> bool:
+        """Record the rows of batches lo to hi from the logs and emit them, in
+        ranges of rows of at most 64 ``PLAN_EVENTS`` node blocks; True when a
+        stop ends the run."""
+        queue, cuts, cfg = self.queue, self.queue.cuts, self.cfg
+        n, dual = len(self.err_terms), self.obj.mode == "dual"
+        self.logged = cuts[hi]  # events count as exchanges
+        # the writes to var, in event order: a published var from its row on
+        # (DD's from the next row), or each virtual descent from the next row
+        lag = int(self.virtual or not self.dbfgs)
+        ev = np.arange(cuts[max(lo - lag, 0)], cuts[hi - lag])
+        row = self.batch[ev] + lag - lo
+        if self.virtual:  # per descent, its target's var: one add at a time
+            at, owner = self._ranges(self.slot_at, ev)
+            row, cols = row[owner], self.kernel.cols[self.slots[at]]
+            writes, order = row * n + cols, np.argsort(cols, kind="stable")
+            depth = np.arange(1, len(at) + 1) - np.searchsorted(cols[order], cols[order])
+            grid = np.zeros((n, depth.max(initial=0) + 1, self.var.shape[1]))
+            grid[:, 0] = self.runtime_var
+            grid[cols[order], depth] = cfg.step_size * self.chunk_log[at[order]]
+            values = np.empty((len(at), grid.shape[2]))
+            values[order] = np.add.accumulate(grid, axis=1)[cols[order], depth]
+        else:
+            writes = row * n + queue.node[ev]
+            values = self.packages[0, self.package_row[ev]]
+        # the keys where var moved (batch 0 moves every node by the first row)
+        # and within one and two hops runtime stage 1 and 2 (primal: var and
+        # stage 2); the estimate moves at var's keys, in dual mode the events'
+        reach = self._reach(writes, (hi - lo) * n, 1 + dual)
+        starts = np.append(np.arange(0, hi - lo, max(1, 64 * PLAN_EVENTS // n)), hi - lo)
+        sets = [self._key_sets(keys, starts, hop > 0) for hop, keys in enumerate(reach)
+                if hop or not dual]
+        at = np.searchsorted(row, starts).tolist()
+        for k, (r0, r1) in enumerate(zip(starts.tolist(), starts[1:].tolist())):
+            rows, last = r1 - r0, np.arange(n) + (r1 - r0 - 1) * n  # the last row
+            # stage 2 reads var in primal mode, the stage-1 blocks in dual mode
+            w = slice(at[k], at[k + 1])
+            var = read = self._versions(self.runtime_var, writes[w] - r0 * n, values[w],
+                                        rows)
+            self.runtime_var = self._read(var, last, rows)
+            if dual:
+                ev = np.arange(cuts[lo + r0], cuts[lo + r1])
+                enodes, est = queue.node[ev], self.packages[1, self.package_row[ev]]
+                ebounds = (cuts[lo + r0:lo + r1 + 1] - cuts[lo + r0]).tolist()
+                keys = sets[0][k]
+                aux = self._stage(keys, self.obj.stage1_block, rows, var)
+                read = self._versions(self.runtime_aux, keys[3], aux, rows)
+                self.runtime_aux = self._read(read, last, rows)
+            else:
+                enodes, ebounds, _, ekeys = sets[0][k]
+                est = self._read(var, ekeys, rows)
+            diff = est - self.obj.xstar
+            terms = np.sum(diff * diff, axis=1)
+            gnodes, gbounds, *_ = sets[-1][k]
+            grad = self._stage(sets[-1][k], lambda ids, view: self.obj.stage2_block(
+                ids, view, view), rows, read)
+            # per row np.mean's sum and np.linalg.norm's reduction (of a view)
+            sums, squares = np.empty(rows), np.empty(rows)
+            err_terms, grads = self.err_terms, self.runtime_grad
+            flat = grads.ravel()
+            for r, (a, b, ga, gb) in enumerate(zip(ebounds, ebounds[1:], gbounds,
+                                                   gbounds[1:])):
+                err_terms[enodes[a:b]] = terms[a:b]
+                grads[gnodes[ga:gb]] = grad[ga:gb]
+                sums[r], squares[r] = err_terms.sum(), flat.dot(flat)
+            first = int(lo + r0 == 0)  # batch 0 has no row
+            if self._emit(lo + r0 + first, (sums / n / self.denom)[first:],
+                          np.sqrt(squares)[first:]):
+                return True
+        return False
 
-    def _stage(self, keys: tuple, stage, *planes) -> np.ndarray:
-        """``stage`` at a key set, from its neighborhood views of the given
-        (rows n, p) planes."""
+    def _emit(self, b0: int, errs: np.ndarray, norms: np.ndarray) -> bool:
+        """Append the rows of batches b0 on, given their errors and gradient
+        norms, up to the first a stop rule ends the run at; True if one does."""
+        cuts, iters = self.queue.cuts, self.lmin[b0:b0 + len(errs)]
+        rules = _stop_rules(errs, norms, iters, self.cfg)
+        hits = np.logical_or.reduce([hit for _, hit in rules])
+        stop = hits.any()
+        rows = int(hits.argmax()) + 1 if stop else len(errs)
+        self.trace.extend(iters[:rows], errs[:rows], norms[:rows],
+                          cuts[b0 + 1:b0 + rows + 1], self.queue.time[cuts[b0:b0 + rows]])
+        if stop:
+            self.trace.status = next(status for status, hit in rules if hit[rows - 1])
+            self.logged = cuts[b0 + rows]
+        return stop
+
+    def _versions(self, carry: np.ndarray, keys: np.ndarray, values: np.ndarray,
+                  rows: int) -> tuple:
+        """Each node's values over ``rows`` rows, its ``carry`` row from row 0
+        on, then ``values`` at ``keys`` r n + node from row r on: positions j
+        rows + r by node and row (of two at one key the later last), values."""
+        n = len(self.err_terms)
+        keys = np.concatenate((np.arange(n), keys))
+        order = np.lexsort((keys, keys % n))  # by node, then row
+        keys = keys[order]
+        return keys % n * rows + keys // n, np.concatenate((carry, values))[order]
+
+    def _read(self, versions: tuple, keys: np.ndarray, rows: int) -> np.ndarray:
+        """The values at ``keys`` r n + node: the node's last at a row up to r."""
+        n = len(self.err_terms)
+        at = np.searchsorted(versions[0], keys % n * rows + keys // n, side="right")
+        return versions[1].take(at - 1, 0)
+
+    def _stage(self, keys: tuple, stage, rows: int, versions: tuple) -> np.ndarray:
+        """``stage`` at a key set, from its neighborhood views of ``versions``."""
         out = np.empty((len(keys[0]), self.var.shape[1]))
         for grp in keys[2]:
-            out[grp.pos] = stage(grp.ids, *(plane.take(grp.nb, 0) for plane in planes))
+            out[grp.pos] = stage(grp.ids, self._read(versions, grp.nb, rows))
         return out
 
     def run(self) -> Trace:
-        # a window's plan goes once it has run, so no two slices coexist; the
-        # first window initializes: nothing logged before it
-        plan = []
-        for w in range(len(self.wb) - 1):
-            plan = plan or self._plan(w)[::-1]
-            if self._process_window(w, *plan.pop(), init=w == 0):
+        # the batches up to the iteration cap's row, a slice at a time
+        cuts, bl = self.queue.cuts, 0
+        end = min(len(cuts) - 1, int(np.searchsorted(self.lmin, self.cfg.max_iters)) + 1)
+        while bl < end:
+            bh = min(int(np.searchsorted(cuts, cuts[bl] + PLAN_EVENTS)), end)
+            lost = self._execute(bl, bh)
+            # a lost curvature ends the run at its row, unless a stop does
+            if self._record(bl, bh if lost is None else lost[0] + 1):
                 break
+            if lost is not None:
+                raise CurvatureLost(lost[1])
+            bl = bh
         # copies, so the trace keeps no more than the events it logged
         self.trace.event_log = EventLog(*(col[:self.logged].copy() for col in (
             self.queue.time, self.queue.node, self.rank, self.log_block)))

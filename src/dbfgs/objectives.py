@@ -281,8 +281,12 @@ class DistributedObjective:
 
     def _mix_block(self, ids: np.ndarray, view: np.ndarray) -> np.ndarray:
         """sum_j w_ij view_j, slot by slot, as the CSR product sums a row."""
-        w = self.weights.data[self.weights.indptr[ids, None] + np.arange(view.shape[1])]
-        return np.add.accumulate(w[:, :, None] * view, axis=1)[:, -1]
+        rows = self.weights.indptr[ids, None] + np.arange(view.shape[1])
+        w = self.weights.data.take(rows)
+        out = w[:, 0, None] * view[:, 0]
+        for k in range(1, view.shape[1]):
+            out += w[:, k, None] * view[:, k]
+        return out
 
     def stage1_block(self, ids: np.ndarray, var_view: np.ndarray) -> np.ndarray:
         """Stage 1 of the nodes ``ids`` (one neighborhood size m) from their

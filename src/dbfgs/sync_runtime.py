@@ -10,6 +10,8 @@ first-order baselines cost 1.
 from __future__ import annotations
 
 import math
+import os
+import re
 from dataclasses import dataclass, field
 from itertools import repeat
 from numbers import Integral
@@ -132,12 +134,16 @@ class Trace:
         return self.iters if self.is_async else None
 
     def append(self, it, err, gnorm, exch, model_time=None):
-        self.iters.append(int(it))
-        self.error.append(float(err))
-        self.grad_norm.append(float(gnorm))
-        self.exchanges.append(int(exch))
+        self.extend([it], [err], [gnorm], [exch], [model_time])
+
+    def extend(self, iters, err, gnorm, exch, model_time=None):
+        """Append rows, a column at a time (model times on async traces)."""
+        self.iters += map(int, iters)
+        self.error += map(float, err)
+        self.grad_norm += map(float, gnorm)
+        self.exchanges += map(int, exch)
         if self.is_async:
-            self.model_time.append(float(model_time))
+            self.model_time += map(float, model_time)
 
     def error_at(self, iteration: int) -> float:
         """Error at the given iteration (async: minimum local iteration)."""
@@ -162,7 +168,9 @@ def read_trace_csv(path: str) -> Trace:
     if the header lacks a trace column, and ``path:line`` if a row does not
     have the header's fields, a field does not parse, its method, mode or
     seed differs from the rows before it, or an async row's local_iter_min
-    differs from its iter."""
+    differs from its iter. A trace with no row takes its method, mode and
+    seed from a file name as ``run_experiment`` gives it
+    (``{method}_{mode}_s{seed}_{tag}.csv``), or else method and mode "?"."""
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         is_async = "model_time" in header
@@ -170,7 +178,13 @@ def read_trace_csv(path: str) -> Trace:
                    if c not in header]
         if missing:
             raise ValueError(f"{path}: not a trace CSV (lacks {', '.join(missing)})")
-        trace = Trace(method="?", mode="?", seed=0, model_time=[] if is_async else None)
+        named = re.fullmatch(r"([a-z]+)_([a-z]+)_s(\d+)_.+\.csv", os.path.basename(path))
+        if named and named[2] in METHOD_MODES.get(named[1], ()):
+            method, mode, seed = named[1], named[2], int(named[3])
+        else:
+            method, mode, seed = "?", "?", 0
+        trace = Trace(method=method, mode=mode, seed=seed,
+                      model_time=[] if is_async else None)
         for lineno, line in enumerate(fh, 2):
             parts = line.strip().split(",")
             try:
@@ -192,19 +206,26 @@ def read_trace_csv(path: str) -> Trace:
     return trace
 
 
+def _stop_rules(err, gnorm, iters, cfg: SyncConfig) -> list:
+    """The stop rules in precedence, each as (status, whether it fires), at
+    rows of these errors, gradient norms and iterations: scalars or arrays.
+    The iteration cap's status is the default, max_iters."""
+    rules = [("diverged", ~np.isfinite(err) | (err > DIVERGENCE_LIMIT))]
+    if cfg.stop_error is not None:
+        rules.append(("error_stop", err <= cfg.stop_error))
+    if cfg.stop_grad_norm is not None:
+        rules.append(("grad_stop", gnorm <= cfg.stop_grad_norm))
+    return rules + [("max_iters", iters >= cfg.max_iters)]
+
+
 def _check_stop(trace: Trace, cfg: SyncConfig) -> bool:
     """Apply the stop rules to the trace's last row; True ends the run."""
-    err, gnorm = trace.error[-1], trace.grad_norm[-1]
-    if not np.isfinite(err) or err > DIVERGENCE_LIMIT:
-        trace.status = "diverged"
-        return True
-    if cfg.stop_error is not None and err <= cfg.stop_error:
-        trace.status = "error_stop"
-        return True
-    if cfg.stop_grad_norm is not None and gnorm <= cfg.stop_grad_norm:
-        trace.status = "grad_stop"
-        return True
-    return trace.iters[-1] >= cfg.max_iters  # the status stays max_iters
+    for status, hit in _stop_rules(trace.error[-1], trace.grad_norm[-1],
+                                   trace.iters[-1], cfg):
+        if hit:
+            trace.status = status
+            return True
+    return False
 
 
 def _run(graph: Graph, objective: DistributedObjective, cfg: SyncConfig,

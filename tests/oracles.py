@@ -8,8 +8,8 @@ Newton optimum that evaluates each point several times, the consensus weight
 conditions, the classical BFGS update, the round kernel's curvature
 update in its one-shot stacked form, the sum of a node's descent
 contributions and the dense global descent matrix, the time functions and
-staleness bound of a clock schedule, the greedy window scan of an event
-queue, a per-message inbox, graph connectivity by breadth-first search,
+staleness bound of a clock schedule, each event's read set and the
+dependency levels of its batches, a per-message inbox, graph connectivity by breadth-first search,
 and random Metropolis problems. The runtimes never call these; they evaluate the
 staged, scaled forms and keep their messages in dated logs.
 """
@@ -355,21 +355,44 @@ def measure_asynchronicity(schedule, horizon: float | None = None) -> float:
     return worst
 
 
-def greedy_windows(queue, layout):
-    """Yield maximal runs of consecutive batches of an ``EventQueue`` in
-    which no batch holds a node of another or a neighbor of one (closed
-    neighborhoods from ``layout``): such batches commute."""
+def read_sets(schedule, layout, delta: float, chunks):
+    """Per event (time, node), in (time, node) order, the events it reads, as
+    (time, node): its node's previous event; per neighbor that does not tick
+    at its time, the neighbor's latest package that arrived strictly before
+    it (sent before the time less the delay); and per neighbor the events
+    whose descent chunk reached it by then: with ``chunks`` "delayed"
+    (physical D-BFGS) those whose package did, with "instant" (the virtual
+    engine) every earlier one, with None (DD) none."""
+    ticks = [t.tolist() for t in schedule.times]
     cols, bounds = layout.cols.tolist(), layout.indptr.tolist()
-    around = [cols[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-    blocked, window = set(), []
-    for t, batch in queue.batches():
-        if window and not blocked.isdisjoint(batch):
-            yield window
-            blocked, window = set(), []
-        window.append((t, batch))
-        for i in batch:
-            blocked.update(around[i])
-    yield window
+    out = []
+    for t, i in sorted((t, i) for i, own in enumerate(ticks) for t in own):
+        reads = {(max(s for s in ticks[i] if s < t), i)} if t > 0 else set()
+        for j in cols[bounds[i]:bounds[i + 1]]:
+            if j == i:
+                continue
+            arrived = [s for s in ticks[j] if s + delta < t]
+            if t not in ticks[j] and arrived:
+                reads.add((arrived[-1], j))
+            if chunks is not None:
+                reads.update((s, j) for s in (arrived if chunks == "delayed"
+                                              else [s for s in ticks[j] if s < t]))
+        out.append(((t, i), reads))
+    return out
+
+
+def brute_force_levels(schedule, layout, delta: float, chunks, bl: int, bh: int) -> list:
+    """Each batch's level among the batches bl to bh (events sharing a time,
+    in time order): one more than the highest level of a batch in that range
+    that one of its events reads (``read_sets``), or 0."""
+    sets = read_sets(schedule, layout, delta, chunks)
+    batch = {t: b for b, t in enumerate(sorted({t for (t, _), _ in sets}))}
+    level = {}
+    for (t, _), reads in sets:
+        if bl <= batch[t] < bh:
+            deps = [level[batch[s]] for s, _ in reads if batch[s] >= bl]
+            level[batch[t]] = max(level.get(batch[t], 0), 1 + max(deps, default=-1))
+    return [level[b] for b in range(bl, bh)]
 
 
 def is_connected(n: int, edges) -> bool:

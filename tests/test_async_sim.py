@@ -28,8 +28,8 @@ from dbfgs.objectives import (
     make_quadratic,
 )
 from dbfgs.sync_runtime import SyncConfig, run_dbfgs_sync, run_dd
-from oracles import (Mailbox, greedy_windows, measure_asynchronicity,
-                     metropolis_dual, metropolis_weights, time_functions)
+from oracles import (Mailbox, brute_force_levels, measure_asynchronicity,
+                     metropolis_dual, metropolis_weights, read_sets, time_functions)
 
 
 def ring_dual(n, d, eta, seed):
@@ -256,8 +256,8 @@ def test_message_delay_changes_trajectory():
 
 
 def log_timeline(g, obj, sched, delta):
-    """The engine's message logs driven through its windows with no solve
-    in between, as the timeline of ("read", reader, now, chunks, copies)
+    """The engine's message logs driven batch by batch with no solve in
+    between, as the timeline of ("read", reader, now, chunks, copies)
     and ("push", reader, arrival, row, message) entries in the order the
     engine makes them.
 
@@ -273,7 +273,7 @@ def log_timeline(g, obj, sched, delta):
     off, cols, mirror = kernel.offsets, kernel.cols, kernel.mirror
     current = len(queue.time) + g.n  # the first current block's row
     timeline = []
-    for first, last in zip(queue.cuts[eng.wb[:-1]], queue.cuts[eng.wb[1:]]):
+    for first, last in zip(queue.cuts[:-1], queue.cuts[1:]):
         inbox = slice(eng.inbox_at[first], eng.inbox_at[last])
         readers, rows = (col[inbox] for col in eng.inbox)
         chunks = eng.chunk_log[rows, 0].astype(int)
@@ -287,7 +287,7 @@ def log_timeline(g, obj, sched, delta):
         slots = eng.slots[eng.slot_at[first]:eng.slot_at[last]]
         kernel.contrib[slots] = np.repeat(np.arange(first, last),
                                           kernel.m[queue.node[first:last]])[:, None]
-        eng._send(slice(first, last), np.broadcast_to(
+        eng._send(np.arange(first, last), np.broadcast_to(
             np.arange(first + 1, last + 1, dtype=float)[:, None], (3, last - first, obj.p)))
         for e in range(first, last):
             i, t = int(queue.node[e]), float(queue.time[e])
@@ -609,25 +609,30 @@ def test_lockstep_equals_sync_engine_on_random_graphs(problem):
 
 
 # ---------------------------------------------------------------------------
-# conflict-free windows
+# dependency levels
 # ---------------------------------------------------------------------------
 
 
-def conflicts(graph, nodes, batch):
-    """Whether a node of ``batch`` is one of ``nodes`` or adjacent to one."""
-    return any(j in graph.neighborhoods[i] for i in nodes for j in batch)
+def engine_of(runner, args):
+    """The engine ``runner`` builds from ``args``, not yet run."""
+    g, obj, acfg, sched = args
+    return _AsyncEngine(g, obj, acfg, sched, acfg.method, virtual=runner is virtual_replay)
 
 
-def engine_windows(eng):
-    """The engine's windows, from its bounds, as lists of (time, batch)."""
-    batches, bounds = list(eng.queue.batches()), eng.wb.tolist()
-    return [batches[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+def slices(eng):
+    """The engine's slices of batches as (first, one past the last): at
+    least ``PLAN_EVENTS`` events each, unless the schedule ends first."""
+    cuts, out = eng.queue.cuts, [0]
+    while out[-1] < len(cuts) - 1:
+        out.append(min(int(np.searchsorted(cuts, cuts[out[-1]] + async_sim.PLAN_EVENTS)),
+                       len(cuts) - 1))
+    return list(zip(out, out[1:]))
 
 
 @PROPERTY
 @given(metropolis_dual(max_n=12), st.sampled_from([0.0, 0.1, 0.3]),
        st.integers(0, 2**16))
-def test_schedule_and_window_invariants(problem, sigma, seed):
+def test_schedule_and_level_invariants(problem, sigma, seed):
     g, obj = problem
     sched = gen_clock_schedule(g.n, 1.0, sigma, 9.0, seed)
     again = gen_clock_schedule(g.n, 1.0, sigma, 9.0, seed)
@@ -638,30 +643,30 @@ def test_schedule_and_window_invariants(problem, sigma, seed):
         assert np.all(np.diff(ticks) >= CLOCK_INCREMENT_FLOOR - 1e-12)
         assert ticks.tobytes() == same.tobytes()
     eng = _AsyncEngine(g, obj, dbfgs_cfg(), sched, "dbfgs")
-    windows = engine_windows(eng)
-    # the windows partition the batches in event order
-    assert [b for w in windows for b in w] == list(eng.queue.batches())
-    assert eng.we.tolist() == eng.queue.cuts[eng.wb].tolist()
-    for w, following in zip(windows, windows[1:] + [None]):
-        nodes = []
-        for _, batch in w:
-            # no node of a batch is in, or adjacent to, an earlier batch
-            assert not conflicts(g, nodes, batch)
-            nodes += batch
-        if following is not None:  # greedy: the next batch did not fit
-            assert conflicts(g, nodes, following[0][1])
+    queue, events = eng.queue, np.arange(len(eng.queue.time))
+    levels = eng._level(0, len(queue.cuts) - 1)
+    # the levels run in ascending order and partition the events; a level
+    # holds whole batches, its events in event order and each node once,
+    # and its kernel groups and inbox positions are its events'
+    plan = eng._levels(events, np.repeat(levels, np.diff(queue.cuts)))
+    assert len(plan) == max(levels) + 1
+    for level, (ev, groups, inbox) in enumerate(plan):
+        batches = sorted(set(eng.batch[ev].tolist()))
+        assert [levels[b] for b in batches] == [level] * len(batches)
+        assert ev.tolist() == [e for b in batches for e in range(queue.cuts[b],
+                                                                 queue.cuts[b + 1])]
+        nodes = queue.node[ev].tolist()
+        assert len(set(nodes)) == len(nodes)
+        assert sorted(i for grp in groups for i in grp.ids.tolist()) == sorted(nodes)
+        assert inbox.tolist() == [k for e in ev for k in range(eng.inbox_at[e],
+                                                                eng.inbox_at[e + 1])]
+    assert sorted(e for ev, *_ in plan for e in ev.tolist()) == events.tolist()
 
 
-def one_batch_per_window(runner, *args):
-    """The run with every batch as its own window, in event order."""
-    init = _AsyncEngine.__init__
-
-    def per_batch(eng, *a, **kw):
-        init(eng, *a, **kw)
-        eng.wb, eng.we = np.arange(len(eng.queue.cuts)), eng.queue.cuts
-
+def one_batch_per_level(runner, *args):
+    """The run with every batch as its own level, in event order."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(_AsyncEngine, "__init__", per_batch)
+        patch.setattr(_AsyncEngine, "_level", lambda eng, bl, bh: list(range(bh - bl)))
         return runner(*args)
 
 
@@ -678,6 +683,9 @@ ENGINES = {
     "primal": (run_dbfgs_async, "dbfgs", "primal", 0.1),
     "primal-virtual": (virtual_replay, "dbfgs", "primal", 0.1),
 }
+# engine -> how descents reach a node (read_sets' chunks)
+CHUNKS = {"physical": "delayed", "virtual": "instant", "dd": None, "primal": "delayed",
+          "primal-virtual": "instant"}
 
 
 def engine_run(engine, g, obj, sched, **cfg):
@@ -699,7 +707,7 @@ def drifting_schedule(n, sigma, grid, seed):
         times=tuple(np.unique(np.round(t / grid) * grid) for t in sched.times))
 
 
-# the schedules of the window and plan properties: graph, engine, clock
+# the schedules of the level and plan properties: graph, engine, clock
 # drift, time grid, message delay and seed
 SCHEDULES = (metropolis_dual(max_n=12), st.sampled_from(sorted(ENGINES)),
              st.sampled_from([0.0, 0.1, 0.3]), st.sampled_from([None, 0.25, 0.5]),
@@ -708,27 +716,32 @@ SCHEDULES = (metropolis_dual(max_n=12), st.sampled_from(sorted(ENGINES)),
 
 @PROPERTY
 @given(*SCHEDULES)
-def test_windows_equal_per_batch_runs_bytewise(problem, engine, sigma, grid,
-                                              delta, seed):
+def test_levels_equal_per_batch_runs_bytewise(problem, engine, sigma, grid, delta,
+                                              seed):
     g, obj = problem
     sched = drifting_schedule(g.n, sigma, grid, seed)
     runner, args = engine_run(engine, g, obj, sched, delta_msg=delta)
-    assert run_bytes(runner(*args)) == run_bytes(one_batch_per_window(runner, *args))
+    assert run_bytes(runner(*args)) == run_bytes(one_batch_per_level(runner, *args))
 
 
 @PROPERTY
-@given(st.one_of(metropolis_dual(max_n=12),
-                 st.builds(ring_dual, st.integers(5, 40), st.just(4), st.just(1.0),
-                           st.integers(0, 99))),
-       st.sampled_from([0.0, 0.1, 0.3]), st.sampled_from([None, 0.5]),
-       st.integers(0, 2**16))
-def test_window_bounds_equal_the_greedy_scan(problem, sigma, grid, seed):
-    # continuous clocks, a time grid with ties and zero drift (every batch
-    # holds every node), on the ring and on irregular graphs
+@given(*SCHEDULES)
+def test_levels_equal_the_brute_force_oracle(problem, engine, sigma, grid, delta, seed):
+    # per slice, from its first batch and from one inside the schedule, the
+    # levels equal the oracle's from each event's read set, and no event
+    # reads one of its own level or a later one
     g, obj = problem
     sched = drifting_schedule(g.n, sigma, grid, seed)
-    eng = _AsyncEngine(g, obj, dbfgs_cfg(), sched, "dbfgs")
-    assert engine_windows(eng) == list(greedy_windows(eng.queue, g.layout))
+    eng = engine_of(*engine_run(engine, g, obj, sched, delta_msg=delta))
+    nb = len(eng.queue.cuts) - 1
+    batch = {t: b for b, t in enumerate(eng.queue.time[eng.queue.cuts[:-1]].tolist())}
+    for bl in (0, nb // 3):
+        levels = eng._level(bl, nb)
+        assert levels == brute_force_levels(sched, g.layout, delta, CHUNKS[engine], bl, nb)
+        for (t, _), reads in read_sets(sched, g.layout, delta, CHUNKS[engine]):
+            if batch[t] >= bl:
+                assert all(levels[batch[s] - bl] < levels[batch[t] - bl]
+                           for s, _ in reads if batch[s] >= bl)
 
 
 def post_init_ticks(ticks, t):
@@ -777,52 +790,78 @@ def test_plan_matches_brute_force_and_slices_move_no_bit(problem, engine, sigma,
     assert next(reads, None) is None
 
 
+
 @pytest.mark.parametrize("engine", sorted(ENGINES))
-def test_run_scans_no_windows_and_groups_once_a_slice(engine):
-    # the engine fixes the window bounds when it is built; run() keeps them
-    # and builds the kernel groups once per slice of the plan, not per window:
-    # per slice, those of its batches and those of the record's neighborhood
-    # key sets (two in dual mode, one in primal), each with one part a window
+def test_record_ranges_and_slices_move_no_bit(engine):
+    # at n = 100 a slice's rows span two ranges of the record; one event a
+    # slice records one row a range, seven events a slice two ranges
+    g, obj = ring_dual(100, 4, 1.0, 5)
+    sched = gen_clock_schedule(100, 1.0, 0.1, 4.0, 2)
+    runner, args = engine_run(engine, g, obj, sched, delta_msg=0.5)
+    tr = runner(*args)
+    assert len(tr.error) > 64 * async_sim.PLAN_EVENTS // 100
+    for events in (1, 7):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(async_sim, "PLAN_EVENTS", events)
+            assert run_bytes(runner(*args)) == run_bytes(tr)
+
+
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+def test_run_groups_once_a_slice(engine):
+    # run() builds the kernel groups once per slice, not per level: those of
+    # its levels, one part a level, and those of the record's neighborhood
+    # key sets (two in dual mode, one in primal), one part a range of rows
     g, obj = ring_dual(30, 4, 1.0, 23)
     sched = gen_clock_schedule(30, 1.0, 0.1, 40.0, 4)
     runner, args = engine_run(engine, g, obj, sched)
-    _, obj, acfg, _ = args
-    eng = _AsyncEngine(g, obj, acfg, sched, acfg.method,
-                       virtual=runner is virtual_replay)
-    batches, slices = RoundKernel.batches, []
+    eng = engine_of(runner, args)
+    batches, parts = RoundKernel.batches, []
 
     def counted(kernel, keys, cuts):
-        slices.append(len(cuts) - 1)
+        parts.append(len(cuts) - 1)
         return batches(kernel, keys, cuts)
 
-    bounds = eng.wb.copy()
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(RoundKernel, "batches", counted)
         tr = eng.run()
     assert run_bytes(tr) == run_bytes(runner(*args))
-    assert eng.wb.tobytes() == bounds.tobytes()
-    windows = list(greedy_windows(eng.queue, g.layout))
-    calls = 2 + (obj.mode == "dual")
-    assert len(slices) == calls * -(-len(eng.queue.time) // async_sim.PLAN_EVENTS)
-    assert len(slices) == 3 * calls
-    assert sum(slices) == calls * len(windows) == calls * (len(bounds) - 1) > 300 * calls
+    calls = 2 + (args[1].mode == "dual")
+    bounds = slices(eng)
+    assert len(bounds) == -(-len(eng.queue.time) // async_sim.PLAN_EVENTS) == 3
+    assert len(parts) == calls * len(bounds)
+    levels = [max(eng._level(bl, bh)) + 1 for bl, bh in bounds]
+    assert parts[::calls] == levels
+    assert all(parts[k::calls] == [1] * len(bounds) for k in range(1, calls))
+    # the levels pass over the batches in fewer than half as many steps
+    assert 2 * sum(levels) < len(eng.queue.cuts) - 1
 
 
 def row_states(runner, args):
-    """The run, and the (var, aux) state each of its rows was recorded from:
-    the states the engine keeps for its record, one per row in order (aux
-    only in dual mode; var stands in for it in primal mode)."""
-    record = _AsyncEngine._record
-    states = []
-
-    def keep(eng, window_states, keys):
-        by_row = window_states[[0, -1]].reshape((2, -1) + eng.var.shape)
-        states.extend(by_row.swapaxes(0, 1).copy())
-        return record(eng, window_states, keys)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(_AsyncEngine, "_record", keep)
-        tr = runner(*args)
+    """The run, and per row the (var, estimate) state it was recorded from,
+    replayed batch by batch from the engine's logs: a node's var is its
+    latest published var (in DD, at its own event's row, the block it
+    logged), in the virtual engine var0 plus every descent of an earlier
+    batch, added one at a time in event order; the estimate is var in
+    primal mode, and in dual mode each node's latest published aux."""
+    eng = engine_of(runner, args)
+    tr, queue, obj, cfg = eng.run(), eng.queue, args[1], args[2]
+    var = np.zeros((args[0].n, obj.p))
+    aux, states = var.copy(), []
+    for b in range(len(tr.error) + 1):  # batch b's row is b - 1
+        events = range(queue.cuts[b], queue.cuts[b + 1])
+        for e in events:
+            i, package = queue.node[e], eng.packages[:, eng.package_row[e]]
+            aux[i] = package[1]
+            if not eng.virtual:
+                var[i] = eng.log_block[e] if runner is run_dd_async else package[0]
+        if b:
+            states.append((var.copy(), aux.copy() if obj.mode == "dual" else var.copy()))
+        for e in events:
+            if runner is run_dd_async:
+                var[queue.node[e]] = eng.packages[0, eng.package_row[e]]
+            elif eng.virtual:
+                for s in range(eng.slot_at[e], eng.slot_at[e + 1]):
+                    var[eng.kernel.cols[eng.slots[s]]] += cfg.step_size * eng.chunk_log[s]
     return tr, states
 
 
@@ -832,11 +871,10 @@ def assert_rows_equal_a_recompute(runner, args):
     # batch node's var in that state is the block its event logged
     tr, states = row_states(runner, args)
     obj = args[1]
-    assert len(states) >= len(tr.error)
+    assert len(states) == len(tr.error)
     # the first batch only initializes; every later batch is one row
     batches = [list(events) for _, events in groupby(zip(*tr.event_log), itemgetter(0))]
-    for k, (var, aux) in enumerate(states[:len(tr.error)]):
-        est = var if obj.mode == "primal" else aux
+    for k, (var, est) in enumerate(states):
         assert tr.error[k] == consensus_error(est, obj.xstar)
         assert tr.grad_norm[k] == np.linalg.norm(obj.runtime_grad(var))
         for t, i, _, block in batches[k + 1]:
@@ -858,7 +896,7 @@ def test_rows_equal_a_recompute_from_the_state(engine):
        st.integers(0, 2**16))
 def test_rows_equal_a_recompute_on_random_graphs(problem, engine, sigma, delta,
                                                  seed):
-    # irregular graphs mix neighborhood sizes within a window's blocks
+    # irregular graphs mix neighborhood sizes within a level and a range
     g, obj = problem
     sched = gen_clock_schedule(g.n, 1.0, sigma, 8.0, seed)
     runner, args = engine_run(engine, g, obj, sched, delta_msg=delta)
@@ -890,65 +928,70 @@ def test_async_run_evaluates_the_full_gradient_at_most_once(engine):
     assert not any(calls.values()), calls
 
 
-def rows_closing_a_window(g, sched):
-    """Per trace row (every batch but the first): whether its batch is the
-    last of its window."""
-    last = []
-    for window in greedy_windows(EventQueue(sched), g.layout):
-        last += [False] * (len(window) - 1) + [True]
-    return last[1:]
+
+def rows_ahead_of_a_lower_level(eng):
+    """Per trace row (every batch but the first): whether a later batch of
+    its slice runs at a lower level, before the row's own batch."""
+    ahead = []
+    for bl, bh in slices(eng):
+        level = eng._level(bl, bh)
+        ahead += [min(level[k + 1:], default=level[k]) < level[k] for k in range(bh - bl)]
+    return ahead[1:]
 
 
+@pytest.mark.parametrize("delta", [0.0, 0.5])
 @pytest.mark.parametrize("engine", sorted(ENGINES))
-def test_stop_inside_a_window_matches_per_batch(engine):
-    # a stop rule or the iteration cap that fires on a batch which is not
-    # the last of its window: nothing after that batch is applied or logged
+def test_stop_before_a_batch_run_at_a_lower_level_matches_per_batch(engine, delta):
+    # a stop rule or the iteration cap that fires on a row with a later
+    # batch that ran at a lower level: nothing after the row is logged
     g, obj = ring_dual(30, 4, 1.0, 23)
     sched = gen_clock_schedule(30, 1.0, 0.1, 40.0, 4)
-    closing = rows_closing_a_window(g, sched)
-    assert closing.count(False) > 100  # the windows do group batches
-    runner, args = engine_run(engine, g, obj, sched)
+    runner, args = engine_run(engine, g, obj, sched, delta_msg=delta)
+    ahead = rows_ahead_of_a_lower_level(engine_of(runner, args))
+    assert ahead.count(True) > 100  # the levels do reorder batches
     full = runner(*args)
     err = full.error
-    # the first row inside a window whose error is a new minimum
-    hit = next(k for k in range(1, len(err))
-               if err[k] < min(err[:k]) and not closing[k])
+    # the first such row whose error is a new minimum
+    hit = next(k for k in range(1, len(err)) if err[k] < min(err[:k]) and ahead[k])
     cap = next(c for c in range(1, full.local_iter_min[-1])
-               if not closing[full.local_iter_min.index(c)])
+               if ahead[full.local_iter_min.index(c)])
     for stop, status, rows in (({"stop_error": err[hit]}, "error_stop", hit + 1),
                                ({"max_iters": cap}, "max_iters",
                                 full.local_iter_min.index(cap) + 1)):
-        runner, args = engine_run(engine, g, obj, sched, **stop)
+        runner, args = engine_run(engine, g, obj, sched, delta_msg=delta, **stop)
         tr = runner(*args)
         assert tr.status == status and len(tr.error) == rows
         assert tr.to_csv().splitlines() == full.to_csv().splitlines()[:rows + 1]
-        assert run_bytes(tr) == run_bytes(one_batch_per_window(runner, *args))
+        assert len(tr.event_log.time) == tr.exchanges[-1]
+        assert run_bytes(tr) == run_bytes(one_batch_per_level(runner, *args))
 
 
-def test_lost_curvature_in_a_window_raises_only_after_earlier_rows():
-    # a node's curvature fails in a window whose first batch stops the run:
-    # the run ends with the stop, as in event order; without the stop it
-    # raises, naming the node, as in event order
+@pytest.mark.parametrize("delta", [0.0, 0.5])
+@pytest.mark.parametrize("engine", ["physical", "virtual"])
+def test_lost_curvature_raises_at_its_row_after_lower_levels_ran(engine, delta):
+    # a node's curvature fails at a batch that a later batch of its slice
+    # ran before, at a lower level: the run ends at the failed batch's row,
+    # raising and naming the node, or with a stop at an earlier row, as a
+    # run of one batch a level does
     g, obj = ring_dual(30, 4, 1.0, 23)
     sched = gen_clock_schedule(30, 1.0, 0.1, 40.0, 4)
-    runner, args = engine_run("physical", g, obj, sched)
+    runner, args = engine_run(engine, g, obj, sched, delta_msg=delta)
     err = runner(*args).error
-    row = 0  # the row of each window's first batch
-    for window in list(greedy_windows(EventQueue(sched), g.layout))[1:]:
-        if len(window) > 1 and err[row] < min(err[:row], default=np.inf):
-            break
-        row += len(window)
-    t, (node, *_) = window[-1]
+    ahead = rows_ahead_of_a_lower_level(engine_of(runner, args))
+    # a row past a new error minimum, with a lower level after it
+    stop = next(k for k in range(1, len(err)) if err[k] < min(err[:k]))
+    row = next(k for k in range(stop + 1, len(err)) if ahead[k])
+    queue = EventQueue(sched)
+    t = float(queue.time[queue.cuts[row + 1]])  # the row's batch
+    node = int(queue.node[queue.cuts[row + 1]])
     # the node's descents up to t, less its first round's, which solves none
     events = int(np.sum(sched.times[node] <= t)) - 1
     descent = RoundKernel.descent
-    fired = []  # the nodes of each poisoned call
 
     def poisoned(kernel, g_views, big_gamma, groups=None):
         if any(node in grp.ids for grp in groups):
             kernel.seen = getattr(kernel, "seen", 0) + 1
             if kernel.seen == events:
-                fired.append(sorted(i for grp in groups for i in grp.ids.tolist()))
                 # the write drops the node's kept factor, so the descent
                 # factors the poisoned matrix and not the one bfgs_all left
                 kernel.write_matrix(node, np.nan)
@@ -956,24 +999,22 @@ def test_lost_curvature_in_a_window_raises_only_after_earlier_rows():
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(RoundKernel, "descent", poisoned)
-        for stop_error in (None, err[row]):
-            runner, args = engine_run("physical", g, obj, sched,
+        for stop_error in (None, err[stop]):
+            runner, args = engine_run(engine, g, obj, sched, delta_msg=delta,
                                       stop_error=stop_error)
-            outcomes, poisoned_in = [], []
-            for run in (runner, lambda *a: one_batch_per_window(runner, *a)):
-                fired.clear()
+            outcomes = []
+            for run in (runner, lambda *a: one_batch_per_level(runner, *a)):
                 try:
                     outcomes.append(run_bytes(run(*args)))
                 except RuntimeError as exc:
                     outcomes.append(str(exc))
-                poisoned_in.append(list(fired))
-            # the poison fired in the targeted window; with every batch a
-            # window, in the node's batch, which a stop before it never runs
-            assert poisoned_in == [
-                [sorted(i for _, batch in window for i in batch)],
-                [sorted(window[-1][1])] if stop_error is None else []]
             assert outcomes[0] == outcomes[1]
             if stop_error is None:
                 assert outcomes[0].endswith(f"at node {node}")
+                eng = engine_of(runner, args)
+                with pytest.raises(RuntimeError):
+                    eng.run()
+                assert len(eng.trace.error) == row + 1
+                assert eng.logged == queue.cuts[row + 2]
             else:
                 assert outcomes[0][1] == "error_stop"

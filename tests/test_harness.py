@@ -560,8 +560,8 @@ def test_cli_histogram_prints_censoring_aware_quartiles(tmp_path, capsys):
 
 def test_cli_histogram_of_runs_that_end_before_their_first_row(tmp_path, capsys):
     # a horizon before any node's second tick ends each async run with no
-    # row; its CSV is a header alone, which names no method, so the reader
-    # gives the trace the method "?", and the run counts as censored
+    # row; its CSV is a header alone, so the reader takes the trace's method
+    # from the file name, and the run counts as censored under it
     cfg_path = tmp_path / "exp.cfg"
     cfg_path.write_text(BASE_CONFIG.replace("n = 8", "n = 6").replace(
         "dd = 0.002", "dd = 0.002\n\n[async]\nmu_clk = 1.0\nsigma_clk = 0.1\n"
@@ -572,7 +572,23 @@ def test_cli_histogram_of_runs_that_end_before_their_first_row(tmp_path, capsys)
     assert len(csvs) == 4 and all(len(p.read_text().splitlines()) == 1 for p in csvs)
     assert cli_main(["histogram", str(outdir / "*.csv"), "-t", "0.5"]) == 0
     assert capsys.readouterr().out.endswith(
-        "?: reached=0 censored=4 q25=censored median=censored q75=censored\n")
+        "threshold 0.5\n"
+        "dbfgs: reached=0 censored=2 q25=censored median=censored q75=censored\n"
+        "dd: reached=0 censored=2 q25=censored median=censored q75=censored\n")
+
+
+@pytest.mark.parametrize("name, identity", [
+    ("dbfgs_dual_s3_abc.csv", ("dbfgs", "dual", 3)),
+    ("dgd_primal_s0_a_b.csv", ("dgd", "primal", 0)),
+    ("dd_primal_s3_abc.csv", ("?", "?", 0)),  # DD runs in dual mode only
+    ("newton_dual_s3_abc.csv", ("?", "?", 0)),
+    ("t0.csv", ("?", "?", 0))])
+def test_rowless_trace_takes_its_identity_from_a_run_experiment_name(tmp_path, name,
+                                                                       identity):
+    path = tmp_path / name
+    path.write_text(Trace(method="x", mode="x", seed=9, model_time=[]).to_csv())
+    trace = read_trace_csv(str(path))
+    assert (trace.method, trace.mode, trace.seed) == identity and not trace.iters
 
 
 def test_cli_run_without_outdir_writes_to_the_environment_outdir(monkeypatch, tmp_path,

@@ -23,9 +23,16 @@ schedules built outside the timed call:
 A worker times each (case, seed) ``REPEATS`` times with
 ``time.process_time`` and keeps the fastest; its value for a case is the
 median over the seeds of that time over the trace's row count, in us.
+Before it times a (case, seed), it counts the run's kernel passes in one
+untimed run: the ``RoundKernel.dbfgs_round`` calls of D-BFGS, and for DD
+the ``stage1_block`` calls of its gradient stage (not those of the trace's
+record, made from ``_stage``), one per level, or per window in a checkout
+that runs windows, on the ring.
+
 Standard output is one JSON object: per case and checkout the per-round
-values, their median and quartiles, and the number of rounds in which
-CHANGE was faster. Each round's values go to standard error as it ends.
+values, their median and quartiles, the number of rounds in which CHANGE
+was faster, and the kernel passes of each seed's run. Each round's values
+go to standard error as it ends.
 """
 
 from __future__ import annotations
@@ -43,8 +50,30 @@ REPEATS = 3
 CASES = ("fig6-dbfgs", "fig6-dd", "fig3-dbfgs-sync")
 
 
+def passes(call, method: str) -> int:
+    """The kernel passes of one run of ``call``."""
+    from dbfgs._kernel import RoundKernel
+    from dbfgs.objectives import DistributedObjective
+
+    owner, name = ((RoundKernel, "dbfgs_round") if method == "dbfgs"
+                   else (DistributedObjective, "stage1_block"))
+    method_fn, count = getattr(owner, name), [0]
+
+    def counted(*args, **kwargs):
+        count[0] += sys._getframe(1).f_code.co_name != "_stage"
+        return method_fn(*args, **kwargs)
+
+    setattr(owner, name, counted)
+    try:
+        call()
+    finally:
+        setattr(owner, name, method_fn)
+    return count[0]
+
+
 def worker() -> dict:
-    """Per case, the median over seeds of the fastest us per row."""
+    """Per case, the median over seeds of the fastest us per row, and the
+    kernel passes of each seed's run."""
     from dbfgs.async_sim import (AsyncConfig, gen_clock_schedule, run_dbfgs_async,
                                  run_dd_async)
     from dbfgs.netgraph import build_d_regular_cycle, build_weight_matrix
@@ -74,18 +103,19 @@ def worker() -> dict:
     cases = {"fig6-dbfgs": fig6(run_dbfgs_async, "dbfgs", 0.01),
              "fig6-dd": fig6(run_dd_async, "dd", 0.002),
              "fig3-dbfgs-sync": fig3}
-    out = {}
+    out = {"us_per_row": {}, "passes": {}}
     for name in CASES:
-        per_seed = []
+        per_seed, out["passes"][name] = [], []
         for seed in SEEDS:
             call = cases[name](seed)
+            out["passes"][name].append(passes(call, "dd" if name == "fig6-dd" else "dbfgs"))
             best = float("inf")
             for _ in range(REPEATS):
                 t0 = time.process_time()
                 trace = call()
                 best = min(best, (time.process_time() - t0) / len(trace.error))
             per_seed.append(best * 1e6)
-        out[name] = statistics.median(per_seed)
+        out["us_per_row"][name] = statistics.median(per_seed)
     return out
 
 
@@ -124,12 +154,14 @@ def main(argv=None) -> int:
     out = {"unit": "us/row", "rounds": args.rounds, "repeats": REPEATS,
            "seeds": list(SEEDS), "cases": {}}
     for name in CASES:
-        parent = [r[name] for r in runs["parent"]]
-        change = [r[name] for r in runs["change"]]
+        parent = [r["us_per_row"][name] for r in runs["parent"]]
+        change = [r["us_per_row"][name] for r in runs["change"]]
         out["cases"][name] = {
             "parent": summary(parent), "change": summary(change),
             "parent_runs": parent, "change_runs": change,
-            "change_faster_rounds": sum(c < p for p, c in zip(parent, change))}
+            "change_faster_rounds": sum(c < p for p, c in zip(parent, change)),
+            "parent_passes": runs["parent"][0]["passes"][name],
+            "change_passes": runs["change"][0]["passes"][name]}
     print(json.dumps(out, indent=1))
     return 0
 
