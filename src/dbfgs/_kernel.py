@@ -172,8 +172,10 @@ class RoundKernel:
 
     def dbfgs_round(self, var_views: list, g_views: list, gamma: float,
                     big_gamma: float, first: bool = False, groups=None) -> np.ndarray:
-        """Curvature update (not on a node's first round), descent
-        contributions, then keep the views for the batch's next round.
+        """Curvature update (not on a node's first round), keep the views
+        for the batch's next round, then the descent contributions. The
+        views are kept before ``descent`` can raise ``CurvatureLost``, so
+        the nodes whose factor held have this round's views all the same.
         On a first round every curvature is I, which ``dposv`` solves
         exactly for finite g, so the contributions are -(g + Gamma D g)
         unfactored.
@@ -187,10 +189,11 @@ class RoundKernel:
                 self.contrib[grp.rows] = -(gv + big_gamma * self.dd.take(grp.rows, 0) * gv)
         else:
             accepted = self.bfgs_all(var_views, g_views, gamma, groups)
-            self.descent(g_views, big_gamma, groups)
         for grp, vv, gv in zip(groups, var_views, g_views):
             self.last[0][grp.rows] = vv
             self.last[1][grp.rows] = gv
+        if not first:
+            self.descent(g_views, big_gamma, groups)
         return accepted
 
     def descent(self, g_views: list, big_gamma: float, groups=None) -> None:

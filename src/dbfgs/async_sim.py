@@ -61,7 +61,7 @@ __all__ = [
 ]
 
 CLOCK_INCREMENT_FLOOR = 0.01
-# events the engine plans at once (at least): bounds the plan's memory
+# events the engine plans and records at once (at least): bounds their memory
 PLAN_EVENTS = 512
 
 
@@ -172,8 +172,9 @@ class _AsyncEngine:
     Built, it computes the flat indices the schedule fixes (event slots, the
     ``packages`` rows they read, inbox chunks, the batch each slot depends
     on), O(events m) like the logs. ``run`` takes a slice of at least
-    ``PLAN_EVENTS`` events at a time: ``_execute`` runs its levels, then
-    ``_record`` replays and emits its rows."""
+    ``PLAN_EVENTS`` events at a time, its one unit: ``_execute`` runs the
+    slice's levels as planned, then ``_record`` replays and emits its rows
+    in one pass."""
 
     def __init__(self, graph: Graph, objective: DistributedObjective,
                  cfg: AsyncConfig, schedule: ClockSchedule, method: str,
@@ -275,34 +276,24 @@ class _AsyncEngine:
         starts = at[items] - np.cumsum(sizes) + sizes
         return starts[owner] + np.arange(len(owner)), owner
 
-    def _reach(self, seeds: np.ndarray, size: int, hops: int) -> list:
-        """Per h = 0 to ``hops``, the distinct keys below ``size`` within h
-        hops of the keys ``seeds`` in their rows, ascending."""
-        out = []
+    def _reach(self, seeds: np.ndarray, rows: int, hops: int) -> list:
+        """Per h = 0 to ``hops``, the distinct keys r n + node (r below
+        ``rows``) within h hops of the keys ``seeds`` in their rows, ascending,
+        as (their nodes, each row's first and one past the last position,
+        their kernel groups from one hop on, the keys)."""
+        n, out = len(self.err_terms), []
         for hop in range(hops + 1):
             if hop:
-                nodes = out[-1] % len(self.err_terms)
+                nodes, *_, keys = out[-1]
                 slots, at = self._ranges(self.kernel.offsets, nodes)
-                seeds = (out[-1] - nodes)[at] + self.kernel.cols[slots]
-            seen = np.zeros(size, dtype=bool)
+                seeds = (keys - nodes)[at] + self.kernel.cols[slots]
+            seen = np.zeros(rows * n, dtype=bool)
             seen[seeds] = True
-            out.append(seen.nonzero()[0])
+            keys = seen.nonzero()[0]
+            groups = self.kernel.batches(keys, [0, len(keys)])[0] if hop else None
+            out.append((keys % n, np.searchsorted(keys, np.arange(rows + 1) * n).tolist(),
+                        groups, keys))
         return out
-
-    def _key_sets(self, keys: np.ndarray, starts: np.ndarray, hoods: bool) -> list:
-        """Per range of rows (from each of ``starts`` to the next), the sorted
-        ``keys`` in it as (nodes, each row's first and one past the last
-        position, kernel groups of its keys from its first row with
-        ``hoods``, those keys)."""
-        n = len(self.err_terms)
-        nodes = keys % n
-        bounds = np.searchsorted(keys, np.arange(starts[-1] + 1) * n)  # by row
-        rk = bounds[starts]  # each range's first key
-        keys = keys - np.repeat(starts[:-1] * n, np.diff(rk))
-        rows, at, firsts = bounds.tolist(), rk.tolist(), starts.tolist()
-        groups = self.kernel.batches(keys, rk) if hoods else [None] * len(firsts)
-        return [(nodes[lo:hi], [r - lo for r in rows[r0:r1 + 1]], grp, keys[lo:hi])
-                for lo, hi, r0, r1, grp in zip(at, at[1:], firsts, firsts[1:], groups)]
 
     def _level(self, bl: int, bh: int) -> list:
         """Each batch's level in the slice of batches bl to bh: one more than
@@ -327,22 +318,21 @@ class _AsyncEngine:
         return [(ev[lo:hi], grp, inbox[a:b])
                 for lo, hi, a, b, grp in zip(cuts, cuts[1:], at, at[1:], groups)]
 
-    def _execute(self, bl: int, bh: int):
-        """Run batches bl to bh level by level; the first batch whose curvature
-        is lost and its lost nodes, or None. No level runs a batch after it."""
-        queue = self.queue
-        events = np.arange(queue.cuts[bl], queue.cuts[bh])
-        levels = np.repeat(self._level(bl, bh), np.diff(queue.cuts[bl:bh + 1]))
-        plan, lost = self._levels(events, levels)[::-1], None
-        while plan:
-            ev, groups, inbox = plan.pop()
+    def _execute(self, bl: int, bh: int) -> tuple:
+        """Run batches bl to bh level by level, as planned; the first batch
+        whose curvature is lost and its lost nodes, or (bh, []). A batch
+        reads only what batches before it wrote, so the batches after a
+        lost one may run too: nothing they write is observed."""
+        cuts, node = self.queue.cuts, self.queue.node
+        events = np.arange(cuts[bl], cuts[bh])
+        levels = np.repeat(self._level(bl, bh), np.diff(cuts[bl:bh + 1]))
+        lost = bh, []
+        for ev, groups, inbox in self._levels(events, levels):
             nodes = self._run_level(ev, groups, inbox, init=ev[0] == 0)
-            if nodes:  # the levels left run only the batches before this one
-                at = self.batch[ev[np.isin(queue.node[ev], nodes)]].min()
-                lost = at, [i for i in nodes if i in queue.node[queue.cuts[at]:
-                                                                 queue.cuts[at + 1]]]
-                left = (levels > levels[ev[0] - events[0]]) & (self.batch[events] < at)
-                plan = self._levels(events[left], levels[left])[::-1] if any(left) else []
+            if nodes:
+                at = self.batch[ev[np.isin(node[ev], nodes)]].min()
+                if at < lost[0]:
+                    lost = at, [i for i in nodes if i in node[cuts[at]:cuts[at + 1]]]
         return lost
 
     def _run_level(self, ev: np.ndarray, groups: list, inbox: np.ndarray,
@@ -386,11 +376,10 @@ class _AsyncEngine:
             self.chunk_log[slots] = self.kernel.contrib[self.slots[slots]]
 
     def _record(self, lo: int, hi: int) -> bool:
-        """Record the rows of batches lo to hi from the logs and emit them, in
-        ranges of rows of at most 64 ``PLAN_EVENTS`` node blocks; True when a
-        stop ends the run."""
+        """Record the rows of batches lo to hi from the logs in one pass and
+        emit them; True when a stop ends the run."""
         queue, cuts, cfg = self.queue, self.queue.cuts, self.cfg
-        n, dual = len(self.err_terms), self.obj.mode == "dual"
+        n, dual, rows = len(self.err_terms), self.obj.mode == "dual", hi - lo
         self.logged = cuts[hi]  # events count as exchanges
         # the writes to var, in event order: a published var from its row on
         # (DD's from the next row), or each virtual descent from the next row
@@ -413,48 +402,38 @@ class _AsyncEngine:
         # the keys where var moved (batch 0 moves every node by the first row)
         # and within one and two hops runtime stage 1 and 2 (primal: var and
         # stage 2); the estimate moves at var's keys, in dual mode the events'
-        reach = self._reach(writes, (hi - lo) * n, 1 + dual)
-        starts = np.append(np.arange(0, hi - lo, max(1, 64 * PLAN_EVENTS // n)), hi - lo)
-        sets = [self._key_sets(keys, starts, hop > 0) for hop, keys in enumerate(reach)
-                if hop or not dual]
-        at = np.searchsorted(row, starts).tolist()
-        for k, (r0, r1) in enumerate(zip(starts.tolist(), starts[1:].tolist())):
-            rows, last = r1 - r0, np.arange(n) + (r1 - r0 - 1) * n  # the last row
-            # stage 2 reads var in primal mode, the stage-1 blocks in dual mode
-            w = slice(at[k], at[k + 1])
-            var = read = self._versions(self.runtime_var, writes[w] - r0 * n, values[w],
-                                        rows)
-            self.runtime_var = self._read(var, last, rows)
-            if dual:
-                ev = np.arange(cuts[lo + r0], cuts[lo + r1])
-                enodes, est = queue.node[ev], self.packages[1, self.package_row[ev]]
-                ebounds = (cuts[lo + r0:lo + r1 + 1] - cuts[lo + r0]).tolist()
-                keys = sets[0][k]
-                aux = self._stage(keys, self.obj.stage1_block, rows, var)
-                read = self._versions(self.runtime_aux, keys[3], aux, rows)
-                self.runtime_aux = self._read(read, last, rows)
-            else:
-                enodes, ebounds, _, ekeys = sets[0][k]
-                est = self._read(var, ekeys, rows)
-            diff = est - self.obj.xstar
-            terms = np.sum(diff * diff, axis=1)
-            gnodes, gbounds, *_ = sets[-1][k]
-            grad = self._stage(sets[-1][k], lambda ids, view: self.obj.stage2_block(
-                ids, view, view), rows, read)
-            # per row np.mean's sum and np.linalg.norm's reduction (of a view)
-            sums, squares = np.empty(rows), np.empty(rows)
-            err_terms, grads = self.err_terms, self.runtime_grad
-            flat = grads.ravel()
-            for r, (a, b, ga, gb) in enumerate(zip(ebounds, ebounds[1:], gbounds,
-                                                   gbounds[1:])):
-                err_terms[enodes[a:b]] = terms[a:b]
-                grads[gnodes[ga:gb]] = grad[ga:gb]
-                sums[r], squares[r] = err_terms.sum(), flat.dot(flat)
-            first = int(lo + r0 == 0)  # batch 0 has no row
-            if self._emit(lo + r0 + first, (sums / n / self.denom)[first:],
-                          np.sqrt(squares)[first:]):
-                return True
-        return False
+        reach = self._reach(writes, rows, 1 + dual)
+        last = np.arange(n) + (rows - 1) * n  # the last row
+        # stage 2 reads var in primal mode, the stage-1 blocks in dual mode
+        var = read = self._versions(self.runtime_var, writes, values, rows)
+        self.runtime_var = self._read(var, last, rows)
+        if dual:
+            ev = np.arange(cuts[lo], cuts[hi])
+            enodes, est = queue.node[ev], self.packages[1, self.package_row[ev]]
+            ebounds = (cuts[lo:hi + 1] - cuts[lo]).tolist()
+            aux = self._stage(reach[1], self.obj.stage1_block, rows, var)
+            read = self._versions(self.runtime_aux, reach[1][3], aux, rows)
+            self.runtime_aux = self._read(read, last, rows)
+        else:
+            enodes, ebounds, _, ekeys = reach[0]
+            est = self._read(var, ekeys, rows)
+        diff = est - self.obj.xstar
+        terms = np.sum(diff * diff, axis=1)
+        gnodes, gbounds, *_ = reach[-1]
+        grad = self._stage(reach[-1], lambda ids, view: self.obj.stage2_block(
+            ids, view, view), rows, read)
+        # per row np.mean's sum and np.linalg.norm's reduction (of a view)
+        sums, squares = np.empty(rows), np.empty(rows)
+        err_terms, grads = self.err_terms, self.runtime_grad
+        flat = grads.ravel()
+        for r, (a, b, ga, gb) in enumerate(zip(ebounds, ebounds[1:], gbounds,
+                                               gbounds[1:])):
+            err_terms[enodes[a:b]] = terms[a:b]
+            grads[gnodes[ga:gb]] = grad[ga:gb]
+            sums[r], squares[r] = err_terms.sum(), flat.dot(flat)
+        first = int(lo == 0)  # batch 0 has no row
+        return self._emit(lo + first, (sums / n / self.denom)[first:],
+                          np.sqrt(squares)[first:])
 
     def _emit(self, b0: int, errs: np.ndarray, norms: np.ndarray) -> bool:
         """Append the rows of batches b0 on, given their errors and gradient
@@ -501,12 +480,12 @@ class _AsyncEngine:
         end = min(len(cuts) - 1, int(np.searchsorted(self.lmin, self.cfg.max_iters)) + 1)
         while bl < end:
             bh = min(int(np.searchsorted(cuts, cuts[bl] + PLAN_EVENTS)), end)
-            lost = self._execute(bl, bh)
+            at, lost = self._execute(bl, bh)
             # a lost curvature ends the run at its row, unless a stop does
-            if self._record(bl, bh if lost is None else lost[0] + 1):
+            if self._record(bl, min(at + 1, bh)):
                 break
-            if lost is not None:
-                raise CurvatureLost(lost[1])
+            if lost:
+                raise CurvatureLost(lost)
             bl = bh
         # copies, so the trace keeps no more than the events it logged
         self.trace.event_log = EventLog(*(col[:self.logged].copy() for col in (

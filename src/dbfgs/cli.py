@@ -58,14 +58,18 @@ def _cmd_reproduce(args) -> int:
 
 
 def _cmd_histogram(args) -> int:
-    paths = []
-    for pattern in args.traces:
-        paths.extend(sorted(glob.glob(pattern)))
-    if not paths:
-        print("no trace files matched", file=sys.stderr)
+    matches = [sorted(glob.glob(pattern)) for pattern in args.traces]
+    missing = [pattern for pattern, found in zip(args.traces, matches) if not found]
+    if missing:
+        print("no trace files matched: " + " ".join(missing), file=sys.stderr)
         return 2
+    # each file once, however many arguments match it
+    paths = {}
+    for found in matches:
+        for path in found:
+            paths.setdefault(os.path.realpath(path), path)
     try:
-        traces = [read_trace_csv(p) for p in paths]
+        traces = [read_trace_csv(p) for p in paths.values()]
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

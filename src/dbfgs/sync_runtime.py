@@ -218,16 +218,6 @@ def _stop_rules(err, gnorm, iters, cfg: SyncConfig) -> list:
     return rules + [("max_iters", iters >= cfg.max_iters)]
 
 
-def _check_stop(trace: Trace, cfg: SyncConfig) -> bool:
-    """Apply the stop rules to the trace's last row; True ends the run."""
-    for status, hit in _stop_rules(trace.error[-1], trace.grad_norm[-1],
-                                   trace.iters[-1], cfg):
-        if hit:
-            trace.status = status
-            return True
-    return False
-
-
 def _run(graph: Graph, objective: DistributedObjective, cfg: SyncConfig,
          method: str, rounds) -> Trace:
     """Check cfg, start from zeros or a float copy of var0, and append a row
@@ -239,7 +229,10 @@ def _run(graph: Graph, objective: DistributedObjective, cfg: SyncConfig,
     trace = Trace(method=method, mode=cfg.mode, seed=cfg.seed)
     for t, (err, gnorm) in enumerate(rounds(var), 1):
         trace.append(t, err, gnorm, t * cost)
-        if _check_stop(trace, cfg):
+        status = next((status for status, hit in _stop_rules(err, gnorm, t, cfg)
+                       if hit), None)
+        if status:
+            trace.status = status
             break
     return trace
 

@@ -792,14 +792,13 @@ def test_plan_matches_brute_force_and_slices_move_no_bit(problem, engine, sigma,
 
 
 @pytest.mark.parametrize("engine", sorted(ENGINES))
-def test_record_ranges_and_slices_move_no_bit(engine):
-    # at n = 100 a slice's rows span two ranges of the record; one event a
-    # slice records one row a range, seven events a slice two ranges
+def test_slices_move_no_bit(engine):
+    # at n = 100 the record replays a slice of many rows in one pass; one
+    # event a slice records one row a pass, seven events a slice two rows
     g, obj = ring_dual(100, 4, 1.0, 5)
     sched = gen_clock_schedule(100, 1.0, 0.1, 4.0, 2)
     runner, args = engine_run(engine, g, obj, sched, delta_msg=0.5)
     tr = runner(*args)
-    assert len(tr.error) > 64 * async_sim.PLAN_EVENTS // 100
     for events in (1, 7):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(async_sim, "PLAN_EVENTS", events)
@@ -810,7 +809,7 @@ def test_record_ranges_and_slices_move_no_bit(engine):
 def test_run_groups_once_a_slice(engine):
     # run() builds the kernel groups once per slice, not per level: those of
     # its levels, one part a level, and those of the record's neighborhood
-    # key sets (two in dual mode, one in primal), one part a range of rows
+    # key sets (two in dual mode, one in primal), one part each
     g, obj = ring_dual(30, 4, 1.0, 23)
     sched = gen_clock_schedule(30, 1.0, 0.1, 40.0, 4)
     runner, args = engine_run(engine, g, obj, sched)
@@ -966,55 +965,109 @@ def test_stop_before_a_batch_run_at_a_lower_level_matches_per_batch(engine, delt
         assert run_bytes(tr) == run_bytes(one_batch_per_level(runner, *args))
 
 
+def lost_or_run_bytes(eng, per_batch=False):
+    """The engine's run bytes or, if its curvature is lost, the message, the
+    rows recorded and the blocks logged; ``per_batch``: one batch a level."""
+    with pytest.MonkeyPatch.context() as patch:
+        if per_batch:
+            patch.setattr(_AsyncEngine, "_level", lambda eng, bl, bh: list(range(bh - bl)))
+        try:
+            return run_bytes(eng.run())
+        except RuntimeError as exc:
+            return (str(exc), eng.trace.to_csv(), int(eng.logged),
+                    eng.log_block[:eng.logged].tobytes())
+
+
 @pytest.mark.parametrize("delta", [0.0, 0.5])
 @pytest.mark.parametrize("engine", ["physical", "virtual"])
 def test_lost_curvature_raises_at_its_row_after_lower_levels_ran(engine, delta):
     # a node's curvature fails at a batch that a later batch of its slice
     # ran before, at a lower level: the run ends at the failed batch's row,
     # raising and naming the node, or with a stop at an earlier row, as a
-    # run of one batch a level does
+    # run of one batch a level does, with the same rows and logged blocks;
+    # so it does when that later batch's curvature fails too, and first
     g, obj = ring_dual(30, 4, 1.0, 23)
     sched = gen_clock_schedule(30, 1.0, 0.1, 40.0, 4)
     runner, args = engine_run(engine, g, obj, sched, delta_msg=delta)
     err = runner(*args).error
-    ahead = rows_ahead_of_a_lower_level(engine_of(runner, args))
+    eng = engine_of(runner, args)
+    ahead = rows_ahead_of_a_lower_level(eng)
     # a row past a new error minimum, with a lower level after it
     stop = next(k for k in range(1, len(err)) if err[k] < min(err[:k]))
     row = next(k for k in range(stop + 1, len(err)) if ahead[k])
-    queue = EventQueue(sched)
-    t = float(queue.time[queue.cuts[row + 1]])  # the row's batch
-    node = int(queue.node[queue.cuts[row + 1]])
-    # the node's descents up to t, less its first round's, which solves none
-    events = int(np.sum(sched.times[node] <= t)) - 1
+    queue = eng.queue
+    # the row's batch b1, and b2: the first later batch of its slice that
+    # runs at a lower level
+    b1 = row + 1
+    bl, bh = next((bl, bh) for bl, bh in slices(eng) if bl <= b1 < bh)
+    level = eng._level(bl, bh)
+    b2 = next(b for b in range(b1 + 1, bh) if level[b - bl] < level[b1 - bl])
+
+    def target(b):
+        # the batch's first node, and its descents up to the batch's time,
+        # less its first round's, which solves none
+        node = int(queue.node[queue.cuts[b]])
+        t = float(queue.time[queue.cuts[b]])
+        return node, int(np.sum(sched.times[node] <= t)) - 1
+
+    node = target(b1)[0]
+    descent, fired = RoundKernel.descent, []
+
+    def poisoned(kernel, g_views, big_gamma, groups=None):
+        kernel.seen = getattr(kernel, "seen", dict.fromkeys(poison, 0))
+        for i, count in poison.items():
+            if any(i in grp.ids for grp in groups):
+                kernel.seen[i] += 1
+                if kernel.seen[i] == count:
+                    # the write drops the node's kept factor, so the descent
+                    # factors the poisoned matrix and not the one bfgs_all left
+                    kernel.write_matrix(i, np.nan)
+                    fired.append(i)
+        return descent(kernel, g_views, big_gamma, groups)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(RoundKernel, "descent", poisoned)
+        for poison in (dict([target(b1)]), dict([target(b1), target(b2)])):
+            for stop_error in (None, err[stop]):
+                runner, args = engine_run(engine, g, obj, sched, delta_msg=delta,
+                                          stop_error=stop_error)
+                eng, fired[:] = engine_of(runner, args), []
+                outcome = lost_or_run_bytes(eng)
+                if stop_error is None:
+                    # the later batch's curvature fails first
+                    assert fired == list(poison)[::-1]
+                assert outcome == lost_or_run_bytes(engine_of(runner, args), True)
+                if stop_error is None:
+                    assert outcome[0].endswith(f"at node {node}")
+                    assert len(eng.trace.error) == row + 1
+                    assert eng.logged == queue.cuts[row + 2]
+                else:
+                    assert outcome[1] == "error_stop"
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.5])
+@pytest.mark.parametrize("engine", ["physical", "virtual"])
+def test_lost_curvature_keeps_the_other_nodes_views(engine, delta):
+    # a level whose round loses one node's curvature still keeps the views
+    # of its other nodes, whose next events may come before the lost row:
+    # a poisoned node at one of its events ends the run as a run of one
+    # batch a level does, with the same rows and logged blocks
+    g, obj = ring_dual(30, 4, 1.0, 23)
+    sched = gen_clock_schedule(30, 1.0, 0.3, 40.0, 4)
+    runner, args = engine_run(engine, g, obj, sched, delta_msg=delta)
     descent = RoundKernel.descent
 
     def poisoned(kernel, g_views, big_gamma, groups=None):
         if any(node in grp.ids for grp in groups):
             kernel.seen = getattr(kernel, "seen", 0) + 1
-            if kernel.seen == events:
-                # the write drops the node's kept factor, so the descent
-                # factors the poisoned matrix and not the one bfgs_all left
+            if kernel.seen == count:
                 kernel.write_matrix(node, np.nan)
         return descent(kernel, g_views, big_gamma, groups)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(RoundKernel, "descent", poisoned)
-        for stop_error in (None, err[stop]):
-            runner, args = engine_run(engine, g, obj, sched, delta_msg=delta,
-                                      stop_error=stop_error)
-            outcomes = []
-            for run in (runner, lambda *a: one_batch_per_level(runner, *a)):
-                try:
-                    outcomes.append(run_bytes(run(*args)))
-                except RuntimeError as exc:
-                    outcomes.append(str(exc))
-            assert outcomes[0] == outcomes[1]
-            if stop_error is None:
-                assert outcomes[0].endswith(f"at node {node}")
-                eng = engine_of(runner, args)
-                with pytest.raises(RuntimeError):
-                    eng.run()
-                assert len(eng.trace.error) == row + 1
-                assert eng.logged == queue.cuts[row + 2]
-            else:
-                assert outcomes[0][1] == "error_stop"
+        for node in (0, 7, 21):
+            for count in (10, 25):
+                outcome = lost_or_run_bytes(engine_of(runner, args))
+                assert outcome[0].endswith(f"at node {node}")
+                assert outcome == lost_or_run_bytes(engine_of(runner, args), True)

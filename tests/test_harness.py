@@ -551,11 +551,13 @@ def test_cli_histogram_prints_censoring_aware_quartiles(tmp_path, capsys):
     traces += [fake_trace("dbfgs", 3, [1.0], 4), fake_trace("dd", 0, [1.0, 0.9], 1)]
     for k, trace in enumerate(traces):
         (tmp_path / f"t{k}.csv").write_text(trace.to_csv())
-    assert cli_main(["histogram", str(tmp_path / "*.csv"), "-t", "0.05"]) == 0
-    assert capsys.readouterr().out == (
-        "threshold 0.05\n"
-        "dbfgs: reached=3 censored=1 q25=7 median=10 q75=censored\n"
-        "dd: reached=0 censored=1 q25=censored median=censored q75=censored\n")
+    # a file that two arguments match, or two spellings of its path, counts once
+    for extra in ([], [str(tmp_path / "t3.csv"), str(tmp_path / "." / "t*.csv")]):
+        assert cli_main(["histogram", str(tmp_path / "*.csv"), *extra, "-t", "0.05"]) == 0
+        assert capsys.readouterr().out == (
+            "threshold 0.05\n"
+            "dbfgs: reached=3 censored=1 q25=7 median=10 q75=censored\n"
+            "dd: reached=0 censored=1 q25=censored median=censored q75=censored\n")
 
 
 def test_cli_histogram_of_runs_that_end_before_their_first_row(tmp_path, capsys):
@@ -621,10 +623,17 @@ def test_cli_reproduce_prints_each_criterion_and_exits_on_the_verdict(monkeypatc
     assert calls == [((0, 1, 2), None)]
 
 
-def test_cli_histogram_no_match_is_usage_error(tmp_path):
+def test_cli_histogram_no_match_is_usage_error(tmp_path, capsys):
     rc = cli_main(["histogram", str(tmp_path / "none*.csv"),
                    "--threshold", "0.5"])
     assert rc == 2
+    # a missing path beside one that matches is named, as every one is
+    (tmp_path / "t0.csv").write_text(fake_trace("dbfgs", 0, [1.0, 0.01], 4).to_csv())
+    missing = [str(tmp_path / "typo.csv"), str(tmp_path / "none*.csv")]
+    capsys.readouterr()
+    assert cli_main(["histogram", str(tmp_path / "t*.csv"), *missing, "-t", "0.5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.split(": ", 1)[1].split() == missing
 
 
 def test_cli_histogram_of_a_non_trace_csv_is_usage_error(tmp_path, capsys):

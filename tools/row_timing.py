@@ -16,6 +16,8 @@ schedules built outside the timed call:
   in the fig6 regime (n=50, 4-regular ring, quadratic eta=1 p=4, dual,
   mu_clk 1, sigma_clk 0.1, delta_msg 0, horizon 235, 200 iterations,
   gamma = Gamma = 0.1, steps 0.01 and 0.002);
+- ``n1000-dbfgs`` and ``n1000-dd``: the same at n=1000 and horizon 3, where
+  a plan slice holds hundreds of rows;
 - ``fig3-dbfgs-sync``: ``run_dbfgs_sync`` in fig3's regime (n=50, dual,
   eta 0, step 0.01, gamma 1e-2, Gamma 1e-3, stop at error 1e-2, at most
   3000 rounds).
@@ -27,12 +29,13 @@ Before it times a (case, seed), it counts the run's kernel passes in one
 untimed run: the ``RoundKernel.dbfgs_round`` calls of D-BFGS, and for DD
 the ``stage1_block`` calls of its gradient stage (not those of the trace's
 record, made from ``_stage``), one per level, or per window in a checkout
-that runs windows, on the ring.
+that runs windows, on the ring; and the run's ``tracemalloc`` peak, in MB,
+in one more untimed run.
 
 Standard output is one JSON object: per case and checkout the per-round
 values, their median and quartiles, the number of rounds in which CHANGE
-was faster, and the kernel passes of each seed's run. Each round's values
-go to standard error as it ends.
+was faster, and the kernel passes and tracemalloc peak of each seed's run.
+Each round's values go to standard error as it ends.
 """
 
 from __future__ import annotations
@@ -44,10 +47,11 @@ import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 
 SEEDS = (0, 1, 2)
 REPEATS = 3
-CASES = ("fig6-dbfgs", "fig6-dd", "fig3-dbfgs-sync")
+CASES = ("fig6-dbfgs", "fig6-dd", "n1000-dbfgs", "n1000-dd", "fig3-dbfgs-sync")
 
 
 def passes(call, method: str) -> int:
@@ -71,9 +75,19 @@ def passes(call, method: str) -> int:
     return count[0]
 
 
+def peak_mb(call) -> float:
+    """The tracemalloc peak of one run of ``call``, in MB."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
 def worker() -> dict:
     """Per case, the median over seeds of the fastest us per row, and the
-    kernel passes of each seed's run."""
+    kernel passes and tracemalloc peak of each seed's run."""
     from dbfgs.async_sim import (AsyncConfig, gen_clock_schedule, run_dbfgs_async,
                                  run_dd_async)
     from dbfgs.netgraph import build_d_regular_cycle, build_weight_matrix
@@ -83,14 +97,17 @@ def worker() -> dict:
     graph = build_d_regular_cycle(50, 4)
     weights = build_weight_matrix(graph, 4)
 
-    def fig6(runner, method, step):
+    def fig6(runner, method, step, n=50, horizon=235.0):
+        ring = build_d_regular_cycle(n, 4)
+        ring_weights = build_weight_matrix(ring, 4)
+
         def run(seed):
-            obj = DistributedObjective(make_quadratic(50, 4, 1.0, seed), graph,
-                                       weights, "dual")
-            sched = gen_clock_schedule(50, 1.0, 0.1, 235.0, seed)
+            obj = DistributedObjective(make_quadratic(n, 4, 1.0, seed), ring,
+                                       ring_weights, "dual")
+            sched = gen_clock_schedule(n, 1.0, 0.1, horizon, seed)
             cfg = AsyncConfig(method=method, mode="dual", step_size=step,
                               max_iters=200, gamma=0.1, big_gamma=0.1, seed=seed)
-            return lambda: runner(graph, obj, cfg, sched)
+            return lambda: runner(ring, obj, cfg, sched)
         return run
 
     def fig3(seed):
@@ -102,13 +119,16 @@ def worker() -> dict:
 
     cases = {"fig6-dbfgs": fig6(run_dbfgs_async, "dbfgs", 0.01),
              "fig6-dd": fig6(run_dd_async, "dd", 0.002),
+             "n1000-dbfgs": fig6(run_dbfgs_async, "dbfgs", 0.01, 1000, 3.0),
+             "n1000-dd": fig6(run_dd_async, "dd", 0.002, 1000, 3.0),
              "fig3-dbfgs-sync": fig3}
-    out = {"us_per_row": {}, "passes": {}}
+    out = {"us_per_row": {}, "passes": {}, "peak_mb": {}}
     for name in CASES:
-        per_seed, out["passes"][name] = [], []
+        per_seed, out["passes"][name], out["peak_mb"][name] = [], [], []
         for seed in SEEDS:
             call = cases[name](seed)
-            out["passes"][name].append(passes(call, "dd" if name == "fig6-dd" else "dbfgs"))
+            out["passes"][name].append(passes(call, name.split("-")[1]))
+            out["peak_mb"][name].append(peak_mb(call))
             best = float("inf")
             for _ in range(REPEATS):
                 t0 = time.process_time()
@@ -161,7 +181,9 @@ def main(argv=None) -> int:
             "parent_runs": parent, "change_runs": change,
             "change_faster_rounds": sum(c < p for p, c in zip(parent, change)),
             "parent_passes": runs["parent"][0]["passes"][name],
-            "change_passes": runs["change"][0]["passes"][name]}
+            "change_passes": runs["change"][0]["passes"][name],
+            "parent_peak_mb": runs["parent"][0]["peak_mb"][name],
+            "change_peak_mb": runs["change"][0]["peak_mb"][name]}
     print(json.dumps(out, indent=1))
     return 0
 
